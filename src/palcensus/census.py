@@ -1,33 +1,27 @@
 """Exhaustive classification of the words of a given length.
 
-Counts come from literally enumerating all k**n words (or all k**n square
-roots) in lexicographic order and testing each one with the naive scans from
-the words module.  That makes this module the ground truth against which the
-recurrence module is validated.
+Counts come from a depth-first walk over the prefix tree of all k**n words
+(or all k**n square roots) that tests only each newly extended prefix.  A
+family that forbids a palindromic or square prefix loses the whole subtree
+below the first one; unbordered words and the profile census keep the KMP
+failure array of the current prefix instead.  The naive scans of the words
+module are the independent route, and verify checks every count against them.
 
-The search space may be partitioned by fixed prefixes and the partial counts
-summed, optionally across worker processes; results are identical whatever
-the partitioning, and completed counts are memoised per process.
+The subtree below a fixed prefix is a prefix block, so the search space may
+be partitioned by fixed prefixes and the partial counts summed, optionally
+across worker processes; results are identical whatever the partitioning,
+and completed counts are memoised per process.
 """
 
 from __future__ import annotations
 
 import itertools
+import os
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from enum import Enum
 
-from .words import (
-    Word,
-    _even_pp_set,
-    _has_even_pp,
-    _has_odd_pp,
-    _has_pal_prefix,
-    _has_short_border,
-    _has_square_prefix,
-    _odd_pp_set,
-    _short_border_set,
-)
+from .words import Word, _even_pp_set, _odd_pp_set, _short_border_set
 
 DEFAULT_BUDGET = 1 << 26
 
@@ -59,26 +53,6 @@ class ProfileKind(Enum):
     ODD_PP_ORDERS = "odd-pp"
 
 
-def _is_min_square_root(w: tuple[int, ...]) -> bool:
-    # root of a minimal square: ww has no square prefix shorter than itself,
-    # including prefixes straddling the midpoint
-    ww = w + w
-    for j in range(1, len(w)):
-        if ww[:j] == ww[j:2 * j]:
-            return False
-    return True
-
-
-_PREDICATES = {
-    Family.UNBORDERED: lambda w: not _has_short_border(w),
-    Family.NO_EVEN_PP: lambda w: not _has_even_pp(w),
-    Family.NO_ODD_PP: lambda w: not _has_odd_pp(w),
-    Family.NO_PAL_PREFIX: lambda w: not _has_pal_prefix(w),
-    Family.NO_SQUARE_PREFIX: lambda w: not _has_square_prefix(w),
-    Family.MIN_SQUARE: _is_min_square_root,
-}
-
-
 def _check_budget(k: int, n: int, budget: int) -> None:
     space = k ** n
     if space > budget:
@@ -87,38 +61,172 @@ def _check_budget(k: int, n: int, budget: int) -> None:
         )
 
 
+def _check_jobs(jobs: int) -> None:
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
+
+
 def _iter_words(k: int, n: int, prefix: tuple[int, ...] = ()):
     """All length-n words with the given prefix, in lexicographic order."""
     for rest in itertools.product(range(k), repeat=n - len(prefix)):
         yield prefix + rest
 
 
-def _prefix_blocks(k: int, n: int, jobs: int) -> list[tuple[int, ...]]:
+def _prefix_blocks(k: int, n: int, workers: int) -> list[tuple[int, ...]]:
     length = 0
-    while length < n and k ** length < 4 * jobs:
+    while length < n and k ** length < 4 * workers:
         length += 1
     return list(itertools.product(range(k), repeat=length))
 
 
-def _count_block(k: int, n: int, family: Family, prefix: tuple[int, ...]) -> int:
-    predicate = _PREDICATES[family]
-    return sum(1 for w in _iter_words(k, n, prefix) if predicate(w))
+# ---------------------------------------------------------------------------
+# the prefix-tree walks; each covers the words that extend a fixed prefix
 
 
-def _profile_block(k: int, n: int, prefix: tuple[int, ...]):
-    borders: Counter = Counter()
-    evens: Counter = Counter()
-    odds: Counter = Counter()
-    for w in _iter_words(k, n, prefix):
-        borders[_short_border_set(w)] += 1
-        evens[_even_pp_set(w)] += 1
-        odds[_odd_pp_set(w)] += 1
-    return borders, evens, odds
+def _palindrome_letter(w: tuple[int, ...]):
+    """The letter c for which w + c is a palindrome, or None."""
+    rest = w[1:]
+    return w[0] if rest == rest[::-1] else None
 
 
-def _map_blocks(worker, argument_lists, jobs: int):
-    if jobs > 1 and len(argument_lists) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+def _square_letter(w: tuple[int, ...]):
+    """The letter c for which w + c is a square, or None; len(w) is odd."""
+    half = len(w) // 2
+    return w[half] if w[:half] == w[half + 1:] else None
+
+
+def _straddling_letters(u: tuple[int, ...]) -> set[int]:
+    """The letters c for which ww, w = u + c, has a square prefix of
+    half-length j with n/2 < j < n, n = len(w); the shorter ones are square
+    prefixes of w, which the walk has pruned.  Such a square is a border of
+    w of length b = n - j (so c = u[b - 1]) with w[b:j] = w[:j - b]."""
+    n = len(u) + 1
+    return {
+        u[b - 1]
+        for b in range(1, (n + 1) // 2)
+        if u[b] == u[0] and u[:b - 1] == u[n - b:] and u[b:n - b] == u[:n - 2 * b]
+    }
+
+
+# family -> (the letter whose extension of a prefix is forbidden, the first
+# prefix length that test applies to, the step between the lengths it
+# applies to, the letters a leaf test rejects or None).  A forbidden prefix
+# stays in every extension, so the walk drops the subtree below it.
+_PRUNED_FAMILIES = {
+    Family.NO_EVEN_PP: (_palindrome_letter, 2, 2, None),
+    Family.NO_ODD_PP: (_palindrome_letter, 3, 2, None),
+    Family.NO_PAL_PREFIX: (_palindrome_letter, 2, 1, None),
+    Family.NO_SQUARE_PREFIX: (_square_letter, 2, 2, None),
+    Family.MIN_SQUARE: (_square_letter, 2, 2, _straddling_letters),
+}
+
+
+def _count_pruned(k: int, n: int, family: Family, prefix: tuple[int, ...]) -> int:
+    forbidden, first, step, leaf = _PRUNED_FAMILIES[family]
+    tested = [m >= first and (m - first) % step == 0 for m in range(n + 1)]
+    fixed = len(prefix)
+    alphabet = range(k)
+
+    def walk(w: tuple[int, ...]) -> int:
+        m = len(w)
+        letters = (prefix[m],) if m < fixed else alphabet
+        dead = forbidden(w) if tested[m + 1] else None
+        if m + 1 == n:
+            if leaf is None:
+                return len(letters) - (dead in letters)
+            dead = leaf(w) | {dead}
+            return sum(1 for c in letters if c not in dead)
+        total = 0
+        for c in letters:
+            if c != dead:
+                total += walk(w + (c,))
+        return total
+
+    return walk(())
+
+
+def _count_unbordered(k: int, n: int, prefix: tuple[int, ...]) -> int:
+    w = [0] * n
+    # fail[m]: length of the longest proper border of w[:m]
+    fail = [0] * (n + 1)
+    fixed = len(prefix)
+    alphabet = range(k)
+
+    def walk(m: int) -> int:
+        if m == n - 1:
+            # w[:m] + c is bordered iff c is w[0] or the letter after a border
+            bordered = {w[0]} if m else set()
+            b = fail[m]
+            while b:
+                bordered.add(w[b])
+                b = fail[b]
+            return int(prefix[m] not in bordered) if m < fixed else k - len(bordered)
+        total = 0
+        longest = fail[m]
+        for c in (prefix[m],) if m < fixed else alphabet:
+            b = longest
+            while b and w[b] != c:
+                b = fail[b]
+            fail[m + 1] = b + 1 if m and w[b] == c else 0
+            w[m] = c
+            total += walk(m + 1)
+        return total
+
+    return walk(0)
+
+
+def _family_block(k: int, n: int, family: Family, prefix: tuple[int, ...]) -> int:
+    """Number of length-n words starting with prefix that lie in family
+    (HAS_SQUARE_PREFIX excepted: it is counted as a complement)."""
+    if family is Family.UNBORDERED:
+        return _count_unbordered(k, n, prefix)
+    return _count_pruned(k, n, family, prefix)
+
+
+def _profile_block(k: int, n: int, prefix: tuple[int, ...]) -> Counter:
+    """Counter of (short-border mask, even-order mask, odd-order mask) over the
+    length-n words starting with prefix; bit i of a mask stands for i."""
+    w = [0] * n
+    fail = [0] * (n + 1)
+    half = n // 2
+    fixed = len(prefix)
+    alphabet = range(k)
+    counts: Counter = Counter()
+
+    def walk(m: int, evens: int, odds: int) -> None:
+        length = m + 1
+        longest = fail[m]
+        for c in (prefix[m],) if m < fixed else alphabet:
+            b = longest
+            while b and w[b] != c:
+                b = fail[b]
+            b = b + 1 if m and w[b] == c else 0
+            w[m] = c
+            e, o = evens, odds
+            if m and c == w[0] and w[:length] == w[m::-1]:
+                if length % 2:
+                    o |= 1 << (length // 2)
+                else:
+                    e |= 1 << (length // 2)
+            if length < n:
+                fail[length] = b
+                walk(length, e, o)
+                continue
+            borders = 0
+            while b:
+                if b <= half:
+                    borders |= 1 << b
+                b = fail[b]
+            counts[borders, e, o] += 1
+
+    walk(0, 0, 0)
+    return counts
+
+
+def _map_blocks(worker, argument_lists, workers: int):
+    workers = min(workers, len(argument_lists))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(worker, *zip(*argument_lists)))
     return [worker(*args) for args in argument_lists]
 
@@ -137,46 +245,50 @@ def census_family(
 ) -> int:
     """Exact number of words in the family, by full enumeration.
 
-    HAS_SQUARE_PREFIX is counted as k**n minus the square-prefix-free count;
-    MIN_SQUARE enumerates the k**n length-n roots w and keeps those whose
-    doubling ww has no nonempty proper square prefix.
+    HAS_SQUARE_PREFIX is counted as k**n minus the square-prefix-free count,
+    and either of the two answers the other from the memo; MIN_SQUARE
+    enumerates the k**n length-n roots w and keeps those whose doubling ww
+    has no nonempty proper square prefix.
     """
     if k < 1 or n < 1:
         raise ValueError(f"census needs k >= 1 and n >= 1, got k={k}, n={n}")
+    _check_jobs(jobs)
     key = (k, n, family)
-    cached = _family_cache.get(key)
-    if cached is not None:
-        return cached
-    _check_budget(k, n, budget)
-    target = Family.NO_SQUARE_PREFIX if family is Family.HAS_SQUARE_PREFIX else family
-    blocks = _prefix_blocks(k, n, jobs)
-    counts = _map_blocks(_count_block, [(k, n, target, b) for b in blocks], jobs)
-    value = sum(counts)
-    if family is Family.HAS_SQUARE_PREFIX:
-        _family_cache[(k, n, Family.NO_SQUARE_PREFIX)] = value
-        value = k ** n - value
-    _family_cache[key] = value
-    return value
+    if key not in _family_cache:
+        _check_budget(k, n, budget)
+        walked = Family.NO_SQUARE_PREFIX if family is Family.HAS_SQUARE_PREFIX else family
+        workers = min(jobs, os.cpu_count() or 1)
+        blocks = _prefix_blocks(k, n, workers)
+        value = sum(
+            _map_blocks(_family_block, [(k, n, walked, b) for b in blocks], workers)
+        )
+        _family_cache[k, n, walked] = value
+        if walked is Family.NO_SQUARE_PREFIX:
+            _family_cache[k, n, Family.HAS_SQUARE_PREFIX] = k ** n - value
+    return _family_cache[key]
+
+
+def _mask_set(mask: int) -> frozenset[int]:
+    return frozenset(i for i in range(1, mask.bit_length()) if mask >> i & 1)
 
 
 def _profile_counters(
     k: int, n: int, *, budget: int = DEFAULT_BUDGET, jobs: int = 1
 ) -> tuple[Counter, Counter, Counter]:
+    _check_jobs(jobs)
     key = (k, n)
     cached = _profile_cache.get(key)
     if cached is not None:
         return cached
     _check_budget(k, n, budget)
-    blocks = _prefix_blocks(k, n, jobs)
-    parts = _map_blocks(_profile_block, [(k, n, b) for b in blocks], jobs)
-    borders: Counter = Counter()
-    evens: Counter = Counter()
-    odds: Counter = Counter()
-    for part_borders, part_evens, part_odds in parts:
-        borders.update(part_borders)
-        evens.update(part_evens)
-        odds.update(part_odds)
-    result = (borders, evens, odds)
+    workers = min(jobs, os.cpu_count() or 1)
+    blocks = _prefix_blocks(k, n, workers)
+    parts = _map_blocks(_profile_block, [(k, n, b) for b in blocks], workers)
+    result = (Counter(), Counter(), Counter())
+    for part in parts:
+        for masks, count in part.items():
+            for counter, mask in zip(result, masks):
+                counter[_mask_set(mask)] += count
     _profile_cache[key] = result
     return result
 

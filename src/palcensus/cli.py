@@ -258,7 +258,8 @@ def _add_budget_options(parser, jobs: bool = True, cache: bool = False) -> None:
     if jobs:
         parser.add_argument(
             "--jobs", type=int, default=1,
-            help="worker processes for the census (results are identical)",
+            help="worker processes for the census, at most one per CPU "
+            "(results are identical)",
         )
     if cache:
         from pathlib import Path
@@ -380,6 +381,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
+        if getattr(args, "jobs", 1) < 1:
+            raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
         return args.func(args)
     except BudgetExceededError as error:
         print(f"error: {error}", file=sys.stderr)

@@ -9,6 +9,7 @@ and exits nonzero if anything failed.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -50,6 +51,7 @@ from .words import (
     _has_pal_prefix,
     _odd_pp_set,
     _short_border_set,
+    _square_half_set,
 )
 
 _MAX_REPORTED_FAILURES = 5
@@ -182,13 +184,53 @@ def _recurrence_sequences(k: int, N: int, budget: int):
     }
 
 
+def _naive_census(k: int, n: int):
+    """Family counts and profile counters of length n from the word scans,
+    one word at a time: the second route for the prefix-tree census."""
+    families: Counter = Counter()
+    profiles = (Counter(), Counter(), Counter())
+    for w in _iter_words(k, n):
+        borders, evens, odds = _short_border_set(w), _even_pp_set(w), _odd_pp_set(w)
+        squares = _square_half_set(w)
+        families[Family.UNBORDERED] += not borders
+        families[Family.NO_EVEN_PP] += not evens
+        families[Family.NO_ODD_PP] += not odds
+        families[Family.NO_PAL_PREFIX] += not evens and not odds
+        families[Family.NO_SQUARE_PREFIX] += not squares
+        families[Family.HAS_SQUARE_PREFIX] += bool(squares)
+        # w is the root of a minimal square iff ww's only square prefix is ww
+        # (a square prefix of w is one of ww)
+        families[Family.MIN_SQUARE] += not squares and _square_half_set(w + w) == {n}
+        for counter, profile in zip(profiles, (borders, evens, odds)):
+            counter[profile] += 1
+    return families, profiles
+
+
 def suite_counts(k_max: int, n_max: int, budget: int) -> SuiteResult:
-    """Every recurrence-backed sequence equals the enumeration census."""
+    """The census and its profile counters equal a naive filter over all
+    words, and every recurrence-backed sequence equals the census."""
     result = SuiteResult("counts")
     for k in range(2, k_max + 1):
         lengths = _lengths(k, n_max, budget)
         if not lengths:
             continue
+        for n in lengths:
+            families, profiles = _naive_census(k, n)
+            for family in Family:
+                got = census_family(k, n, family, budget=budget)
+                if got != families[family]:
+                    result.fail(
+                        f"{family.value} mismatch at k={k}, n={n}: "
+                        f"census {got}, naive filter {families[family]}"
+                    )
+                result.checks += 1
+            counters = _profile_counters(k, n, budget=budget)
+            for kind, got, expected in zip(ProfileKind, counters, profiles):
+                if got != expected:
+                    result.fail(
+                        f"{kind.value} profile census mismatch at k={k}, n={n}"
+                    )
+                result.checks += 1
         sequences = _recurrence_sequences(k, max(lengths), budget)
         for family in _RECURRENCE_FAMILIES:
             for n in lengths:

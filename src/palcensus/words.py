@@ -6,9 +6,11 @@ quadratic on purpose: lengths stay small everywhere they are used, and
 obvious correctness matters more than speed for code that serves as the
 ground truth for everything built on top of it.
 
-The tuple-level helpers (underscore names) work on bare symbol tuples and
-are shared with the enumeration census, which cannot afford to build a
-``Word`` per candidate.
+The tuple-level helpers (underscore names) work on bare symbol tuples, so
+the verify suites can run them over every word of a length without building
+a ``Word`` per candidate.  They are the naive route that the prefix-tree
+census counts are checked against; the census only uses them to list the
+words of a profile.
 """
 
 from __future__ import annotations
@@ -123,31 +125,9 @@ def _has_short_border(w: tuple[int, ...]) -> bool:
     return False
 
 
-def _has_even_pp(w: tuple[int, ...]) -> bool:
-    for m in range(2, len(w) + 1, 2):
-        if w[:m] == w[m - 1::-1]:
-            return True
-    return False
-
-
-def _has_odd_pp(w: tuple[int, ...]) -> bool:
-    for m in range(3, len(w) + 1, 2):
-        if w[:m] == w[m - 1::-1]:
-            return True
-    return False
-
-
 def _has_pal_prefix(w: tuple[int, ...]) -> bool:
     for m in range(2, len(w) + 1):
         if w[:m] == w[m - 1::-1]:
-            return True
-    return False
-
-
-def _has_square_prefix(w: tuple[int, ...]) -> bool:
-    n = len(w)
-    for j in range(1, n // 2 + 1):
-        if w[:j] == w[j:2 * j]:
             return True
     return False
 

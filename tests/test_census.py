@@ -7,19 +7,31 @@ prefix are A121880.  A252696 is the ternary no-palindromic-prefix count.
 """
 
 import itertools
+from collections import Counter
 
 import pytest
 
+from palcensus import census
 from palcensus.census import (
     BudgetExceededError,
     Family,
     ProfileKind,
-    _count_block,
+    _family_block,
+    _iter_words,
+    _profile_block,
+    _profile_counters,
     census_family,
     census_profile,
     list_profile,
 )
-from palcensus.words import format_word
+from palcensus.words import (
+    _even_pp_set,
+    _has_pal_prefix,
+    _odd_pp_set,
+    _short_border_set,
+    _square_half_set,
+    format_word,
+)
 
 U2 = [2, 2, 4, 6, 12, 20, 40, 74, 148, 284, 568, 1116]
 T2 = [2, 4, 4, 8, 12, 24, 40, 80, 148, 296, 568, 1136]
@@ -27,6 +39,26 @@ S2 = [2, 2, 4, 6, 12, 20, 40, 74, 148, 286, 572, 1124]
 C2 = [2, 2, 4, 6, 10, 20, 36, 72, 142, 280, 560, 1114]
 D2 = [0, 2, 4, 10, 20, 44, 88, 182, 364, 738, 1476, 2972]
 A3 = [3, 6, 12, 30, 78, 222, 636, 1878, 5556, 16590]
+
+# the families the prefix-tree walk counts; HAS_SQUARE_PREFIX is a complement
+WALKED = [family for family in Family if family is not Family.HAS_SQUARE_PREFIX]
+
+# membership by the naive word scans, one word at a time
+NAIVE = {
+    Family.UNBORDERED: lambda w: not _short_border_set(w),
+    Family.NO_EVEN_PP: lambda w: not _even_pp_set(w),
+    Family.NO_ODD_PP: lambda w: not _odd_pp_set(w),
+    Family.NO_PAL_PREFIX: lambda w: not _has_pal_prefix(w),
+    Family.NO_SQUARE_PREFIX: lambda w: not _square_half_set(w),
+    Family.HAS_SQUARE_PREFIX: lambda w: bool(_square_half_set(w)),
+    Family.MIN_SQUARE: lambda w: _square_half_set(w + w) == {len(w)},
+}
+
+# every (k, n) with k**n <= 2**12, unary lengths stopping at 12; n = 1 and
+# k = 1 are the edge cases
+SMALL_SIZES = [
+    (k, n) for k in (1, 2, 3, 4) for n in range(1, 13) if k ** n <= 2 ** 12
+]
 
 EXAMPLE_BORDER_WORDS = [
     "01000010", "01001010", "01010010", "01011010",
@@ -83,13 +115,20 @@ class TestFamilyCounts:
         assert census_family(2, 10, Family.NO_EVEN_PP) == 284
 
     def test_unary_alphabet(self):
-        # the single length-1 word is unbordered; every longer unary word is
-        # bordered and starts with the square 00
-        assert census_family(1, 1, Family.UNBORDERED) == 1
+        # the single length-1 word is in every family but has-square-prefix;
+        # every longer unary word is bordered and starts with the square 00,
+        # and from length 3 with the odd palindrome 000
+        for family in Family:
+            expected = 0 if family is Family.HAS_SQUARE_PREFIX else 1
+            assert census_family(1, 1, family) == expected
         for n in range(2, 6):
             assert census_family(1, n, Family.UNBORDERED) == 0
             assert census_family(1, n, Family.NO_EVEN_PP) == 0
+            assert census_family(1, n, Family.NO_ODD_PP) == (1 if n == 2 else 0)
+            assert census_family(1, n, Family.NO_PAL_PREFIX) == 0
             assert census_family(1, n, Family.NO_SQUARE_PREFIX) == 0
+            assert census_family(1, n, Family.HAS_SQUARE_PREFIX) == 1
+            assert census_family(1, n, Family.MIN_SQUARE) == 0
 
     def test_argument_validation(self):
         with pytest.raises(ValueError):
@@ -139,23 +178,52 @@ class TestProfileCensus:
             list_profile(2, 30, ProfileKind.SHORT_BORDERS, {1}, budget=2 ** 10)
 
 
+@pytest.fixture
+def fresh_memo(monkeypatch):
+    monkeypatch.setattr(census, "_family_cache", {})
+    monkeypatch.setattr(census, "_profile_cache", {})
+
+
+class TestAgainstTheNaiveFilter:
+    @pytest.mark.parametrize("family", list(Family))
+    def test_family_counts(self, fresh_memo, family):
+        for k, n in SMALL_SIZES:
+            expected = sum(1 for w in _iter_words(k, n) if NAIVE[family](w))
+            assert census_family(k, n, family) == expected, (k, n)
+
+    def test_profile_counters(self, fresh_memo):
+        scans = (_short_border_set, _even_pp_set, _odd_pp_set)
+        for k, n in SMALL_SIZES:
+            expected = (Counter(), Counter(), Counter())
+            for w in _iter_words(k, n):
+                for counter, scan in zip(expected, scans):
+                    counter[scan(w)] += 1
+            assert _profile_counters(k, n) == expected, (k, n)
+
+
 class TestDeterminism:
-    @pytest.mark.parametrize(
-        "family", [Family.UNBORDERED, Family.MIN_SQUARE, Family.NO_ODD_PP]
-    )
+    @pytest.mark.parametrize("family", WALKED)
     def test_prefix_partitions_sum_to_the_direct_count(self, family):
-        k, n = 2, 9
-        direct = _count_block(k, n, family, ())
-        for prefix_length in (1, 2, 3):
-            blocks = itertools.product(range(k), repeat=prefix_length)
-            assert sum(_count_block(k, n, family, b) for b in blocks) == direct
+        for k, n in ((2, 9), (3, 5), (2, 3)):
+            direct = _family_block(k, n, family, ())
+            for prefix_length in (1, 2, 3):
+                blocks = itertools.product(range(k), repeat=prefix_length)
+                assert sum(_family_block(k, n, family, b) for b in blocks) == direct
 
-    def test_worker_pool_matches_direct(self):
-        sequential = census_family(2, 11, Family.UNBORDERED)
-        from palcensus.census import _family_cache
+    def test_profile_partitions_sum_to_the_direct_counters(self):
+        for k, n in ((2, 9), (3, 5), (2, 3)):
+            direct = _profile_block(k, n, ())
+            for prefix_length in (1, 2, 3):
+                total = Counter()
+                for b in itertools.product(range(k), repeat=prefix_length):
+                    total.update(_profile_block(k, n, b))
+                assert total == direct
 
-        _family_cache.pop((2, 11, Family.UNBORDERED))
-        assert census_family(2, 11, Family.UNBORDERED, jobs=2) == sequential
+    def test_worker_pool_matches_direct(self, fresh_memo):
+        sequential = {family: census_family(3, 7, family) for family in Family}
+        census._family_cache.clear()
+        pooled = {family: census_family(3, 7, family, jobs=2) for family in Family}
+        assert pooled == sequential
 
     def test_profile_pool_matches_direct(self):
         from palcensus.census import _profile_cache, _profile_counters
@@ -167,3 +235,67 @@ class TestDeterminism:
     def test_repeat_calls_are_stable(self):
         first = census_family(3, 7, Family.NO_ODD_PP)
         assert census_family(3, 7, Family.NO_ODD_PP) == first
+
+
+class TestComplementReuse:
+    @pytest.mark.parametrize(
+        "first,second",
+        [
+            (Family.NO_SQUARE_PREFIX, Family.HAS_SQUARE_PREFIX),
+            (Family.HAS_SQUARE_PREFIX, Family.NO_SQUARE_PREFIX),
+        ],
+    )
+    def test_complement_walks_no_block(self, monkeypatch, fresh_memo, first, second):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return _family_block(*args)
+
+        monkeypatch.setattr(census, "_family_block", counted)
+        value = census_family(2, 10, first)
+        walked = len(calls)
+        assert walked > 0
+        assert census_family(2, 10, second) == 2 ** 10 - value
+        assert len(calls) == walked
+
+
+class TestJobs:
+    @pytest.mark.parametrize("jobs", [0, -1])
+    def test_jobs_below_one_are_rejected(self, jobs):
+        with pytest.raises(ValueError, match="jobs must be at least 1"):
+            census_family(2, 5, Family.UNBORDERED, jobs=jobs)
+        with pytest.raises(ValueError, match="jobs must be at least 1"):
+            census_profile(2, 5, ProfileKind.SHORT_BORDERS, set(), jobs=jobs)
+
+    @pytest.mark.parametrize(
+        "jobs,cpus,n,sizes",
+        [
+            (64, 2, 10, [2]),  # one worker per CPU
+            (64, None, 10, []),  # unknown CPU count: in-process
+            (3, 8, 10, [3]),  # fewer jobs than CPUs
+            (16, 16, 2, [4]),  # one worker per block
+        ],
+    )
+    def test_pool_is_clamped(self, monkeypatch, fresh_memo, jobs, cpus, n, sizes):
+        created = []
+
+        class FakePool:
+            """Records its size and runs the blocks in-process."""
+
+            def __init__(self, max_workers):
+                created.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                return False
+
+            def map(self, worker, *argument_lists):
+                return map(worker, *argument_lists)
+
+        monkeypatch.setattr(census, "ProcessPoolExecutor", FakePool)
+        monkeypatch.setattr(census.os, "cpu_count", lambda: cpus)
+        assert census_family(2, n, Family.UNBORDERED, jobs=jobs) == U2[n - 1]
+        assert created == sizes

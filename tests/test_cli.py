@@ -113,6 +113,16 @@ class TestCount:
         _, parallel, _ = run(capsys, *args, "--jobs", "2")
         assert sequential == parallel
 
+    @pytest.mark.parametrize("method", ["brute", "recurrence"])
+    def test_jobs_below_one_are_a_usage_error(self, capsys, method):
+        code, out, err = run(
+            capsys, "count", "--k", "2", "--n-max", "4", "--family", "unbordered",
+            "--method", method, "--jobs", "0",
+        )
+        assert code == 2
+        assert out == ""
+        assert err == "error: --jobs must be at least 1, got 0\n"
+
 
 class TestMap:
     def test_milk_shuffle(self, capsys):
