@@ -43,6 +43,7 @@ from .recurrences import (
     MissingCountError,
     RatioSeq,
     default_cache_path,
+    family_counts,
     min_square_counts,
     no_even_pp_counts,
     no_odd_pp_counts,

@@ -46,47 +46,17 @@ from .recurrences import (
     CacheMismatchError,
     CacheStore,
     default_cache_path,
+    family_counts,
     min_square_counts,
-    no_even_pp_counts,
-    no_odd_pp_counts,
-    no_pal_prefix_counts,
-    square_prefix_counts,
-    unbordered_counts,
 )
 from .verify import SUITES, run_suites
 from .words import format_word, parse_word
-
-_SUITE_ORDER = ("bijection", "g-map", "counts", "recurrences", "constants", "lemmas")
 
 
 def _cache_store(args) -> CacheStore:
     if getattr(args, "cache_dir", None):
         return CacheStore(args.cache_dir / "min_square_counts.tsv")
     return CacheStore(default_cache_path())
-
-
-def _recurrence_values(k, n_max, family, args) -> dict[int, int]:
-    kwargs = {"budget": args.budget}
-    if family is Family.UNBORDERED:
-        return unbordered_counts(k, n_max, **kwargs).values
-    if family is Family.NO_EVEN_PP:
-        return no_even_pp_counts(k, n_max, **kwargs).values
-    if family is Family.NO_ODD_PP:
-        return no_odd_pp_counts(k, n_max, **kwargs).values
-    if family is Family.NO_PAL_PREFIX:
-        return no_pal_prefix_counts(k, n_max).values
-    cache = _cache_store(args)
-    if family is Family.MIN_SQUARE:
-        return min_square_counts(
-            k, n_max, cache=cache, budget=args.budget,
-            verify_cache=args.verify_cache, jobs=args.jobs,
-        ).values
-    min_square = min_square_counts(
-        k, max(n_max // 2, 1), cache=cache, budget=args.budget,
-        verify_cache=args.verify_cache, jobs=args.jobs,
-    )
-    free, has = square_prefix_counts(k, n_max, min_square)
-    return free.values if family is Family.NO_SQUARE_PREFIX else has.values
 
 
 def _emit_count_rows(rows, fmt) -> None:
@@ -118,7 +88,10 @@ def _cmd_count(args) -> int:
             )
     recurrence = {}
     if args.method in ("recurrence", "both"):
-        recurrence = _recurrence_values(args.k, args.n_max, family, args)
+        recurrence = family_counts(
+            args.k, args.n_max, family, cache=_cache_store(args),
+            budget=args.budget, verify_cache=args.verify_cache, jobs=args.jobs,
+        ).values
 
     if args.method == "both":
         rows = [(n, brute[n], brute[n] == recurrence[n]) for n in ns]
@@ -236,7 +209,7 @@ def _cmd_shuffle_order(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    names = _SUITE_ORDER if args.suite == "all" else (args.suite,)
+    names = tuple(SUITES) if args.suite == "all" else (args.suite,)
     results = run_suites(
         names, k_max=args.k_max, n_max=args.n_max, budget=args.budget
     )

@@ -79,19 +79,6 @@ def decimal_string(x: Fraction, digits: int) -> str:
     return f"{whole}.{frac:0{digits}d}" if digits > 0 else str(whole)
 
 
-def decimal_agreement(a: Fraction, b: Fraction, cap: int = 6000) -> int:
-    """Largest d <= cap with floor(a * 10**d) == floor(b * 10**d)."""
-    low, high = 0, cap
-    while low < high:
-        mid = (low + high + 1) // 2
-        scale = 10 ** mid
-        if math.floor(a * scale) == math.floor(b * scale):
-            low = mid
-        else:
-            high = mid - 1
-    return low
-
-
 # ---------------------------------------------------------------------------
 # the prefix-density series
 

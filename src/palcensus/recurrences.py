@@ -233,6 +233,38 @@ def square_prefix_counts(
     )
 
 
+def family_counts(
+    k: int,
+    N: int,
+    family: Family,
+    *,
+    cache: "CacheStore | None" = None,
+    budget: int = DEFAULT_BUDGET,
+    verify_cache: bool = False,
+    jobs: int = 1,
+) -> CountSeq:
+    """Counts of a census family for lengths 1..N (half-lengths for
+    MIN_SQUARE) from the unbordered or no-palindromic-prefix recurrence, or
+    from the minimal-square counts and their convolution.  The keywords are
+    those of min_square_counts; budget also bounds the unbordered check."""
+    if family is Family.UNBORDERED:
+        return unbordered_counts(k, N, budget=budget)
+    if family is Family.NO_EVEN_PP:
+        return no_even_pp_counts(k, N, budget=budget)
+    if family is Family.NO_ODD_PP:
+        return no_odd_pp_counts(k, N, budget=budget)
+    if family is Family.NO_PAL_PREFIX:
+        return no_pal_prefix_counts(k, N)
+    min_square = min_square_counts(
+        k, N if family is Family.MIN_SQUARE else max(N // 2, 1),
+        cache=cache, budget=budget, verify_cache=verify_cache, jobs=jobs,
+    )
+    if family is Family.MIN_SQUARE:
+        return min_square
+    free, has = square_prefix_counts(k, N, min_square)
+    return free if family is Family.NO_SQUARE_PREFIX else has
+
+
 def no_pal_prefix_ratios(k: int, N: int) -> RatioSeq:
     """The exact fractions count(n) / k**n for the no-palindromic-prefix
     counts; each lies in [0, 1]."""

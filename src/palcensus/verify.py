@@ -9,6 +9,7 @@ and exits nonzero if anything failed.
 from __future__ import annotations
 
 import itertools
+import math
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -37,15 +38,7 @@ from .maps import (
     milk_shuffle_permutation,
     permutation_order,
 )
-from .recurrences import (
-    min_square_counts,
-    no_even_pp_counts,
-    no_odd_pp_counts,
-    no_pal_prefix_counts,
-    no_pal_prefix_ratios,
-    square_prefix_counts,
-    unbordered_counts,
-)
+from .recurrences import family_counts, min_square_counts, no_pal_prefix_ratios
 from .words import (
     _even_pp_set,
     _has_pal_prefix,
@@ -145,102 +138,113 @@ def suite_g_map(k_max: int, n_max: int, budget: int) -> SuiteResult:
                     result.fail(f"expected {k} distinct preimages at k={k}, x={x}")
                 result.checks += 1
     # the even-to-odd analogue must fail somewhere: the middle letter breaks it
-    counterexample = None
-    for n in range(1, 9):
-        for w in _iter_words(2, n):
-            if _even_pp_set(w) != _odd_pp_set(_adjacent_sums(w, 2)):
-                counterexample = w
-                break
-        if counterexample:
-            break
-    if counterexample is None:
+    if all(
+        _even_pp_set(w) == _odd_pp_set(_adjacent_sums(w, 2))
+        for n in range(1, 9)
+        for w in _iter_words(2, n)
+    ):
         result.fail("even-to-odd analogue unexpectedly held on all short binary words")
     result.checks += 1
     return result
 
 
-_RECURRENCE_FAMILIES = (
-    Family.UNBORDERED,
-    Family.NO_EVEN_PP,
-    Family.NO_ODD_PP,
-    Family.NO_PAL_PREFIX,
-    Family.NO_SQUARE_PREFIX,
-    Family.HAS_SQUARE_PREFIX,
-    Family.MIN_SQUARE,
-)
-
-
-def _recurrence_sequences(k: int, N: int, budget: int):
-    min_square = min_square_counts(k, N // 2 if N >= 2 else 1, budget=budget)
-    free, has = square_prefix_counts(k, N, min_square)
-    return {
-        Family.UNBORDERED: unbordered_counts(k, N, budget=budget),
-        Family.NO_EVEN_PP: no_even_pp_counts(k, N, budget=budget),
-        Family.NO_ODD_PP: no_odd_pp_counts(k, N, budget=budget),
-        Family.NO_PAL_PREFIX: no_pal_prefix_counts(k, N),
-        Family.NO_SQUARE_PREFIX: free,
-        Family.HAS_SQUARE_PREFIX: has,
-        Family.MIN_SQUARE: min_square_counts(k, N, budget=budget),
-    }
+def _words_up_to_renaming(k: int, n: int, w: tuple[int, ...] = (), used: int = 0):
+    """The length-n words whose letters first appear in the order 0, 1, 2,
+    ..., each with the number of words that rename its letters, perm(k, d)
+    for d distinct letters: one representative per renaming class."""
+    if len(w) == n:
+        yield w, math.perm(k, used)
+        return
+    for a in range(min(used + 1, k)):
+        yield from _words_up_to_renaming(k, n, w + (a,), max(used, a + 1))
 
 
 def _naive_census(k: int, n: int):
-    """Family counts and profile counters of length n from the word scans,
-    one word at a time: the second route for the prefix-tree census."""
-    families: Counter = Counter()
-    profiles = (Counter(), Counter(), Counter())
-    for w in _iter_words(k, n):
-        borders, evens, odds = _short_border_set(w), _even_pp_set(w), _odd_pp_set(w)
+    """Family counts and profile counters of length n from the naive word
+    scans: the second route for the prefix-tree census.
+
+    Renaming the letters keeps every border, palindromic prefix and square,
+    so one word per renaming class is scanned and weighted by the class size.
+    """
+    classes: Counter = Counter()
+    for w, size in _words_up_to_renaming(k, n):
         squares = _square_half_set(w)
-        families[Family.UNBORDERED] += not borders
-        families[Family.NO_EVEN_PP] += not evens
-        families[Family.NO_ODD_PP] += not odds
-        families[Family.NO_PAL_PREFIX] += not evens and not odds
-        families[Family.NO_SQUARE_PREFIX] += not squares
-        families[Family.HAS_SQUARE_PREFIX] += bool(squares)
         # w is the root of a minimal square iff ww's only square prefix is ww
         # (a square prefix of w is one of ww)
-        families[Family.MIN_SQUARE] += not squares and _square_half_set(w + w) == {n}
-        for counter, profile in zip(profiles, (borders, evens, odds)):
-            counter[profile] += 1
+        minimal = not squares and _square_half_set(w + w) == {n}
+        profile = _short_border_set(w), _even_pp_set(w), _odd_pp_set(w)
+        classes[profile, bool(squares), minimal] += size
+    families: Counter = Counter()
+    profiles = (Counter(), Counter(), Counter())
+    for ((borders, evens, odds), squared, minimal), count in classes.items():
+        families[Family.UNBORDERED] += count * (not borders)
+        families[Family.NO_EVEN_PP] += count * (not evens)
+        families[Family.NO_ODD_PP] += count * (not odds)
+        families[Family.NO_PAL_PREFIX] += count * (not evens and not odds)
+        families[Family.NO_SQUARE_PREFIX] += count * (not squared)
+        families[Family.HAS_SQUARE_PREFIX] += count * squared
+        families[Family.MIN_SQUARE] += count * minimal
+        for counter, key in zip(profiles, (borders, evens, odds)):
+            counter[key] += count
     return families, profiles
 
 
+def _times(k: int, counter: Counter) -> Counter:
+    return Counter({key: k * count for key, count in counter.items()})
+
+
 def suite_counts(k_max: int, n_max: int, budget: int) -> SuiteResult:
-    """The census and its profile counters equal a naive filter over all
-    words, and every recurrence-backed sequence equals the census."""
+    """The census equals a naive filter over all words and every family's
+    sequence; its profile counters equal the naive ones and obey the parity
+    laws."""
     result = SuiteResult("counts")
     for k in range(2, k_max + 1):
         lengths = _lengths(k, n_max, budget)
         if not lengths:
             continue
+        sequences = {
+            family: family_counts(k, max(lengths), family, budget=budget)
+            for family in Family
+        }
+        counters = {}
         for n in lengths:
             families, profiles = _naive_census(k, n)
             for family in Family:
                 got = census_family(k, n, family, budget=budget)
-                if got != families[family]:
-                    result.fail(
-                        f"{family.value} mismatch at k={k}, n={n}: "
-                        f"census {got}, naive filter {families[family]}"
-                    )
-                result.checks += 1
-            counters = _profile_counters(k, n, budget=budget)
-            for kind, got, expected in zip(ProfileKind, counters, profiles):
+                for route, other in (
+                    ("naive filter", families[family]),
+                    ("recurrence", sequences[family][n]),
+                ):
+                    if got != other:
+                        result.fail(
+                            f"{family.value} mismatch at k={k}, n={n}: "
+                            f"census {got}, {route} {other}"
+                        )
+                    result.checks += 1
+            counters[n] = _profile_counters(k, n, budget=budget)
+            for kind, got, expected in zip(ProfileKind, counters[n], profiles):
                 if got != expected:
                     result.fail(
                         f"{kind.value} profile census mismatch at k={k}, n={n}"
                     )
                 result.checks += 1
-        sequences = _recurrence_sequences(k, max(lengths), budget)
-        for family in _RECURRENCE_FAMILIES:
-            for n in lengths:
-                expected = census_family(k, n, family, budget=budget)
-                got = sequences[family][n]
-                if got != expected:
-                    result.fail(
-                        f"{family.value} mismatch at k={k}, n={n}: "
-                        f"recurrence {got}, census {expected}"
-                    )
+            # a letter appended to an even (odd) length cannot close an even
+            # (odd) palindromic prefix, so that profile grows k-fold; at odd
+            # lengths the odd profile equals the even one
+            _, evens, odds = counters[n]
+            laws = [odds == evens] if n % 2 else []
+            if n > 1:
+                _, shorter_evens, shorter_odds = counters[n - 1]
+                if n % 2:
+                    laws.append(evens == _times(k, shorter_evens))
+                else:
+                    laws += [
+                        odds == _times(k, shorter_odds),
+                        odds == _times(k, shorter_evens),
+                    ]
+            for holds in laws:
+                if not holds:
+                    result.fail(f"profile parity law failed at k={k}, n={n}")
                 result.checks += 1
     return result
 
@@ -267,8 +271,8 @@ def suite_recurrences(k_max: int, n_max: int, budget: int) -> SuiteResult:
         lengths = _lengths(k, min(n_max, 12), budget)
         if lengths:
             top = max(lengths)
-            min_square = min_square_counts(k, top // 2 if top >= 2 else 1, budget=budget)
-            free, _ = square_prefix_counts(k, top, min_square)
+            min_square = family_counts(k, top // 2 or 1, Family.MIN_SQUARE, budget=budget)
+            free = family_counts(k, top, Family.NO_SQUARE_PREFIX, budget=budget)
             for n in lengths:
                 if n < 2:
                     continue
@@ -339,9 +343,17 @@ def suite_constants(k_max: int, n_max: int, budget: int) -> SuiteResult:
     return result
 
 
+def _pal_prefix_lemma(p: tuple[int, ...], m: int) -> bool:
+    """For a palindrome p whose prefix of length m > |p|/2 is a palindrome:
+    is its prefix of length 2m - |p| one too?  It must be, as
+    p[i] = p[m-1-i] = p[|p|-m+i] = p[2m-|p|-1-i] for i < 2m - |p|."""
+    short = p[:2 * m - len(p)]
+    return short == short[::-1]
+
+
 def suite_lemmas(k_max: int, n_max: int, budget: int) -> SuiteResult:
     """Word-level facts: shuffle-palindrome splitting, reversal of shuffles,
-    long borders and long palindromic prefixes forcing short ones, and the
+    long borders and long palindromic prefixes forcing shorter ones, and the
     reflection-extension equivalence."""
     result = SuiteResult("lemmas")
     for k in range(2, k_max + 1):
@@ -378,33 +390,30 @@ def suite_lemmas(k_max: int, n_max: int, budget: int) -> SuiteResult:
                 if long_border and not _short_border_set(w):
                     result.fail(f"long border without short border at k={k}, w={w}")
                 result.checks += 1
-        # a palindrome with a long proper palindromic prefix has a short one
+        # a palindromic prefix longer than half of a palindrome forces a
+        # shorter one, though not always a nontrivial one (000)
         for n in range(1, n_max + 1):
             head = (n + 1) // 2
             if k ** head > budget:
                 break
             for half_word in itertools.product(range(k), repeat=head):
-                w = half_word + half_word[::-1] if n % 2 == 0 else half_word + half_word[-2::-1]
-                has_long = any(
-                    w[:m] == w[m - 1::-1] for m in range(n // 2 + 1, n)
-                )
-                if has_long:
-                    has_short = any(
-                        w[:m] == w[m - 1::-1] for m in range(1, (n + 1) // 2)
-                        if 2 * m < n
-                    )
-                    if not has_short:
-                        result.fail(f"no short palindromic prefix at k={k}, w={w}")
-                result.checks += 1
+                p = half_word + half_word[::-1][n % 2:]
+                for m in range(n // 2 + 1, n):
+                    if p[:m] == p[m - 1::-1]:
+                        if not _pal_prefix_lemma(p, m):
+                            result.fail(
+                                f"palindromic prefix lemma failed at k={k}, "
+                                f"p={p}, m={m}"
+                            )
+                        result.checks += 1
         # appending the reflection preserves having a palindromic prefix
         for length in range(0, min(8, n_max) + 1):
             if k ** length > budget:
                 break
             for w in _iter_words(k, length):
                 for middle in [()] + [(a,) for a in range(k)]:
-                    extended = w + middle
                     mirrored = w + middle + w[::-1]
-                    direct = _has_pal_prefix(extended)
+                    direct = _has_pal_prefix(w + middle)
                     reflected = any(
                         mirrored[:m] == mirrored[m - 1::-1]
                         for m in range(2, len(mirrored))
@@ -434,8 +443,4 @@ def run_suites(
     n_max: int = 10,
     budget: int = DEFAULT_BUDGET,
 ) -> list[SuiteResult]:
-    results = []
-    for name in names:
-        suite = SUITES[name]
-        results.append(suite(k_max, n_max, budget))
-    return results
+    return [SUITES[name](k_max, n_max, budget) for name in names]

@@ -1,54 +1,29 @@
 """Acceptance suite: one test per criterion, each printing a PASS/FAIL line.
 
-Every count is exact (big integers), every constant check is an exact
-rational comparison; there are no floating-point tolerances anywhere.
-Run with `pytest tests/test_acceptance.py -v -s` to see the lines.
+The exhaustive checks live in the verify suites; each criterion runs the
+suites that hold its checks, at bounds covering every (k, n) it names, and
+compares against the paper's frozen values.  Every count is exact (big
+integers), every constant check is an exact rational comparison; there are
+no floating-point tolerances anywhere.  Run with
+`pytest tests/test_acceptance.py -v -s` to see the lines.
 """
 
-import itertools
+import functools
 from fractions import Fraction
 
-from palcensus.census import (
-    Family,
-    ProfileKind,
-    _iter_words,
-    _profile_counters,
-    census_family,
-    list_profile,
-)
+from palcensus.census import Family, ProfileKind, census_family, list_profile
 from palcensus.constants import (
     decimal_string,
-    density_series,
     density_series_closed_form,
     density_series_enclosure,
     pal_free_density,
     square_prefix_densities,
     unbordered_density_estimate,
 )
-from palcensus.maps import (
-    _adjacent_sums,
-    _milk_shuffle,
-    _milk_unshuffle,
-    milk_shuffle_order,
-    milk_shuffle_permutation,
-    permutation_order,
-)
-from palcensus.recurrences import (
-    min_square_counts,
-    no_even_pp_counts,
-    no_odd_pp_counts,
-    no_pal_prefix_counts,
-    no_pal_prefix_ratios,
-    square_prefix_counts,
-    unbordered_counts,
-)
-from palcensus.words import (
-    _even_pp_set,
-    _has_pal_prefix,
-    _odd_pp_set,
-    _short_border_set,
-    format_word,
-)
+from palcensus.maps import milk_shuffle, milk_shuffle_order
+from palcensus.recurrences import family_counts, min_square_counts
+from palcensus.verify import run_suites
+from palcensus.words import format_word
 
 T2 = [2, 4, 4, 8, 12, 24, 40, 80, 148, 296, 568, 1136]
 U2 = [2, 2, 4, 6, 12, 20, 40, 74, 148, 284, 568, 1116]
@@ -68,6 +43,30 @@ EXAMPLE_EVEN_PP_WORDS = [
     "00110000", "00110001", "00110010", "00110011",
     "11001100", "11001101", "11001110", "11001111",
 ]
+
+# (k_max, n_max, budget) per suite, covering every (k, n) a criterion names:
+# the bijection on every word for k = 2 up to n = 16 and k = 3 up to n = 12,
+# the other word scans for k <= 3 up to n = 12, and the lemmas on binary
+# words and on palindromes up to n = 16
+BOUNDS = {
+    "bijection": (3, 16, 3 ** 12),
+    "g-map": (3, 12, 3 ** 12),
+    "counts": (3, 12, 3 ** 12),
+    "recurrences": (3, 12, 3 ** 12),
+    "constants": (3, 12, 3 ** 12),
+    "lemmas": (3, 16, 2 ** 16),
+}
+
+
+@functools.cache
+def _suite(name):
+    k_max, n_max, budget = BOUNDS[name]
+    [result] = run_suites([name], k_max=k_max, n_max=n_max, budget=budget)
+    return result
+
+
+def _suite_failures(*names):
+    return [f"{name}: {message}" for name in names for message in _suite(name).failures]
 
 
 def _finish(name, failures):
@@ -90,88 +89,34 @@ def test_criterion_1_table_reproduction():
         brute = [census_family(k, n, family) for n in range(1, 13)]
         if brute != expected:
             failures.append(f"census {family.value} k={k}: {brute}")
-    recurrences = {
-        (2, Family.NO_ODD_PP): no_odd_pp_counts(2, 12),
-        (2, Family.NO_EVEN_PP): no_even_pp_counts(2, 12),
-        (2, Family.UNBORDERED): unbordered_counts(2, 12),
-        (2, Family.MIN_SQUARE): min_square_counts(2, 12),
-        (3, Family.NO_PAL_PREFIX): no_pal_prefix_counts(3, 12),
-    }
-    free, has = square_prefix_counts(2, 12, min_square_counts(2, 6))
-    recurrences[(2, Family.NO_SQUARE_PREFIX)] = free
-    recurrences[(2, Family.HAS_SQUARE_PREFIX)] = has
-    for (k, family), sequence in recurrences.items():
+        sequence = family_counts(k, 12, family)
         values = [sequence[n] for n in range(1, 13)]
-        if values != rows[(k, family)]:
+        if values != expected:
             failures.append(f"recurrence {family.value} k={k}: {values}")
     _finish("1 table reproduction", failures)
 
 
 def test_criterion_2_border_order_bijection():
-    failures = []
-    for k, top in ((2, 16), (3, 12)):
-        for n in range(1, top + 1):
-            for w in _iter_words(k, n):
-                image = _milk_shuffle(w)
-                if _milk_unshuffle(image) != w or _milk_shuffle(_milk_unshuffle(w)) != w:
-                    failures.append(f"inverse composition failed at k={k}, w={w}")
-                    break
-                if _short_border_set(w) != _even_pp_set(image):
-                    failures.append(f"border/order mismatch at k={k}, w={w}")
-                    break
+    # word by word: the milk shuffle inverts and sends short borders to even
+    # palindromic-prefix orders; profile censuses and image lists agree
+    failures = _suite_failures("bijection")
     with_borders = list_profile(2, 8, ProfileKind.SHORT_BORDERS, {1, 3})
     with_orders = list_profile(2, 8, ProfileKind.EVEN_PP_ORDERS, {1, 3})
     if [format_word(w) for w in with_borders] != EXAMPLE_BORDER_WORDS:
         failures.append("border-profile word list differs")
     if [format_word(w) for w in with_orders] != EXAMPLE_EVEN_PP_WORDS:
         failures.append("even-order word list differs")
-    mapped = sorted(_milk_shuffle(w.symbols) for w in with_borders)
-    if mapped != sorted(w.symbols for w in with_orders):
+    if sorted(milk_shuffle(w).symbols for w in with_borders) != sorted(
+        w.symbols for w in with_orders
+    ):
         failures.append("shuffle does not map one example list onto the other")
     _finish("2 border/order bijection", failures)
 
 
 def test_criterion_3_parity_laws():
-    failures = []
-    for k in (2, 3):
-        counters = {n: _profile_counters(k, n) for n in range(1, 13)}
-        for n in range(1, 12):
-            _, evens, odds = counters[n]
-            _, next_evens, next_odds = counters[n + 1]
-            if n % 2 == 0:
-                for wanted in set(evens) | set(next_evens):
-                    if next_evens[wanted] != k * evens[wanted]:
-                        failures.append(f"even-order step failed at k={k}, n={n}")
-                        break
-            else:
-                for wanted in set(odds) | set(next_odds):
-                    if next_odds[wanted] != k * odds[wanted]:
-                        failures.append(f"odd-order step failed at k={k}, n={n}")
-                        break
-        for n in range(1, 13):
-            _, evens, odds = counters[n]
-            if n % 2 == 1:
-                if odds != evens:
-                    failures.append(f"odd/even profile counts differ at k={k}, n={n}")
-            else:
-                _, previous_evens, _ = counters[n - 1]
-                for wanted in set(odds) | set(previous_evens):
-                    if odds[wanted] != k * previous_evens[wanted]:
-                        failures.append(f"odd-step-down failed at k={k}, n={n}")
-                        break
-        no_odd = no_odd_pp_counts(k, 12)
-        unbordered = unbordered_counts(k, 12)
-        for n in range(1, 13):
-            expected = unbordered[n] if n % 2 else k * unbordered[n - 1]
-            if no_odd[n] != expected:
-                failures.append(f"parity count law failed at k={k}, n={n}")
-            if census_family(k, n, Family.NO_ODD_PP) != expected:
-                failures.append(f"parity census law failed at k={k}, n={n}")
-    if no_odd_pp_counts(2, 12)[12] != 2 * unbordered_counts(2, 11)[11]:
-        failures.append("even-step instance t(12) = 2 u(11) failed")
-    if no_odd_pp_counts(2, 12)[12] != 1136:
-        failures.append("t(12) != 1136")
-    _finish("3 parity laws", failures)
+    # the profile parity laws, and every family (no-odd-pp from the
+    # unbordered counts among them) against the census and a naive filter
+    _finish("3 parity laws", _suite_failures("counts"))
 
 
 def test_criterion_4_constants():
@@ -211,11 +156,9 @@ def test_criterion_4_constants():
 
 
 def test_criterion_5_shuffle_orders():
-    failures = []
-    for n in range(2, 201):
-        direct = permutation_order(milk_shuffle_permutation(n))
-        if direct != milk_shuffle_order(n):
-            failures.append(f"order mismatch at n={n}")
+    # the bijection suite compares the congruence with the permutation's
+    # order for n = 2..200
+    failures = _suite_failures("bijection")
     # first terms, frozen from iterating the permutation to the identity
     expected = [1, 2, 3, 3, 5, 6, 4, 4, 9, 6, 11, 10, 9, 14, 5, 5, 12, 18, 12]
     got = [milk_shuffle_order(n) for n in range(2, 21)]
@@ -225,122 +168,8 @@ def test_criterion_5_shuffle_orders():
 
 
 def test_criterion_6_property_suite():
-    failures = []
-
-    # an even-length word is a palindrome iff the unshuffled second track is
-    # the reverse of the first
-    for n in range(2, 17, 2):
-        for x in _iter_words(2, n):
-            if (x == x[::-1]) != (x[1::2] == x[0::2][::-1]):
-                failures.append(f"shuffle-palindrome splitting failed at x={x}")
-                break
-
-    # a palindrome with a proper palindromic prefix longer than half also has
-    # a nonempty one shorter than half
-    for k in (2, 3):
-        for n in range(1, 15):
-            for head in itertools.product(range(k), repeat=(n + 1) // 2):
-                w = head + head[::-1] if n % 2 == 0 else head + head[-2::-1]
-                long_prefix = any(
-                    w[:m] == w[m - 1::-1] for m in range(n // 2 + 1, n)
-                )
-                if long_prefix and not any(
-                    w[:m] == w[m - 1::-1] for m in range(1, n) if 2 * m < n
-                ):
-                    failures.append(f"no short palindromic prefix in {w}")
-
-    # appending at most one letter and the mirror image preserves having a
-    # nontrivial palindromic prefix, in both directions
-    for k in (2, 3):
-        for length in range(0, 9):
-            for w in _iter_words(k, length):
-                for middle in [()] + [(a,) for a in range(k)]:
-                    mirrored = w + middle + w[::-1]
-                    direct = _has_pal_prefix(w + middle)
-                    reflected = any(
-                        mirrored[:m] == mirrored[m - 1::-1]
-                        for m in range(2, len(mirrored))
-                    )
-                    if direct != reflected:
-                        failures.append(f"reflection equivalence failed at {w}, {middle}")
-
-    # adjacent sums: order correspondence and exact k-to-1-ness
-    for k in (2, 3):
-        for n in range(1, 13):
-            for w in _iter_words(k, n):
-                if _odd_pp_set(w) != _even_pp_set(_adjacent_sums(w, k)):
-                    failures.append(f"order correspondence failed at k={k}, w={w}")
-                    break
-        for n in range(0, 7):
-            for x in _iter_words(k, n):
-                preimages = set()
-                for first in range(k):
-                    symbols = [first]
-                    for s in x:
-                        symbols.append((s - symbols[-1]) % k)
-                    preimages.add(tuple(symbols))
-                if len(preimages) != k or any(
-                    _adjacent_sums(w, k) != x for w in preimages
-                ):
-                    failures.append(f"not {k}-to-1 at x={x}")
-
-    # the swapped-parity analogue must fail somewhere short
-    if all(
-        _even_pp_set(w) == _odd_pp_set(_adjacent_sums(w, 2))
-        for n in range(1, 9)
-        for w in _iter_words(2, n)
-    ):
-        failures.append("swapped-parity analogue unexpectedly held")
-
-    # ratio identities, exact
-    for k in (2, 3):
-        ratios = no_pal_prefix_ratios(k, 200)
-        partial = Fraction(0)
-        for n in range(1, 101):
-            partial += ratios[n] * Fraction(1, k ** n)
-            if ratios[2 * n] != 2 - (k + 1) * partial:
-                failures.append(f"telescoped identity failed at k={k}, n={n}")
-            if n >= 2 and ratios[2 * n] != ratios[2 * n - 2] - (k + 1) * ratios[
-                n
-            ] * Fraction(1, k ** n):
-                failures.append(f"halving identity failed at k={k}, n={n}")
-
-    # minimal squares convolve to the with-square counts, against brute force
-    for k in (2, 3):
-        minimal = min_square_counts(k, 6)
-        has = {
-            n: sum(minimal[i] * k ** (n - 2 * i) for i in range(1, n // 2 + 1))
-            for n in range(1, 13)
-        }
-        for n in range(1, 13):
-            if has[n] != census_family(k, n, Family.HAS_SQUARE_PREFIX):
-                failures.append(f"convolution disagrees with census at k={k}, n={n}")
-
-    # enclosures nest as the term count grows
-    for k in (2, 3):
-        previous = density_series_enclosure(k, 10)
-        for terms in (20, 40, 80):
-            current = density_series_enclosure(k, terms)
-            if not (previous.lower <= current.lower and current.upper <= previous.upper):
-                failures.append(f"series enclosures failed to nest at k={k}")
-            previous = current
-    minimal = min_square_counts(2, 12)
-    outer, _ = square_prefix_densities(2, 6, minimal)
-    inner, _ = square_prefix_densities(2, 12, minimal)
-    if not (outer.lower <= inner.lower and inner.upper <= outer.upper):
-        failures.append("square density enclosures failed to nest")
-
-    # functional equation: both sides overlap as enclosures
-    for k in (2, 3):
-        for x in (Fraction(1, k), Fraction(1, 2 * k), Fraction(1, k * k)):
-            direct = density_series(k, x, 120)
-            inner = density_series(k, x * x / k, 120)
-            offset = 2 * x / (1 - x)
-            coefficient = (x + k) / (x * (x - 1))
-            low, high = sorted(
-                (offset + coefficient * inner.lower, offset + coefficient * inner.upper)
-            )
-            if max(direct.lower, low) > min(direct.upper, high):
-                failures.append(f"functional equation enclosures disjoint at k={k}, x={x}")
-
+    # word lemmas, the adjacent-sum map, the exact ratio identities, the
+    # enclosures (nesting, functional equation, density bounds), and the
+    # minimal-square convolution against the census
+    failures = _suite_failures("lemmas", "g-map", "recurrences", "constants", "counts")
     _finish("6 property suite", failures)

@@ -9,7 +9,6 @@ from palcensus.constants import (
     Enclosure,
     Method,
     closed_form_report,
-    decimal_agreement,
     decimal_string,
     density_series,
     density_series_closed_form,
@@ -28,6 +27,13 @@ H3_DIGITS = "430377520029471213293382335121830467895548542549528870740458"
 RHO3_DIGITS = "27848991988211514682647065951267812841780582980188451703816"
 
 
+def agreed_digits(a, b, places=2000):
+    """How many of the first `places` decimals of two numbers in [0, 1) agree
+    before the first difference."""
+    pairs = zip(decimal_string(a, places)[2:], decimal_string(b, places)[2:])
+    return next((i for i, (x, y) in enumerate(pairs) if x != y), places)
+
+
 class TestDecimalRendering:
     def test_truncates(self):
         assert decimal_string(Fraction(2, 3), 5) == "0.66666"
@@ -38,13 +44,6 @@ class TestDecimalRendering:
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
             decimal_string(Fraction(-1, 2), 3)
-
-    def test_agreement(self):
-        assert decimal_agreement(Fraction(1, 3), Fraction(1, 3), cap=50) == 50
-        assert decimal_agreement(Fraction(12345, 100000), Fraction(12349, 100000)) == 4
-        assert decimal_agreement(Fraction(12345, 100000), Fraction(12352, 100000)) == 3
-        assert decimal_agreement(Fraction(1, 2), Fraction(3, 4)) == 0
-
 
 class TestEnclosure:
     def test_orientation_enforced(self):
@@ -142,7 +141,7 @@ class TestClosedForm:
         five = density_series_closed_form(3, 5)
         six = density_series_closed_form(3, 6)
         oracle = density_series_enclosure(3, 2600).lower
-        assert decimal_agreement(five, six) < decimal_agreement(six, oracle)
+        assert agreed_digits(five, six) < agreed_digits(six, oracle)
 
     def test_report_certifies_against_series(self):
         report = closed_form_report(3, 6, 60)
@@ -207,9 +206,11 @@ class TestSquareDensities:
 
     def test_nesting(self):
         minimal = min_square_counts(2, 12)
-        outer, _ = square_prefix_densities(2, 8, minimal)
-        inner, _ = square_prefix_densities(2, 12, minimal)
-        assert outer.lower <= inner.lower and inner.upper <= outer.upper
+        outer, _ = square_prefix_densities(2, 6, minimal)
+        for depth in (8, 12):
+            inner, _ = square_prefix_densities(2, depth, minimal)
+            assert outer.lower <= inner.lower and inner.upper <= outer.upper
+            outer = inner
 
     @pytest.mark.parametrize("k", [3, 4, 5])
     def test_square_free_density_beats_the_coarse_bound(self, k):

@@ -11,6 +11,7 @@ from palcensus.recurrences import (
     CacheStore,
     MissingCountError,
     default_cache_path,
+    family_counts,
     min_square_counts,
     no_even_pp_counts,
     no_odd_pp_counts,
@@ -141,24 +142,25 @@ class TestSquareSplit:
 
 class TestCensusAgreement:
     @pytest.mark.parametrize(
-        "family,builder",
+        "family",
         [
-            (Family.UNBORDERED, lambda k, n: unbordered_counts(k, n)),
-            (Family.NO_EVEN_PP, lambda k, n: no_even_pp_counts(k, n)),
-            (Family.NO_ODD_PP, lambda k, n: no_odd_pp_counts(k, n)),
-            (Family.NO_PAL_PREFIX, lambda k, n: no_pal_prefix_counts(k, n)),
-            (Family.MIN_SQUARE, lambda k, n: min_square_counts(k, n)),
+            Family.UNBORDERED,
+            Family.NO_EVEN_PP,
+            Family.NO_ODD_PP,
+            Family.NO_PAL_PREFIX,
+            Family.MIN_SQUARE,
         ],
     )
     @pytest.mark.parametrize("k,n_max", [(2, 14), (3, 12)])
-    def test_matches_the_census(self, family, builder, k, n_max):
-        seq = builder(k, n_max)
+    def test_matches_the_census(self, family, k, n_max):
+        seq = family_counts(k, n_max, family)
         for n in range(1, n_max + 1):
             assert seq[n] == census_family(k, n, family)
 
     @pytest.mark.parametrize("k,n_max", [(2, 14), (3, 12)])
     def test_square_split_matches_census(self, k, n_max):
-        free, has = square_prefix_counts(k, n_max, min_square_counts(k, n_max // 2))
+        free = family_counts(k, n_max, Family.NO_SQUARE_PREFIX)
+        has = family_counts(k, n_max, Family.HAS_SQUARE_PREFIX)
         for n in range(1, n_max + 1):
             assert free[n] == census_family(k, n, Family.NO_SQUARE_PREFIX)
             assert has[n] == census_family(k, n, Family.HAS_SQUARE_PREFIX)

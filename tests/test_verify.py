@@ -2,9 +2,11 @@
 
 import pytest
 
-from palcensus import census
+from palcensus import census, recurrences, verify
 from palcensus.census import DEFAULT_BUDGET, Family
-from palcensus.verify import suite_counts
+from palcensus.recurrences import CountSeq
+from palcensus.verify import run_suites, suite_counts
+from palcensus.words import _shuffle
 
 
 def test_counts_suite_passes():
@@ -36,3 +38,55 @@ def test_counts_suite_catches_an_off_by_one_prune(monkeypatch, family, planted):
     assert not result.passed
     assert result.failures[0].startswith(f"{family.value} mismatch at k=2")
     assert "naive filter" in result.failures[0]
+
+
+def _milk_shuffle_reading_one_letter_early(w):
+    # the second half should be w[n - half:]; this reads it a letter early
+    n = len(w)
+    half = n // 2
+    y, z = w[:half], w[n - half - 1:n - 1]
+    return _shuffle(y, z[::-1]) + w[half:n - half]
+
+
+def _no_pal_prefix_counts_without_even_subtraction(k, N):
+    # count(2n) = k * count(2n-1) - count(n), with the subtraction dropped
+    values = {1: k, 2: k * k - k}
+    for m in range(3, N + 1):
+        values[m] = k * values[m - 1] - (0 if m % 2 == 0 else values[(m + 1) // 2])
+    return CountSeq(k, Family.NO_PAL_PREFIX, values)
+
+
+def _old_pal_prefix_lemma(p, m):
+    # "has a nontrivial palindromic prefix shorter than half", whatever m is
+    return any(p[:j] == p[j - 1::-1] for j in range(2, len(p)) if 2 * j < len(p))
+
+
+@pytest.mark.parametrize(
+    "module,name,planted,suite,failure",
+    [
+        pytest.param(
+            verify, "_milk_shuffle", _milk_shuffle_reading_one_letter_early,
+            "bijection", "round trip failed at k=2", id="milk-shuffle",
+        ),
+        pytest.param(
+            recurrences, "no_pal_prefix_counts",
+            _no_pal_prefix_counts_without_even_subtraction,
+            "counts", "no-pal-prefix mismatch at k=2, n=4: census 2, recurrence 4",
+            id="no-pal-prefix-recurrence",
+        ),
+        pytest.param(
+            verify, "_pal_prefix_lemma", _old_pal_prefix_lemma,
+            "lemmas", "palindromic prefix lemma failed at k=2, p=(0, 0, 0), m=2",
+            id="non-sharp-lemma",
+        ),
+    ],
+)
+def test_suite_catches_a_planted_bug(
+    monkeypatch, module, name, planted, suite, failure
+):
+    [honest] = run_suites([suite], k_max=2, n_max=6)
+    assert honest.passed, honest.failures
+    monkeypatch.setattr(module, name, planted)
+    [result] = run_suites([suite], k_max=2, n_max=6)
+    assert not result.passed
+    assert any(message.startswith(failure) for message in result.failures)
