@@ -41,7 +41,6 @@ from .recurrences import (
     CacheStore,
     CountSeq,
     MissingCountError,
-    RatioSeq,
     default_cache_path,
     family_counts,
     min_square_counts,

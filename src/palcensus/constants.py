@@ -15,10 +15,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from decimal import Decimal
 from enum import Enum
 from fractions import Fraction
 
-from .recurrences import CountSeq, no_pal_prefix_ratios, unbordered_counts
+from .recurrences import (
+    CountSeq, no_pal_prefix_counts, no_pal_prefix_ratios, unbordered_counts
+)
 
 
 class Method(Enum):
@@ -52,13 +55,10 @@ class Enclosure:
     def truncation_agreed(self, digits: int) -> str | None:
         """The common digits-place truncation of both bounds, or None if the
         bounds straddle a decimal grid point (or a negative value)."""
-        scale = 10 ** digits
-        low = math.floor(self.lower * scale)
-        high = math.floor(self.upper * scale)
-        if low != high or low < 0:
+        if self.lower < 0:
             return None
-        whole, frac = divmod(low, scale)
-        return f"{whole}.{frac:0{digits}d}"
+        low = _truncated(self.lower, digits)
+        return low if low == _truncated(self.upper, digits) else None
 
 
 @dataclass(frozen=True)
@@ -70,24 +70,43 @@ class DecimalReport:
     method: Method
 
 
+def _truncated(x: Fraction, digits: int) -> str:
+    """x >= 0 truncated to `digits` places as `whole.frac`, at any length:
+    Decimal renders the integers, as int -> str stops at 4300 digits."""
+    if x < 0 or digits < 0:
+        raise ValueError(f"cannot render {x} to {digits} decimal places")
+    whole, frac = divmod(math.floor(x * 10 ** digits), 10 ** digits)
+    return f"{Decimal(whole)}.{str(Decimal(frac)).zfill(digits)}"
+
+
 def decimal_string(x: Fraction, digits: int) -> str:
-    """Truncated decimal expansion of a nonnegative rational."""
-    if x < 0:
-        raise ValueError(f"only nonnegative values are rendered, got {x}")
-    whole, remainder = divmod(x.numerator, x.denominator)
-    frac = remainder * 10 ** digits // x.denominator
-    return f"{whole}.{frac:0{digits}d}" if digits > 0 else str(whole)
+    """Truncated decimal expansion of a nonnegative rational; the integer
+    part alone when digits <= 0."""
+    text = _truncated(x, max(digits, 0))
+    return text if digits > 0 else text[:-2]
 
 
 # ---------------------------------------------------------------------------
 # the prefix-density series
 
 
+def _series_enclosure(k: int, counts: CountSeq, N: int) -> Enclosure:
+    """Enclosure of the sum of counts[n] / k**(2n) over n >= 1, for counts
+    in [0, k**n]: N terms as one integer over k**(2N) by Horner's rule, and
+    the tail, at most k**(-N) / (k-1)."""
+    numerator = 0
+    for n in range(1, N + 1):
+        numerator = numerator * k * k + counts[n]
+    lower = Fraction(numerator, k ** (2 * N))
+    return Enclosure(lower, lower + Fraction(1, (k - 1) * k ** N))
+
+
 def density_series(k: int, x, N: int) -> Enclosure:
-    """Enclosure of D(x) from the first N terms.
+    """Enclosure of D(x) from the first N terms, one Fraction per term.
 
     The coefficients lie in [0, 1], so the tail after N terms is at most the
-    geometric remainder x**(N+1) / (1-x); needs 0 < x < 1.
+    geometric remainder x**(N+1) / (1-x); needs 0 < x < 1.  At x = 1/k this
+    is the independent reference for density_series_enclosure.
     """
     x = Fraction(x)
     if not 0 < x < 1:
@@ -103,7 +122,7 @@ def density_series(k: int, x, N: int) -> Enclosure:
 
 def density_series_enclosure(k: int, N: int) -> Enclosure:
     """Enclosure of D(1/k), the value the limiting density is built from."""
-    return density_series(k, Fraction(1, k), N)
+    return _series_enclosure(k, no_pal_prefix_counts(k, N), N)
 
 
 def density_series_closed_form(k: int, terms: int) -> Fraction:
@@ -137,14 +156,21 @@ def density_series_closed_form(k: int, terms: int) -> Fraction:
     return value
 
 
-def _refine(make_enclosure, digits: int, start: int = 32, limit: int = 1 << 22):
-    """Grow the term count until the enclosure certifies the digit request.
+# the largest digit request: at k = 4 it sums 2**15 counts of up to 2**16 bits
+MAX_DIGITS = 10_000
+
+
+def _refine(make_enclosure, digits: int, start: int = 32):
+    """Double the term count until the enclosure certifies the digit request,
+    which must lie in 1..MAX_DIGITS.
 
     Returns (enclosure, digit string, terms used).  When the bounds pin the
     value against a decimal grid point without ever agreeing on a truncation
     (as happens when the constant is exactly such a point), the grid point
     itself is reported once the width is far below one trailing-digit unit.
     """
+    if not 1 <= digits <= MAX_DIGITS:
+        raise ValueError(f"digits must lie in 1..{MAX_DIGITS}, got {digits}")
     N = start
     while True:
         enclosure = make_enclosure(N)
@@ -153,22 +179,12 @@ def _refine(make_enclosure, digits: int, start: int = 32, limit: int = 1 << 22):
             if agreed is not None:
                 return enclosure, agreed, N
             if enclosure.width * 10 ** (digits + 8) <= 1:
-                scale = 10 ** digits
-                grid = math.floor(enclosure.upper * scale)
-                if grid >= 0:
-                    whole, frac = divmod(grid, scale)
-                    return enclosure, f"{whole}.{frac:0{digits}d}", N
-        if N >= limit:
-            raise CertificationError(
-                f"could not certify {digits} digits within {limit} series terms"
-            )
+                return enclosure, _truncated(enclosure.upper, digits), N
         N *= 2
 
 
 def density_series_report(k: int, digits: int) -> DecimalReport:
     """D(1/k) as a certified decimal, from the series enclosure alone."""
-    if k < 2 or digits < 1:
-        raise ValueError("need k >= 2 and digits >= 1")
     _, text, _ = _refine(lambda N: density_series_enclosure(k, N), digits)
     return DecimalReport(text, digits, Method.SERIES)
 
@@ -179,8 +195,8 @@ def closed_form_report(k: int, terms: int, digits: int) -> DecimalReport:
     Fails rather than guessing if the closed-form value leaves the series
     enclosure or truncates differently at the requested precision.
     """
-    value = density_series_closed_form(k, terms)
     enclosure, text, _ = _refine(lambda N: density_series_enclosure(k, N), digits)
+    value = density_series_closed_form(k, terms)
     if value not in enclosure or decimal_string(value, digits) != text:
         raise CertificationError(
             f"closed form with {terms} terms does not certify {digits} digits "
@@ -203,8 +219,6 @@ def pal_free_density_enclosure(k: int, N: int) -> Enclosure:
 def pal_free_density(k: int, digits: int) -> DecimalReport:
     """The limiting no-palindromic-prefix density, certified to the requested
     number of decimal places."""
-    if k < 2 or digits < 1:
-        raise ValueError("need k >= 2 and digits >= 1")
     _, text, _ = _refine(lambda N: pal_free_density_enclosure(k, N), digits)
     return DecimalReport(text, digits, Method.ENCLOSURE)
 
@@ -220,12 +234,8 @@ def square_prefix_densities(
     min_square(i) never exceeds k**i.  The square-free density is its
     complement in 1.  Requires min_square to hold 1..n.
     """
-    lower = Fraction(0)
-    for i in range(1, n + 1):
-        lower += Fraction(min_square[i], k ** (2 * i))
-    upper = lower + Fraction(1, k ** n * (k - 1))
-    with_square = Enclosure(lower, upper)
-    square_free = Enclosure(1 - upper, 1 - lower)
+    with_square = _series_enclosure(k, min_square, n)
+    square_free = Enclosure(1 - with_square.upper, 1 - with_square.lower)
     return with_square, square_free
 
 

@@ -47,17 +47,6 @@ class CountSeq:
         return max(self.values, default=0)
 
 
-@dataclass(frozen=True)
-class RatioSeq:
-    """Exact rationals in [0, 1] indexed by length."""
-
-    k: int
-    values: dict[int, Fraction]
-
-    def __getitem__(self, n: int) -> Fraction:
-        return self.values[n]
-
-
 def _require(k: int, N: int) -> None:
     if k < 2:
         raise ValueError(f"recurrences need an alphabet of size at least 2, got {k}")
@@ -265,17 +254,15 @@ def family_counts(
     return free if family is Family.NO_SQUARE_PREFIX else has
 
 
-def no_pal_prefix_ratios(k: int, N: int) -> RatioSeq:
+def no_pal_prefix_ratios(k: int, N: int) -> dict[int, Fraction]:
     """The exact fractions count(n) / k**n for the no-palindromic-prefix
     counts; each lies in [0, 1]."""
-    counts = no_pal_prefix_counts(k, N)
-    values: dict[int, Fraction] = {}
-    for n in range(1, N + 1):
-        ratio = Fraction(counts[n], k ** n)
-        if not 0 <= ratio <= 1:
-            raise RuntimeError(f"ratio out of range at k={k}, n={n}: {ratio}")
-        values[n] = ratio
-    return RatioSeq(k, values)
+    values = {}
+    for n, count in no_pal_prefix_counts(k, N).values.items():
+        values[n] = Fraction(count, k ** n)
+        if not 0 <= values[n] <= 1:
+            raise RuntimeError(f"ratio out of range at k={k}, n={n}: {values[n]}")
+    return values
 
 
 # ---------------------------------------------------------------------------

@@ -291,16 +291,19 @@ def suite_recurrences(k_max: int, n_max: int, budget: int) -> SuiteResult:
 
 
 def suite_constants(k_max: int, n_max: int, budget: int) -> SuiteResult:
-    """Enclosures nest, the functional equation balances, the closed form
-    lands inside the series enclosure, and the density bounds hold."""
+    """Enclosures match the per-term reference and nest, the functional
+    equation balances, the closed form lands inside the series enclosure,
+    and the density bounds hold."""
     result = SuiteResult("constants")
     for k in range(2, max(k_max, 3) + 1):
-        for N in (10, 40):
+        for N in (10, 40, 130):
             outer = density_series_enclosure(k, N)
+            if outer != density_series(k, Fraction(1, k), N):
+                result.fail(f"series kernel differs from the Fraction sum at k={k}, N={N}")
             inner = density_series_enclosure(k, 2 * N)
             if not (outer.lower <= inner.lower and inner.upper <= outer.upper):
                 result.fail(f"series enclosures failed to nest at k={k}, N={N}")
-            result.checks += 1
+            result.checks += 2
         for x in (Fraction(1, k), Fraction(1, 2 * k), Fraction(1, k * k)):
             direct = density_series(k, x, 120)
             inner = density_series(k, x * x / k, 120)

@@ -1,10 +1,13 @@
 """End-to-end CLI behaviour: output formats, exit codes, determinism."""
 
 import json
+import sys
+import time
 
 import pytest
 
 from palcensus.cli import main
+from palcensus.constants import MAX_DIGITS
 
 T2 = [2, 4, 4, 8, 12, 24, 40, 80, 148, 296, 568, 1136]
 U2 = [2, 2, 4, 6, 12, 20, 40, 74, 148, 284, 568, 1116]
@@ -218,6 +221,40 @@ class TestConstants:
         )
         assert code == 1
         assert "certify" in err
+
+    def test_digits_beyond_the_int_string_limit(self, capsys):
+        limit = sys.get_int_max_str_digits()
+        code, long_out, _ = run(
+            capsys, "constants", "--k", "3", "--which", "h", "--digits", "4400"
+        )
+        assert code == 0
+        assert len(long_out) == 4403
+        _, short_out, _ = run(
+            capsys, "constants", "--k", "3", "--which", "h", "--digits", "1000"
+        )
+        assert long_out[:1002] == short_out[:1002]
+        assert sys.get_int_max_str_digits() == limit
+
+    @pytest.mark.parametrize("digits", ["0", "-1", str(MAX_DIGITS + 1)])
+    @pytest.mark.parametrize(
+        "report_args",
+        [
+            ["--which", "h"],
+            ["--which", "h", "--method", "closed-form", "--terms", "6"],
+            ["--which", "rho"],
+        ],
+        ids=["series", "closed-form", "rho"],
+    )
+    def test_digit_request_out_of_range_is_a_usage_error(
+        self, capsys, report_args, digits
+    ):
+        start = time.perf_counter()
+        code, out, err = run(
+            capsys, "constants", "--k", "3", *report_args, "--digits", digits
+        )
+        assert time.perf_counter() - start < 1
+        assert (code, out) == (2, "")
+        assert err.startswith("error: digits must lie in")
 
     def test_alpha_beta_pair(self, capsys, tmp_path):
         from fractions import Fraction

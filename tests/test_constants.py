@@ -1,13 +1,16 @@
 """Enclosures, certified digits, the closed form, and the density reports."""
 
+import sys
 from fractions import Fraction
 
 import pytest
 
 from palcensus.constants import (
+    MAX_DIGITS,
     CertificationError,
     Enclosure,
     Method,
+    _refine,
     closed_form_report,
     decimal_string,
     density_series,
@@ -44,6 +47,14 @@ class TestDecimalRendering:
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
             decimal_string(Fraction(-1, 2), 3)
+
+    def test_beyond_the_int_string_limit(self):
+        limit = sys.get_int_max_str_digits()
+        third = Fraction(1, 3)
+        assert decimal_string(third, 4400) == "0." + "3" * 4400
+        assert Enclosure(third, third).truncation_agreed(4400) == "0." + "3" * 4400
+        assert sys.get_int_max_str_digits() == limit
+
 
 class TestEnclosure:
     def test_orientation_enforced(self):
@@ -151,6 +162,22 @@ class TestClosedForm:
     def test_report_fails_when_terms_cannot_reach_digits(self):
         with pytest.raises(CertificationError):
             closed_form_report(3, 1, 60)
+
+    def test_refinement_stops_on_a_negative_enclosure(self):
+        # no term count certifies a negative value; the grid fallback refuses
+        # it instead of doubling the terms forever
+        with pytest.raises(ValueError, match="cannot render"):
+            _refine(lambda N: Enclosure(Fraction(-1), Fraction(1, 2 ** N) - 1), 5)
+
+    @pytest.mark.parametrize("digits", [0, -1, MAX_DIGITS + 1])
+    def test_digit_request_checked_up_front(self, digits):
+        for report in (
+            lambda: density_series_report(3, digits),
+            lambda: closed_form_report(3, 6, digits),
+            lambda: pal_free_density(3, digits),
+        ):
+            with pytest.raises(ValueError, match="digits must lie in"):
+                report()
 
     def test_argument_validation(self):
         with pytest.raises(ValueError):

@@ -1,9 +1,12 @@
 """The cross-checking suites must fail on planted bugs, not only pass."""
 
+from fractions import Fraction
+
 import pytest
 
-from palcensus import census, recurrences, verify
+from palcensus import census, constants, recurrences, verify
 from palcensus.census import DEFAULT_BUDGET, Family
+from palcensus.constants import Enclosure
 from palcensus.recurrences import CountSeq
 from palcensus.verify import run_suites, suite_counts
 from palcensus.words import _shuffle
@@ -61,6 +64,24 @@ def _old_pal_prefix_lemma(p, m):
     return any(p[:j] == p[j - 1::-1] for j in range(2, len(p)) if 2 * j < len(p))
 
 
+_honest_series_enclosure = constants._series_enclosure
+
+
+def _series_with_a_wider_tail(k, counts, N):
+    # a valid but k times looser enclosure: it still nests and still holds
+    # the closed form, so only the comparison with the reference sees it
+    honest = _honest_series_enclosure(k, counts, N)
+    return Enclosure(honest.lower, honest.lower + k * honest.width)
+
+
+def _series_without_the_last_term(k, counts, N):
+    numerator = 0
+    for n in range(1, N):
+        numerator = numerator * k * k + counts[n]
+    lower = Fraction(numerator, k ** (2 * N - 2))
+    return Enclosure(lower, lower + Fraction(1, (k - 1) * k ** N))
+
+
 @pytest.mark.parametrize(
     "module,name,planted,suite,failure",
     [
@@ -78,6 +99,16 @@ def _old_pal_prefix_lemma(p, m):
             verify, "_pal_prefix_lemma", _old_pal_prefix_lemma,
             "lemmas", "palindromic prefix lemma failed at k=2, p=(0, 0, 0), m=2",
             id="non-sharp-lemma",
+        ),
+        pytest.param(
+            constants, "_series_enclosure", _series_with_a_wider_tail,
+            "constants", "series kernel differs from the Fraction sum at k=2, N=10",
+            id="series-tail-widened",
+        ),
+        pytest.param(
+            constants, "_series_enclosure", _series_without_the_last_term,
+            "constants", "series kernel differs from the Fraction sum at k=2, N=10",
+            id="series-last-term-dropped",
         ),
     ],
 )
