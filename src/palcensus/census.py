@@ -18,7 +18,6 @@ from __future__ import annotations
 import itertools
 import os
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from enum import Enum
 
 from .words import Word, _even_pp_set, _odd_pp_set, _short_border_set
@@ -226,6 +225,10 @@ def _profile_block(k: int, n: int, prefix: tuple[int, ...]) -> Counter:
 def _map_blocks(worker, argument_lists, workers: int):
     workers = min(workers, len(argument_lists))
     if workers > 1:
+        # imported only here, so that a process which never starts a pool
+        # does not load multiprocessing and logging
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(worker, *zip(*argument_lists)))
     return [worker(*args) for args in argument_lists]

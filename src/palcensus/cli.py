@@ -13,47 +13,20 @@ Identical invocations produce byte-identical output.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
-from .census import (
-    DEFAULT_BUDGET,
-    BudgetExceededError,
-    Family,
-    ProfileKind,
-    census_family,
-    census_profile,
-    list_profile,
-)
-from .constants import (
-    CertificationError,
-    closed_form_report,
-    density_series_report,
-    pal_free_density,
-    square_prefix_densities,
-    unbordered_density_estimate,
-)
-from .maps import (
-    adjacent_sum_map,
-    adjacent_sum_preimages,
-    milk_shuffle,
-    milk_shuffle_order,
-    milk_shuffle_permutation,
-    milk_unshuffle,
-    permutation_order,
-)
-from .recurrences import (
-    CacheMismatchError,
-    CacheStore,
-    default_cache_path,
-    family_counts,
-    min_square_counts,
-)
-from .verify import SUITES, run_suites
-from .words import format_word, parse_word
+# the parser needs only these; each command imports what it runs, so a
+# fresh process loads no more of the package than its command needs
+from .census import DEFAULT_BUDGET, BudgetExceededError, Family, ProfileKind
+
+# verify.SUITES in run order, spelled out so that the parser need not
+# import verify (a test keeps the two equal)
+SUITE_NAMES = ("bijection", "g-map", "counts", "recurrences", "constants", "lemmas")
 
 
-def _cache_store(args) -> CacheStore:
+def _cache_store(args):
+    from .recurrences import CacheStore, default_cache_path
+
     if getattr(args, "cache_dir", None):
         return CacheStore(args.cache_dir / "min_square_counts.tsv")
     return CacheStore(default_cache_path())
@@ -65,6 +38,8 @@ def _emit_count_rows(rows, fmt) -> None:
         if fmt == "bfile":
             print(f"{row[0]} {row[1]}")
         elif fmt == "jsonl":
+            import json
+
             record = {"n": row[0], "value": row[1]}
             if len(row) == 3:
                 record["match"] = row[2]
@@ -76,6 +51,9 @@ def _emit_count_rows(rows, fmt) -> None:
 
 
 def _cmd_count(args) -> int:
+    from .census import census_family
+    from .recurrences import family_counts
+
     family = Family(args.family)
     if args.n_min < 1:
         raise ValueError(f"--n-min must be at least 1, got {args.n_min}")
@@ -115,6 +93,14 @@ def _cmd_count(args) -> int:
 
 
 def _cmd_map(args) -> int:
+    from .maps import (
+        adjacent_sum_map,
+        adjacent_sum_preimages,
+        milk_shuffle,
+        milk_unshuffle,
+    )
+    from .words import format_word, parse_word
+
     word = parse_word(args.word, args.k)
     if args.map == "f":
         print(format_word(milk_shuffle(word)))
@@ -139,6 +125,9 @@ def _parse_profile_set(text: str) -> frozenset[int]:
 
 
 def _cmd_profile(args) -> int:
+    from .census import census_profile, list_profile
+    from .words import format_word
+
     kind = ProfileKind(args.kind)
     wanted = _parse_profile_set(args.set)
     if args.list:
@@ -154,6 +143,15 @@ def _cmd_profile(args) -> int:
 
 
 def _cmd_constants(args) -> int:
+    from .constants import (
+        closed_form_report,
+        density_series_report,
+        pal_free_density,
+        square_prefix_densities,
+        unbordered_density_estimate,
+    )
+    from .recurrences import min_square_counts
+
     if args.which == "h":
         if args.method == "closed-form":
             report = closed_form_report(args.k, args.terms, args.digits)
@@ -183,6 +181,8 @@ def _cmd_constants(args) -> int:
 
 
 def _cmd_shuffle_order(args) -> int:
+    from .maps import milk_shuffle_order, milk_shuffle_permutation, permutation_order
+
     single = args.n is not None
     ns = [args.n] if single else range(2, args.n_max + 1)
     lines = []
@@ -209,7 +209,9 @@ def _cmd_shuffle_order(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    names = tuple(SUITES) if args.suite == "all" else (args.suite,)
+    from .verify import run_suites
+
+    names = SUITE_NAMES if args.suite == "all" else (args.suite,)
     results = run_suites(
         names, k_max=args.k_max, n_max=args.n_max, budget=args.budget
     )
@@ -341,7 +343,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     verify = commands.add_parser("verify", help="run the cross-checking suites")
     verify.add_argument(
-        "--suite", default="all", choices=sorted(SUITES) + ["all"]
+        "--suite", default="all", choices=sorted(SUITE_NAMES) + ["all"]
     )
     verify.add_argument("--k-max", type=int, default=3)
     verify.add_argument("--n-max", type=int, default=10)
@@ -360,12 +362,14 @@ def main(argv=None) -> int:
     except BudgetExceededError as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
-    except (CertificationError, CacheMismatchError) as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 1
     except ValueError as error:
+        # either class is raised only once its module is loaded, so these
+        # imports cost nothing when they match
+        from .constants import CertificationError
+        from .recurrences import CacheMismatchError
+
         print(f"error: {error}", file=sys.stderr)
-        return 2
+        return 1 if isinstance(error, (CertificationError, CacheMismatchError)) else 2
 
 
 if __name__ == "__main__":

@@ -7,6 +7,7 @@ fractions.  No floating point enters this module.
 
 from __future__ import annotations
 
+import fcntl
 import os
 from dataclasses import dataclass
 from fractions import Fraction
@@ -273,16 +274,15 @@ class CacheStore:
     """TSV-backed store of minimal-square counts.
 
     One record per line: k, n, and the count, tab-separated and sorted by
-    (k, n).  Anything else in the file is rejected outright.
+    (k, n).  Anything else in the file is rejected outright.  Several
+    processes may share one file: save merges under a lock.
     """
 
     def __init__(self, path: os.PathLike | str) -> None:
         self.path = Path(path)
         self._values: dict[tuple[int, int], int] | None = None
 
-    def _load(self) -> dict[tuple[int, int], int]:
-        if self._values is not None:
-            return self._values
+    def _read(self) -> dict[tuple[int, int], int]:
         values: dict[tuple[int, int], int] = {}
         if self.path.exists():
             previous: tuple[int, int] | None = None
@@ -307,8 +307,12 @@ class CacheStore:
                     )
                 values[(k, n)] = count
                 previous = (k, n)
-        self._values = values
         return values
+
+    def _load(self) -> dict[tuple[int, int], int]:
+        if self._values is None:
+            self._values = self._read()
+        return self._values
 
     def get(self, k: int, n: int) -> int | None:
         return self._load().get((k, n))
@@ -317,12 +321,32 @@ class CacheStore:
         self._load()[(k, n)] = count
 
     def save(self) -> None:
+        """Write this store's values merged with what the file holds now.
+
+        Under an exclusive lock on the sidecar ``<name>.lock``, the file is
+        read again, so entries another process saved since this store
+        loaded are kept; the merge goes to a temporary file named after
+        this process and replaces the file.  Two values for one (k, n)
+        raise CacheMismatchError and leave the file as it was.
+        """
         values = self._load()
         self.path.parent.mkdir(parents=True, exist_ok=True)
-        temp = self.path.with_name(self.path.name + ".tmp")
-        lines = [f"{k}\t{n}\t{count}\n" for (k, n), count in sorted(values.items())]
-        temp.write_text("".join(lines))
-        os.replace(temp, self.path)
+        lock_path = self.path.with_name(self.path.name + ".lock")
+        with open(lock_path, "a") as lock:
+            fcntl.flock(lock, fcntl.LOCK_EX)
+            merged = self._read()
+            for (k, n), count in values.items():
+                saved = merged.setdefault((k, n), count)
+                if saved != count:
+                    raise CacheMismatchError(
+                        f"{self.path} holds min-square count {saved} for "
+                        f"k={k}, n={n}; this process has {count}"
+                    )
+            temp = self.path.with_name(f"{self.path.name}.{os.getpid()}.tmp")
+            lines = [f"{k}\t{n}\t{count}\n" for (k, n), count in sorted(merged.items())]
+            temp.write_text("".join(lines))
+            os.replace(temp, self.path)
+        self._values = merged
 
 
 def default_cache_path() -> Path:

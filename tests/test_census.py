@@ -6,6 +6,7 @@ free words are A122536, minimal squares are A216958, and words with a square
 prefix are A121880.  A252696 is the ternary no-palindromic-prefix count.
 """
 
+import concurrent.futures
 import itertools
 from collections import Counter
 
@@ -295,7 +296,8 @@ class TestJobs:
             def map(self, worker, *argument_lists):
                 return map(worker, *argument_lists)
 
-        monkeypatch.setattr(census, "ProcessPoolExecutor", FakePool)
+        # _map_blocks imports the pool class when it starts one
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
         monkeypatch.setattr(census.os, "cpu_count", lambda: cpus)
         assert census_family(2, n, Family.UNBORDERED, jobs=jobs) == U2[n - 1]
         assert created == sizes

@@ -1,11 +1,16 @@
 """End-to-end CLI behaviour: output formats, exit codes, determinism."""
 
 import json
+import os
+import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import palcensus
+from palcensus import cli, verify
 from palcensus.cli import main
 from palcensus.constants import MAX_DIGITS
 
@@ -358,7 +363,50 @@ class TestVerify:
         assert code == 0
         assert out.startswith("g-map: PASS")
 
+    def test_suite_names_match_the_verify_table(self):
+        # the parser lists the suites without importing verify
+        assert cli.SUITE_NAMES == tuple(verify.SUITES)
+
     def test_unknown_suite_is_a_usage_error(self, capsys):
         with pytest.raises(SystemExit) as outcome:
             main(["verify", "--suite", "nonsense"])
         assert outcome.value.code == 2
+
+
+# modules a short command must not load: the cross-checks, the process pool,
+# and (for commands that compute no sequence) the recurrences and constants
+NO_POOL = ("palcensus.verify", "concurrent.futures")
+NO_SEQUENCES = NO_POOL + ("palcensus.constants", "palcensus.recurrences")
+
+
+@pytest.mark.parametrize(
+    "argv,absent",
+    [
+        (["map", "--map", "f", "--k", "2", "--word", "0110"], NO_SEQUENCES),
+        (["shuffle-order", "--n", "7"], NO_SEQUENCES),
+        (
+            ["count", "--k", "2", "--n-max", "8", "--family", "unbordered",
+             "--jobs", "1"],
+            NO_POOL,
+        ),
+    ],
+    ids=["map", "shuffle-order", "count"],
+)
+def test_start_up_imports_only_what_the_command_runs(argv, absent):
+    script = (
+        "import sys\n"
+        "from palcensus.cli import main\n"
+        "code = main(sys.argv[1:])\n"
+        "print(code, *sorted(sys.modules))\n"
+    )
+    src = str(Path(palcensus.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    done = subprocess.run(
+        [sys.executable, "-c", script, *argv],
+        capture_output=True, text=True, env=env, timeout=60, check=True,
+    )
+    code, *loaded = done.stdout.splitlines()[-1].split()
+    assert code == "0"
+    assert "palcensus.cli" in loaded
+    assert not set(absent) & set(loaded)

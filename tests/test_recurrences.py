@@ -1,10 +1,15 @@
 """Recurrence-backed sequences against frozen rows, the census, and the
 exact ratio identities; persistence of the minimal-square cache."""
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import palcensus
 from palcensus.census import Family, census_family
 from palcensus.recurrences import (
     CacheMismatchError,
@@ -266,6 +271,73 @@ class TestCacheStore:
             _family_cache.pop((2, n, Family.MIN_SQUARE), None)
         with pytest.raises(BudgetExceededError):
             min_square_counts(2, 10, budget=64)
+
+    def test_savers_keep_each_others_entries(self, tmp_path):
+        path = tmp_path / "counts.tsv"
+        first, second = CacheStore(path), CacheStore(path)
+        assert first.get(2, 1) is None and second.get(2, 2) is None
+        first.put(2, 1, C2[0])
+        second.put(2, 2, C2[1])
+        first.save()
+        second.save()
+        assert CacheStore(path).get(2, 1) == C2[0]
+        assert path.read_text() == f"2\t1\t{C2[0]}\n2\t2\t{C2[1]}\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "counts.tsv", "counts.tsv.lock"
+        ]
+
+    def test_conflicting_saves_are_refused(self, tmp_path):
+        path = tmp_path / "counts.tsv"
+        first, second = CacheStore(path), CacheStore(path)
+        assert first.get(2, 3) is None and second.get(2, 3) is None
+        first.put(2, 3, 4)
+        second.put(2, 3, 5)
+        first.save()
+        with pytest.raises(CacheMismatchError, match="k=2, n=3"):
+            second.save()
+        assert path.read_text() == "2\t3\t4\n"
+
+    def test_concurrent_writer_processes_lose_nothing(self, tmp_path):
+        # more writers than CPUs; each loads the empty file, waits until all
+        # have, then saves its own keys one at a time
+        path = tmp_path / "counts.tsv"
+        writer = (
+            "import sys\n"
+            "from palcensus.recurrences import CacheStore\n"
+            "store, k = CacheStore(sys.argv[1]), int(sys.argv[2])\n"
+            "store.get(k, 1)\n"
+            "print('ready', flush=True)\n"
+            "sys.stdin.readline()\n"
+            "for n in range(1, 9):\n"
+            "    store.put(k, n, 10 * k + n)\n"
+            "    store.save()\n"
+        )
+        src = str(Path(palcensus.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, (src, os.environ.get("PYTHONPATH")))))
+        ks = range(2, 6)
+        writers = [
+            subprocess.Popen(
+                [sys.executable, "-c", writer, str(path), str(k)], env=env,
+                stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True,
+            )
+            for k in ks
+        ]
+        try:
+            for process in writers:
+                assert process.stdout.readline() == "ready\n"
+            for process in writers:
+                process.stdin.write("go\n")
+                process.stdin.flush()
+            for process in writers:
+                process.communicate(timeout=60)
+                assert process.returncode == 0
+        finally:
+            for process in writers:
+                process.kill()
+        store = CacheStore(path)
+        assert all(store.get(k, n) == 10 * k + n for k in ks for n in range(1, 9))
+        assert not list(tmp_path.glob("*.tmp"))
 
     def test_default_path_honours_environment(self, monkeypatch, tmp_path):
         monkeypatch.setenv("PALCENSUS_CACHE", str(tmp_path / "cachedir"))
