@@ -17,10 +17,9 @@ _EXPORTS = {
     "constants": (
         "CertificationError", "DecimalReport", "Enclosure", "Method",
         "closed_form_report", "decimal_string", "density_series",
-        "density_series_closed_form", "density_series_enclosure",
-        "density_series_report", "pal_free_density",
-        "pal_free_density_enclosure", "square_prefix_densities",
-        "unbordered_density_estimate",
+        "density_series_enclosure", "density_series_report",
+        "pal_free_density", "pal_free_density_enclosure",
+        "square_prefix_densities", "unbordered_density_estimate",
     ),
     "maps": (
         "Permutation", "adjacent_sum_map", "adjacent_sum_preimages",

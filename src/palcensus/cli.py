@@ -313,10 +313,15 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     constants.add_argument("--digits", type=int, default=50)
     constants.add_argument(
-        "--method", choices=["series", "closed-form"], default="series"
+        "--method", choices=["series", "closed-form"], default="series",
+        help="for h: series sums the counts; closed-form iterates the "
+        "functional equation and cross-checks it against the series",
     )
     constants.add_argument(
-        "--terms", type=int, default=6, help="summands for --method closed-form"
+        "--terms", type=int, default=7,
+        help="for --method closed-form: iterate the functional equation at "
+        "most 2*TERMS steps deep, stopping at the first depth that certifies "
+        "--digits (default %(default)s, deep enough for any --digits)",
     )
     constants.add_argument(
         "--c-max", type=int, default=20,

@@ -8,13 +8,14 @@ so a reported digit string is an initial segment of the true expansion.
 The key series is D(X) = sum over n >= 1 of r(n) * X**n, where r(n) is the
 fraction of length-n words with no nontrivial palindromic prefix.  Its value
 at X = 1/k gives the limiting density of that family; the minimal-square
-counts give the square-prefix densities the same way.
+counts give the square-prefix densities the same way.  D(1/k) has a second
+certified route, its functional equation iterated down from X = 1/k.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
-from dataclasses import dataclass
 from decimal import Decimal
 from enum import Enum
 from fractions import Fraction
@@ -22,6 +23,7 @@ from fractions import Fraction
 from .recurrences import (
     CountSeq, no_pal_prefix_counts, no_pal_prefix_ratios, unbordered_counts
 )
+from .words import _Record
 
 
 class Method(Enum):
@@ -34,10 +36,10 @@ class CertificationError(ValueError):
     """The requested number of digits could not be certified."""
 
 
-@dataclass(frozen=True)
-class Enclosure:
+class Enclosure(_Record):
     """Exact rational bracket: lower <= constant <= upper."""
 
+    __slots__ = ("lower", "upper")
     lower: Fraction
     upper: Fraction
 
@@ -61,10 +63,10 @@ class Enclosure:
         return low if low == _truncated(self.upper, digits) else None
 
 
-@dataclass(frozen=True)
-class DecimalReport:
+class DecimalReport(_Record):
     """A decimal string plus how many of its places are certified and how."""
 
+    __slots__ = ("value", "certified_digits", "method")
     value: str
     certified_digits: int
     method: Method
@@ -125,82 +127,77 @@ def density_series_enclosure(k: int, N: int) -> Enclosure:
     return _series_enclosure(k, no_pal_prefix_counts(k, N), N)
 
 
-def density_series_closed_form(k: int, terms: int) -> Fraction:
-    """Exact-rational closed-form evaluation of D(1/k).
+def _functional_enclosure(k: int, j: int) -> Enclosure:
+    """Enclosure of D(1/k) from j steps of the functional equation
+        D(X) = 2X/(1-X) + ((X+k)/(X(X-1))) * D(X**2 / k).
 
-    Iterating the functional equation
-        D(X) = 2X/(1-X) + ((X+k)/(X(X-1))) * D(X**2 / k)
-    down to its fixed point collapses D(1/k) into a rapidly converging
-    product limit minus twice a sum of doubly-exponentially small summands.
-    The product limit is evaluated at index 2*terms, the deepest index the
-    truncated sum uses; its own truncation error is far below the sum's.
-    This is a cross-check only: digits are certified solely against the
-    independent series enclosure.
+    At X_i = k**-e, e = 2**(i+1) - 1 (so X_0 = 1/k, X_(i+1) = X_i**2 / k), it
+    reads D(X_i) = (2 - (k**(e+1) + 1) * k**e * D(X_(i+1))) / (k**e - 1).
+    r(1) = 1, r(2) = 1 - 1/k and 0 <= r(n) <= 1 give the starting enclosure
+    D(X_j) in X_j + (1 - 1/k) * X_j**2 + [0, X_j**3 / (1 - X_j)].  Each step
+    back is a decreasing map, so it swaps the bounds, which stay integer
+    numerators over one shared denominator: no Fraction and no gcd.  The
+    width is about k**(1 - 2**(j+2)), so each step doubles the digits.
     """
-    if k < 2:
-        raise ValueError(f"closed form needs an alphabet of size at least 2, got {k}")
-    if terms < 1:
-        raise ValueError(f"closed form needs at least 1 summand, got {terms}")
-    depth = 2 * terms
-    plus = [k ** (2 ** i) + 1 for i in range(1, depth + 1)]
-    minus = [k ** (2 ** i - 1) - 1 for i in range(1, depth + 1)]
-    value = Fraction(math.prod(plus), k ** (depth + 1) * math.prod(minus))
-    for t in range(1, terms + 1):
-        exponent = 2 ** (2 * t - 1)
-        numerator = (
-            k ** (exponent - 2 * t)
-            * (k ** (exponent - 1) + 1)
-            * math.prod(plus[: 2 * t - 2])
-        )
-        value -= 2 * Fraction(numerator, math.prod(minus[: 2 * t]))
-    return value
+    top = k ** (2 ** (j + 1) - 1)
+    denominator = k * top * top * (top - 1)
+    low = (k * top + k - 1) * (top - 1)
+    high = low + k
+    for i in range(j - 1, -1, -1):
+        power = k ** (2 ** (i + 1) - 1)
+        scale = (k * power + 1) * power
+        low, high = 2 * denominator - scale * high, 2 * denominator - scale * low
+        denominator *= power - 1
+    return Enclosure(Fraction(low, denominator), Fraction(high, denominator))
 
 
 # the largest digit request: at k = 4 it sums 2**15 counts of up to 2**16 bits
 MAX_DIGITS = 10_000
 
 
-def _refine(make_enclosure, digits: int, start: int = 32):
-    """Double the term count until the enclosure certifies the digit request,
-    which must lie in 1..MAX_DIGITS.
+def _refine(make_enclosure, digits: int, sizes=None):
+    """Try the enclosure at each size in turn (by default the term counts
+    32, 64, 128, ...; the depths of the functional equation may run out)
+    until it certifies the digit request, which must lie in 1..MAX_DIGITS.
 
-    Returns (enclosure, digit string, terms used).  When the bounds pin the
-    value against a decimal grid point without ever agreeing on a truncation
-    (as happens when the constant is exactly such a point), the grid point
-    itself is reported once the width is far below one trailing-digit unit.
+    Returns the digit string.  When the bounds pin the value against a
+    decimal grid point without ever agreeing on a truncation (as happens
+    when the constant is exactly such a point), the grid point itself is
+    reported once the width is far below one trailing-digit unit.
     """
     if not 1 <= digits <= MAX_DIGITS:
         raise ValueError(f"digits must lie in 1..{MAX_DIGITS}, got {digits}")
-    N = start
-    while True:
-        enclosure = make_enclosure(N)
+    if sizes is None:
+        sizes = (32 << i for i in itertools.count())
+    for size in sizes:
+        enclosure = make_enclosure(size)
         if enclosure.width * 10 ** (digits + 2) <= 1:
             agreed = enclosure.truncation_agreed(digits)
             if agreed is not None:
-                return enclosure, agreed, N
+                return agreed
             if enclosure.width * 10 ** (digits + 8) <= 1:
-                return enclosure, _truncated(enclosure.upper, digits), N
-        N *= 2
+                return _truncated(enclosure.upper, digits)
+    raise CertificationError(f"depth {size} does not certify {digits} digits")
 
 
 def density_series_report(k: int, digits: int) -> DecimalReport:
     """D(1/k) as a certified decimal, from the series enclosure alone."""
-    _, text, _ = _refine(lambda N: density_series_enclosure(k, N), digits)
+    text = _refine(lambda N: density_series_enclosure(k, N), digits)
     return DecimalReport(text, digits, Method.SERIES)
 
 
 def closed_form_report(k: int, terms: int, digits: int) -> DecimalReport:
-    """The closed form rendered to a digit count certified by the series.
-
-    Fails rather than guessing if the closed-form value leaves the series
-    enclosure or truncates differently at the requested precision.
-    """
-    enclosure, text, _ = _refine(lambda N: density_series_enclosure(k, N), digits)
-    value = density_series_closed_form(k, terms)
-    if value not in enclosure or decimal_string(value, digits) != text:
+    """D(1/k) certified by the functional equation, stepped to depths
+    1, 2, ..., 2 * terms; fails rather than guessing if the depth runs out or
+    the series enclosure certifies different digits."""
+    if k < 2 or terms < 1:
+        raise ValueError(f"closed form needs k >= 2 and terms >= 1, got {k}, {terms}")
+    text = _refine(
+        lambda j: _functional_enclosure(k, j), digits, range(1, 2 * terms + 1)
+    )
+    if text != density_series_report(k, digits).value:
         raise CertificationError(
-            f"closed form with {terms} terms does not certify {digits} digits "
-            f"against the series enclosure"
+            f"the functional equation and the series disagree at {digits} digits"
         )
     return DecimalReport(text, digits, Method.CLOSED_FORM)
 
@@ -219,7 +216,7 @@ def pal_free_density_enclosure(k: int, N: int) -> Enclosure:
 def pal_free_density(k: int, digits: int) -> DecimalReport:
     """The limiting no-palindromic-prefix density, certified to the requested
     number of decimal places."""
-    _, text, _ = _refine(lambda N: pal_free_density_enclosure(k, N), digits)
+    text = _refine(lambda N: pal_free_density_enclosure(k, N), digits)
     return DecimalReport(text, digits, Method.ENCLOSURE)
 
 

@@ -12,9 +12,8 @@ a power-of-two congruence.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
-from .words import Word, _shuffle, _unshuffle
+from .words import Word, _Record, _shuffle, _unshuffle
 
 
 def _milk_shuffle(w: tuple[int, ...]) -> tuple[int, ...]:
@@ -51,13 +50,13 @@ def milk_unshuffle(w: Word) -> Word:
     return Word(w.alphabet, _milk_unshuffle(w.symbols))
 
 
-@dataclass(frozen=True)
-class Permutation:
+class Permutation(_Record):
     """A permutation of positions 1..n.
 
     images[j-1] is the input position whose symbol lands at output position j.
     """
 
+    __slots__ = ("images",)
     images: tuple[int, ...]
 
     def __post_init__(self) -> None:

@@ -9,11 +9,11 @@ from __future__ import annotations
 
 import fcntl
 import os
-from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
 from .census import DEFAULT_BUDGET, Family, census_family
+from .words import _Record
 
 
 class MissingCountError(ValueError):
@@ -24,10 +24,10 @@ class CacheMismatchError(ValueError):
     """A cached count disagrees with its recomputation."""
 
 
-@dataclass(frozen=True)
-class CountSeq:
+class CountSeq(_Record):
     """Nonnegative counts indexed by length (half-length for MIN_SQUARE)."""
 
+    __slots__ = ("k", "family", "values")
     k: int
     family: Family
     values: dict[int, int]

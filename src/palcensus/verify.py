@@ -24,8 +24,8 @@ from .census import (
     list_profile,
 )
 from .constants import (
+    _functional_enclosure,
     density_series,
-    density_series_closed_form,
     density_series_enclosure,
     pal_free_density_enclosure,
     square_prefix_densities,
@@ -292,8 +292,8 @@ def suite_recurrences(k_max: int, n_max: int, budget: int) -> SuiteResult:
 
 def suite_constants(k_max: int, n_max: int, budget: int) -> SuiteResult:
     """Enclosures match the per-term reference and nest, the functional
-    equation balances, the closed form lands inside the series enclosure,
-    and the density bounds hold."""
+    equation balances, its iterated enclosure meets the series enclosure
+    and shrinks doubly exponentially, and the density bounds hold."""
     result = SuiteResult("constants")
     for k in range(2, max(k_max, 3) + 1):
         for N in (10, 40, 130):
@@ -315,11 +315,20 @@ def suite_constants(k_max: int, n_max: int, budget: int) -> SuiteResult:
             if max(direct.lower, bounds[0]) > min(direct.upper, bounds[1]):
                 result.fail(f"functional equation enclosures disjoint at k={k}, x={x}")
             result.checks += 1
-    for k in (2, 3, 4):
-        closed = density_series_closed_form(k, 6)
-        if closed not in density_series_enclosure(k, 130):
-            result.fail(f"closed form left the series enclosure at k={k}")
-        result.checks += 1
+    # the two certified routes to D(1/k), paired so that their widths are
+    # comparable: about k**-N for the series, k**(1 - 2**(j+2)) for depth j
+    for k in range(2, max(k_max, 5) + 1):
+        for N, j in ((16, 1), (16, 2), (64, 3), (64, 4), (256, 5), (256, 6)):
+            closed = _functional_enclosure(k, j)
+            series = density_series_enclosure(k, N)
+            if max(closed.lower, series.lower) > min(closed.upper, series.upper):
+                result.fail(
+                    f"functional-equation enclosure left the series enclosure "
+                    f"at k={k}, N={N}, j={j}"
+                )
+            if closed.width * k ** (2 ** (j + 2) - 3) > 1:
+                result.fail(f"functional-equation enclosure too wide at k={k}, j={j}")
+            result.checks += 2
     for k in range(2, max(k_max, 5) + 1):
         depths = _lengths(k, 7, budget)
         if not depths:

@@ -15,16 +15,72 @@ words of a profile.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import operator
 from enum import Enum
 
 _TABLE36 = "0123456789abcdefghijklmnopqrstuvwxyz"
 
 
-@dataclass(frozen=True)
-class Alphabet:
+class _Record:
+    """Base of the package's immutable value types, in place of a frozen
+    dataclass (whose module imports ``inspect``, a cost every command would
+    pay at start-up).
+
+    The fields are the names in ``__slots__``, given by position or keyword
+    and set once, past the raising ``__setattr__``; ``__post_init__`` then
+    checks them.  Instances compare equal, hash and print as the tuple of
+    their fields.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls) -> None:
+        super().__init_subclass__()
+        names = cls.__slots__
+        # an __init__ written out per class, as dataclasses do, since a
+        # generic loop over the fields makes Word(...) about 40% slower
+        source = (
+            f"def __init__(self, {', '.join(names)}):\n"
+            + "".join(f"    _set(self, {name!r}, {name})\n" for name in names)
+            + "    self.__post_init__()\n"
+        )
+        namespace = {"_set": object.__setattr__}
+        exec(source, namespace)
+        cls.__init__ = namespace["__init__"]
+        cls.__init__.__qualname__ = f"{cls.__qualname__}.__init__"
+        # C-level field access for __eq__ and __hash__; with one field it
+        # returns the value itself rather than a 1-tuple
+        cls._key = operator.attrgetter(*names)
+
+    def __post_init__(self) -> None:
+        pass
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._key(self) == other._key(other)
+
+    def __hash__(self) -> int:
+        return hash(self._key(self))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of {type(self).__name__}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r} of {type(self).__name__}")
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, name) for name in self.__slots__)
+
+
+class Alphabet(_Record):
     """The symbol set {0, ..., k-1}."""
 
+    __slots__ = ("k",)
     k: int
 
     def __post_init__(self) -> None:
@@ -32,13 +88,13 @@ class Alphabet:
             raise ValueError(f"alphabet size must be at least 1, got {self.k}")
 
 
-@dataclass(frozen=True)
-class Word:
+class Word(_Record):
     """A word over a fixed alphabet.
 
     Positions are 1-based in prose and documentation, 0-based in storage.
     """
 
+    __slots__ = ("alphabet", "symbols")
     alphabet: Alphabet
     symbols: tuple[int, ...]
 
@@ -65,8 +121,7 @@ class Parity(Enum):
     ODD = "odd"
 
 
-@dataclass(frozen=True)
-class WordProfile:
+class WordProfile(_Record):
     """Structural summary of one word.
 
     Holds the set of short border lengths, the orders of its even and odd
@@ -76,6 +131,9 @@ class WordProfile:
     {1, ..., len(w) // 2}.
     """
 
+    __slots__ = (
+        "short_borders", "even_pp_orders", "odd_pp_orders", "square_half_lengths"
+    )
     short_borders: frozenset[int]
     even_pp_orders: frozenset[int]
     odd_pp_orders: frozenset[int]

@@ -13,8 +13,8 @@ from fractions import Fraction
 
 from palcensus.census import Family, ProfileKind, census_family, list_profile
 from palcensus.constants import (
-    decimal_string,
-    density_series_closed_form,
+    _functional_enclosure,
+    closed_form_report,
     density_series_enclosure,
     pal_free_density,
     square_prefix_densities,
@@ -124,11 +124,11 @@ def test_criterion_4_constants():
     series = density_series_enclosure(3, 130)
     if series.truncation_agreed(60) != "0." + H3_DIGITS:
         failures.append("series enclosure does not certify the 60 digits")
-    closed = density_series_closed_form(3, 6)
-    if closed not in series:
-        failures.append("closed form escapes the series enclosure")
-    if decimal_string(closed, 60) != "0." + H3_DIGITS:
-        failures.append("closed form truncation differs at 60 digits")
+    closed = _functional_enclosure(3, 6)
+    if not (closed.lower in series and closed.upper in series):
+        failures.append("functional-equation enclosure escapes the series enclosure")
+    if closed_form_report(3, 6, 60).value != "0." + H3_DIGITS:
+        failures.append("functional-equation digits differ at 60 digits")
     density_report = pal_free_density(3, 59)
     if density_report.value != "0." + RHO3_DIGITS:
         failures.append(f"limiting density digits differ: {density_report.value}")

@@ -227,6 +227,37 @@ class TestConstants:
         assert code == 1
         assert "certify" in err
 
+    def test_closed_form_terms_cap_the_depth_without_cost(self, capsys):
+        start = time.perf_counter()
+        code, out, _ = run(
+            capsys, "constants", "--k", "3", "--which", "h", "--digits", "60",
+            "--method", "closed-form", "--terms", "1000000",
+        )
+        assert time.perf_counter() - start < 1
+        assert (code, out) == (0, "0." + H3_DIGITS + "\n")
+
+    def test_closed_form_without_terms_is_a_usage_error(self, capsys):
+        code, out, err = run(
+            capsys, "constants", "--k", "3", "--which", "h",
+            "--method", "closed-form", "--terms", "0",
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("error:")
+
+    @pytest.mark.parametrize(
+        "k,digits,terms",
+        [(k, digits, None) for k in (2, 3, 4, 5) for digits in (1, 50, 60, 1000, 4400)]
+        + [(3, 50, 6), (2, 50, 9)],
+    )
+    def test_closed_form_prints_the_series_digits(self, capsys, k, digits, terms):
+        argv = ["constants", "--k", str(k), "--which", "h", "--digits", str(digits)]
+        series = run(capsys, *argv)
+        if terms is not None:
+            argv += ["--terms", str(terms)]
+        closed = run(capsys, *argv, "--method", "closed-form")
+        assert closed == series
+        assert series[0] == 0 and len(series[1]) == digits + 3
+
     def test_digits_beyond_the_int_string_limit(self, capsys):
         limit = sys.get_int_max_str_digits()
         code, long_out, _ = run(
@@ -374,8 +405,9 @@ class TestVerify:
 
 
 # modules a short command must not load: the cross-checks, the process pool,
+# dataclasses (with inspect, about a third of the package's import time),
 # and (for commands that compute no sequence) the recurrences and constants
-NO_POOL = ("palcensus.verify", "concurrent.futures")
+NO_POOL = ("palcensus.verify", "concurrent.futures", "dataclasses")
 NO_SEQUENCES = NO_POOL + ("palcensus.constants", "palcensus.recurrences")
 
 
@@ -389,8 +421,12 @@ NO_SEQUENCES = NO_POOL + ("palcensus.constants", "palcensus.recurrences")
              "--jobs", "1"],
             NO_POOL,
         ),
+        (
+            ["constants", "--k", "3", "--which", "h", "--method", "closed-form"],
+            NO_POOL,
+        ),
     ],
-    ids=["map", "shuffle-order", "count"],
+    ids=["map", "shuffle-order", "count", "constants"],
 )
 def test_start_up_imports_only_what_the_command_runs(argv, absent):
     script = (

@@ -1,20 +1,23 @@
-"""Enclosures, certified digits, the closed form, and the density reports."""
+"""Enclosures, certified digits, the functional-equation route, and the
+density reports."""
 
 import sys
+import time
 from fractions import Fraction
 
 import pytest
 
+from palcensus import constants
 from palcensus.constants import (
     MAX_DIGITS,
     CertificationError,
     Enclosure,
     Method,
+    _functional_enclosure,
     _refine,
     closed_form_report,
     decimal_string,
     density_series,
-    density_series_closed_form,
     density_series_enclosure,
     density_series_report,
     pal_free_density,
@@ -25,7 +28,8 @@ from palcensus.constants import (
 from palcensus.recurrences import MissingCountError, min_square_counts
 
 # 60 decimal places of the series value at 1/3, and 59 of the resulting
-# limiting density; both certified below by enclosures and the closed form
+# limiting density; both certified below by the series enclosure, the
+# first also by the functional equation
 H3_DIGITS = "430377520029471213293382335121830467895548542549528870740458"
 RHO3_DIGITS = "27848991988211514682647065951267812841780582980188451703816"
 
@@ -139,20 +143,34 @@ class TestClosedForm:
         [(2, 220), (3, 130), (4, 120)],
     )
     def test_lands_inside_the_series_enclosure(self, k, terms_for_series):
-        value = density_series_closed_form(k, 6)
-        assert value in density_series_enclosure(k, terms_for_series)
+        # the enclosures meet; they need not nest, because at k = 2 the
+        # series tail lies far below the bound that widens its enclosure
+        closed = _functional_enclosure(k, 6)
+        series = density_series_enclosure(k, terms_for_series)
+        assert max(closed.lower, series.lower) <= min(closed.upper, series.upper)
 
     def test_six_terms_give_sixty_digits(self):
-        value = density_series_closed_form(3, 6)
-        assert decimal_string(value, 60) == "0." + H3_DIGITS
+        # six steps of the functional equation certify them on their own
+        assert _functional_enclosure(3, 6).truncation_agreed(60) == "0." + H3_DIGITS
 
     def test_convergence_is_strict(self):
-        # five summands already agree to hundreds of digits; the sixth pushes
-        # the agreement with a much deeper series oracle strictly further
-        five = density_series_closed_form(3, 5)
-        six = density_series_closed_form(3, 6)
+        # each step squares the width (and then some) and at least doubles
+        # the digits shared with a much deeper series oracle
         oracle = density_series_enclosure(3, 2600).lower
-        assert agreed_digits(five, six) < agreed_digits(six, oracle)
+        enclosures = [_functional_enclosure(3, j) for j in range(1, 9)]
+        for shallow, deep in zip(enclosures, enclosures[1:]):
+            assert deep.width < shallow.width ** 2
+            assert agreed_digits(deep.lower, oracle) >= 2 * agreed_digits(
+                shallow.lower, oracle
+            )
+
+    @pytest.mark.parametrize("k", [2, 3, 4, 5])
+    def test_depth_zero_is_the_starting_enclosure(self, k):
+        # D(1/k) in 1/k + (1 - 1/k)/k**2 + [0, 1/(k**2 (k-1))]
+        start = Fraction(1, k) + Fraction(k - 1, k ** 3)
+        assert _functional_enclosure(k, 0) == Enclosure(
+            start, start + Fraction(1, k * k * (k - 1))
+        )
 
     def test_report_certifies_against_series(self):
         report = closed_form_report(3, 6, 60)
@@ -160,8 +178,28 @@ class TestClosedForm:
         assert report.method is Method.CLOSED_FORM
 
     def test_report_fails_when_terms_cannot_reach_digits(self):
-        with pytest.raises(CertificationError):
+        with pytest.raises(CertificationError, match="certify 60 digits"):
             closed_form_report(3, 1, 60)
+
+    def test_terms_only_cap_the_depth(self):
+        start = time.perf_counter()
+        report = closed_form_report(3, 10 ** 6, 60)
+        assert time.perf_counter() - start < 1
+        assert report.value == "0." + H3_DIGITS
+
+    def test_report_fails_when_the_series_disagrees(self, monkeypatch):
+        # a functional-equation enclosure shifted by 10**-55 certifies
+        # digits of its own, which the series cross-check refuses
+        honest = constants._functional_enclosure
+
+        def shifted(k, j):
+            enclosure = honest(k, j)
+            shift = Fraction(1, 10 ** 55)
+            return Enclosure(enclosure.lower + shift, enclosure.upper + shift)
+
+        monkeypatch.setattr(constants, "_functional_enclosure", shifted)
+        with pytest.raises(CertificationError, match="disagree"):
+            closed_form_report(3, 6, 60)
 
     def test_refinement_stops_on_a_negative_enclosure(self):
         # no term count certifies a negative value; the grid fallback refuses
@@ -180,10 +218,11 @@ class TestClosedForm:
                 report()
 
     def test_argument_validation(self):
-        with pytest.raises(ValueError):
-            density_series_closed_form(1, 6)
-        with pytest.raises(ValueError):
-            density_series_closed_form(3, 0)
+        # usage errors, not certification failures
+        for k, terms in ((1, 6), (3, 0)):
+            with pytest.raises(ValueError, match="needs k >= 2 and terms >= 1") as raised:
+                closed_form_report(k, terms, 50)
+            assert not isinstance(raised.value, CertificationError)
 
 
 class TestPalFreeDensity:

@@ -20,8 +20,8 @@ EXPORTED = {
     "constants": (
         "CertificationError", "DecimalReport", "Enclosure", "Method",
         "closed_form_report", "decimal_string", "density_series",
-        "density_series_closed_form", "density_series_enclosure",
-        "density_series_report", "pal_free_density", "pal_free_density_enclosure",
+        "density_series_enclosure", "density_series_report",
+        "pal_free_density", "pal_free_density_enclosure",
         "square_prefix_densities", "unbordered_density_estimate",
     ),
     "maps": (

@@ -82,6 +82,32 @@ def _series_without_the_last_term(k, counts, N):
     return Enclosure(lower, lower + Fraction(1, (k - 1) * k ** N))
 
 
+def _functional_enclosure_planted(k, j, *, sign=-1, quadratic=True, tail_power=3):
+    # the engine with one of its parts changed: sign=+1 flips the sign of
+    # c(X), quadratic=False drops the (1-1/k) X_j**2 term of the starting
+    # enclosure, tail_power=2 bounds its tail by X_j**2 / (1 - X_j)
+    top = k ** (2 ** (j + 1) - 1)
+    denominator = k * top * top * (top - 1)
+    low = (k * top + (k - 1 if quadratic else 0)) * (top - 1)
+    high = low + k * top ** (3 - tail_power)
+    for i in range(j - 1, -1, -1):
+        power = k ** (2 ** (i + 1) - 1)
+        scale = (k * power + 1) * power
+        low, high = sorted(
+            (2 * denominator + sign * scale * low, 2 * denominator + sign * scale * high)
+        )
+        denominator *= power - 1
+    return Enclosure(Fraction(low, denominator), Fraction(high, denominator))
+
+
+def test_planted_engine_without_a_change_is_the_engine():
+    for k in (2, 3, 5):
+        for j in (0, 1, 4):
+            assert _functional_enclosure_planted(k, j) == constants._functional_enclosure(
+                k, j
+            )
+
+
 @pytest.mark.parametrize(
     "module,name,planted,suite,failure",
     [
@@ -109,6 +135,26 @@ def _series_without_the_last_term(k, counts, N):
             constants, "_series_enclosure", _series_without_the_last_term,
             "constants", "series kernel differs from the Fraction sum at k=2, N=10",
             id="series-last-term-dropped",
+        ),
+        pytest.param(
+            verify, "_functional_enclosure",
+            lambda k, j: _functional_enclosure_planted(k, j, sign=1),
+            "constants",
+            "functional-equation enclosure left the series enclosure at k=2, N=16, j=1",
+            id="functional-c-sign-flipped",
+        ),
+        pytest.param(
+            verify, "_functional_enclosure",
+            lambda k, j: _functional_enclosure_planted(k, j, quadratic=False),
+            "constants",
+            "functional-equation enclosure left the series enclosure at k=2, N=16, j=1",
+            id="functional-quadratic-term-dropped",
+        ),
+        pytest.param(
+            verify, "_functional_enclosure",
+            lambda k, j: _functional_enclosure_planted(k, j, tail_power=2),
+            "constants", "functional-equation enclosure too wide at k=2, j=1",
+            id="functional-tail-widened",
         ),
     ],
 )

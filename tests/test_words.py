@@ -1,6 +1,8 @@
 """Word primitives: frozen examples plus exhaustive and generated invariants."""
 
 import itertools
+import pickle
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -278,3 +280,76 @@ def test_reverse_involution(word):
 @given(random_words())
 def test_unbordered_means_no_border_at_all(word):
     assert is_unbordered(word) == (border_lengths(word) == frozenset())
+
+
+def _records():
+    # one value of each record type, built twice so the pairs are equal
+    # but not identical
+    from palcensus.census import Family
+    from palcensus.constants import DecimalReport, Enclosure, Method
+    from palcensus.maps import Permutation
+    from palcensus.recurrences import CountSeq
+
+    return [
+        lambda: Alphabet(3),
+        lambda: Word.of((0, 2, 1), 3),
+        lambda: word_profile(Word.of((0, 0, 1, 0, 0), 2)),
+        lambda: Permutation((2, 1, 3)),
+        lambda: CountSeq(2, Family.UNBORDERED, {1: 2, 2: 2}),
+        lambda: Enclosure(Fraction(1, 3), Fraction(1, 2)),
+        lambda: DecimalReport("0.66", 2, Method.SERIES),
+    ]
+
+
+def _fields(record):
+    return tuple(getattr(record, name) for name in record.__slots__)
+
+
+@pytest.mark.parametrize("make", _records(), ids=lambda make: type(make()).__name__)
+class TestRecords:
+    """The value types behave as frozen dataclasses did."""
+
+    def test_equal_by_value_and_only_within_a_type(self, make):
+        a, b = make(), make()
+        assert a == b and a is not b
+        assert a != Alphabet(4) and a != _fields(a)
+
+    def test_hash_follows_the_fields(self, make):
+        a = make()
+        try:
+            hash(_fields(a))
+        except TypeError:
+            # a dict field (CountSeq.values) leaves the record unhashable
+            with pytest.raises(TypeError):
+                hash(a)
+        else:
+            assert hash(a) == hash(make())
+            assert len({a, make()}) == 1
+
+    def test_immutable(self, make):
+        a = make()
+        name = a.__slots__[0]
+        with pytest.raises(AttributeError):
+            setattr(a, name, None)
+        with pytest.raises(AttributeError):
+            delattr(a, name)
+        with pytest.raises(AttributeError):
+            a.extra = 1
+        assert not hasattr(a, "__dict__")
+
+    def test_constructed_by_position_or_keyword(self, make):
+        a = make()
+        cls, values = type(a), _fields(a)
+        assert cls(**dict(zip(a.__slots__, values))) == a
+        assert cls(values[0], **dict(zip(a.__slots__[1:], values[1:]))) == a
+        with pytest.raises(TypeError):
+            cls(*values, values[0])
+        with pytest.raises(TypeError):
+            cls(*values[1:])
+        with pytest.raises(TypeError):
+            cls(*values, extra=1)
+
+    def test_repr_and_pickle(self, make):
+        a = make()
+        assert repr(a).startswith(f"{type(a).__name__}({a.__slots__[0]}=")
+        assert pickle.loads(pickle.dumps(a)) == a
