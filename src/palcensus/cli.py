@@ -23,6 +23,12 @@ from .census import DEFAULT_BUDGET, BudgetExceededError, Family, ProfileKind
 # import verify (a test keeps the two equal)
 SUITE_NAMES = ("bijection", "g-map", "counts", "recurrences", "constants", "lemmas")
 
+# shuffle-order caps, measured to keep a request under 0.5 s on a 2-CPU box:
+# worst --n (2n-1, n-1 prime) 0.25 s, --n-max 0.45 s, --check 0.45 s and 57 MB
+MAX_SHUFFLE_N = 10**12
+MAX_SHUFFLE_RANGE = 20_000
+MAX_CHECK_POSITIONS = 500_000
+
 
 def _cache_store(args):
     from .recurrences import CacheStore, default_cache_path
@@ -184,6 +190,12 @@ def _cmd_shuffle_order(args) -> int:
     from .maps import milk_shuffle_order, milk_shuffle_permutation, permutation_order
 
     single = args.n is not None
+    top, cap = (args.n, MAX_SHUFFLE_N) if single else (args.n_max, MAX_SHUFFLE_RANGE)
+    if top > cap or top < 2 and not single:
+        raise ValueError(f"--{'n' if single else 'n-max'} must lie in 2..{cap}, got {top}")
+    positions = top if single else top * (top + 1) // 2 - 1
+    if args.check and positions > MAX_CHECK_POSITIONS:
+        raise ValueError(f"--check is capped at {MAX_CHECK_POSITIONS} positions, got {positions}")
     ns = [args.n] if single else range(2, args.n_max + 1)
     lines = []
     for n in ns:
@@ -337,11 +349,13 @@ def _build_parser() -> argparse.ArgumentParser:
         "shuffle-order", help="order of the milk-shuffle permutation"
     )
     group = shuffle.add_mutually_exclusive_group(required=True)
-    group.add_argument("--n", type=int)
-    group.add_argument("--n-max", type=int)
+    group.add_argument("--n", type=int, help=f"2 <= N <= {MAX_SHUFFLE_N}")
+    group.add_argument("--n-max", type=int, help=f"2 <= N_MAX <= {MAX_SHUFFLE_RANGE}")
     shuffle.add_argument(
         "--check", action="store_true",
-        help="also compute the order by iterating the permutation and compare",
+        help="also compute the order by iterating the permutation and compare; "
+        f"builds n positions per n, {MAX_CHECK_POSITIONS} at most in total "
+        "(--n 500000, --n-max 999)",
     )
     shuffle.add_argument("--format", choices=["tsv", "bfile"], default="tsv")
     shuffle.set_defaults(func=_cmd_shuffle_order)

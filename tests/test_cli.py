@@ -375,6 +375,43 @@ class TestShuffleOrder:
         assert code == 2
         assert "n >= 2" in err
 
+    @pytest.mark.parametrize(
+        "argv,named",
+        [
+            (["--n", str(cli.MAX_SHUFFLE_N + 1)], str(cli.MAX_SHUFFLE_N)),
+            (["--n-max", str(cli.MAX_SHUFFLE_RANGE + 1)], str(cli.MAX_SHUFFLE_RANGE)),
+            (["--n-max", "1"], str(cli.MAX_SHUFFLE_RANGE)),
+            (["--n-max", "-5"], str(cli.MAX_SHUFFLE_RANGE)),
+            (["--n", "500001", "--check"], str(cli.MAX_CHECK_POSITIONS)),
+            (["--n-max", "1000", "--check"], str(cli.MAX_CHECK_POSITIONS)),
+            (["--n", str(cli.MAX_SHUFFLE_N), "--check"], str(cli.MAX_CHECK_POSITIONS)),
+            (["--n", "0"], "n >= 2"),
+        ],
+        ids=["n-above-cap", "n-max-above-cap", "n-max-1", "n-max-negative",
+             "check-n", "check-n-max", "check-n-at-cap", "n-0"],
+    )
+    def test_out_of_range_is_a_fast_usage_error(self, capsys, argv, named):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "shuffle-order", *argv)
+        assert time.perf_counter() - start < 1
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and named in err
+
+    @pytest.mark.parametrize("n", [cli.MAX_SHUFFLE_N, 999_999_999_864])
+    def test_largest_orders_are_fast(self, capsys, n):
+        # at 999 999 999 864, 2n-1 and n-1 are prime: both trial divisions
+        # run to the square root
+        start = time.perf_counter()
+        code, out, err = run(capsys, "shuffle-order", "--n", str(n))
+        assert time.perf_counter() - start < 1
+        assert (code, err) == (0, "")
+        assert pow(2, int(out), 2 * n - 1) in (1, 2 * n - 2)
+
+    def test_largest_checked_range(self, capsys):
+        code, out, _ = run(capsys, "shuffle-order", "--n-max", "999", "--check")
+        assert code == 0
+        assert len(out.splitlines()) == 998
+
 
 class TestVerify:
     def test_all_suites_pass(self, capsys):

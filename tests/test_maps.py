@@ -121,6 +121,27 @@ def order_by_iteration(permutation):
     return steps
 
 
+def order_by_stepping(n):
+    """Independent oracle: double mod 2n-1 until the power is +1 or -1."""
+    modulus = 2 * n - 1
+    current, m = 2 % modulus, 1
+    while current not in (1, modulus - 1):
+        current = current * 2 % modulus
+        m += 1
+    return m
+
+
+def prime_factors_by_trial(m):
+    primes, d = [], 2
+    while d * d <= m:
+        if m % d == 0:
+            primes.append(d)
+            while m % d == 0:
+                m //= d
+        d += 1
+    return primes + [m] if m > 1 else primes
+
+
 class TestOrders:
     def test_identity_order(self):
         assert permutation_order(Permutation((1, 2, 3, 4, 5))) == 1
@@ -147,10 +168,39 @@ class TestOrders:
         assert milk_shuffle_order(3) == 2
 
     def test_congruence_matches_permutation(self):
-        for n in range(2, 61):
+        for n in range(2, 301):
             assert milk_shuffle_order(n) == permutation_order(
                 milk_shuffle_permutation(n)
             )
+
+    def test_factorisation_matches_stepping(self):
+        # covers prime-power moduli such as 3**7 (n = 1094) and 5**5 (n = 1563)
+        for n in range(2, 3001):
+            assert milk_shuffle_order(n) == order_by_stepping(n)
+
+    def test_power_of_two_families(self):
+        # 2**(j+1) is +1 mod 2**(j+1) - 1 and -1 mod 2**(j+1) + 1, and no
+        # smaller power of 2 is +-1 there (at j = 1, 2 is already -1 mod 3);
+        # j stops where n passes the CLI cap 10**12
+        for j in range(40):
+            if j >= 2:
+                assert milk_shuffle_order(2 ** j) == j + 1
+            assert milk_shuffle_order(2 ** j + 1) == j + 1
+
+    @pytest.mark.parametrize(
+        "n",
+        # 2n-1 prime near 2 * 10**12; 2n-1 and n-1 prime, so both trial
+        # divisions run to the square root; the CLI cap itself
+        [999_999_999_991, 999_999_999_864, 10 ** 12],
+    )
+    def test_large_order_is_certified_minimal(self, n):
+        # the m >= 1 with 2**m = +-1 mod 2n-1 are the multiples of the least
+        # one, so m is the least if no m/p is among them for a prime p | m
+        modulus = 2 * n - 1
+        m = milk_shuffle_order(n)
+        assert pow(2, m, modulus) in (1, modulus - 1)
+        for p in prime_factors_by_trial(m):
+            assert pow(2, m // p, modulus) not in (1, modulus - 1)
 
     def test_degenerate_size(self):
         with pytest.raises(ValueError, match="n >= 2"):

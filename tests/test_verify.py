@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from palcensus import census, constants, recurrences, verify
+from palcensus import census, constants, maps, recurrences, verify
 from palcensus.census import DEFAULT_BUDGET, Family
 from palcensus.constants import Enclosure
 from palcensus.recurrences import CountSeq
@@ -108,12 +108,46 @@ def test_planted_engine_without_a_change_is_the_engine():
             )
 
 
+def _shuffle_order_planted(n, *, halve=True, strip_repeats=True):
+    # the factorisation route with one of its parts changed: halve=False
+    # gives the plain multiplicative order of 2 mod 2n-1, and
+    # strip_repeats=False divides each prime out of phi(2n-1) at most once
+    modulus = 2 * n - 1
+    order = modulus
+    for p in maps._prime_factors(modulus):
+        order = order // p * (p - 1)
+    for p in maps._prime_factors(order):
+        while order % p == 0 and pow(2, order // p, modulus) == 1:
+            order //= p
+            if not strip_repeats:
+                break
+    if halve and order % 2 == 0 and pow(2, order // 2, modulus) == modulus - 1:
+        order //= 2
+    return order
+
+
+def test_planted_order_without_a_change_is_the_order():
+    for n in range(2, 3001):
+        assert _shuffle_order_planted(n) == maps.milk_shuffle_order(n)
+
+
 @pytest.mark.parametrize(
     "module,name,planted,suite,failure",
     [
         pytest.param(
             verify, "_milk_shuffle", _milk_shuffle_reading_one_letter_early,
             "bijection", "round trip failed at k=2", id="milk-shuffle",
+        ),
+        pytest.param(
+            verify, "milk_shuffle_order",
+            lambda n: _shuffle_order_planted(n, halve=False),
+            "bijection", "shuffle order mismatch at n=2", id="order-not-halved",
+        ),
+        # M = 51 = 3 * 17: phi = 32 keeps a 2 too many, the order is 8
+        pytest.param(
+            verify, "milk_shuffle_order",
+            lambda n: _shuffle_order_planted(n, strip_repeats=False),
+            "bijection", "shuffle order mismatch at n=26", id="order-primes-stripped-once",
         ),
         pytest.param(
             recurrences, "no_pal_prefix_counts",
