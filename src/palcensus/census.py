@@ -1,21 +1,25 @@
 """Exhaustive classification of the words of a given length.
 
-Counts come from a depth-first walk over the prefix tree of all k**n words
-(or all k**n square roots) that tests only each newly extended prefix.  A
-family that forbids a palindromic or square prefix loses the whole subtree
-below the first one; unbordered words and the profile census keep the KMP
-failure array of the current prefix instead.  The naive scans of the words
-module are the independent route, and verify checks every count against them.
+Counts come from a depth-first walk over the prefix tree of the canonical
+words, whose letters first appear in the order 0, 1, 2, ...: every family
+and profile depends only on where letters repeat, so one word per renaming
+class stands for the perm(k, d) words that rename its d distinct letters.
+The walk tests only each newly extended prefix.  A family that forbids a
+palindromic or square prefix loses the whole subtree below the first one;
+unbordered words and the profile census keep the KMP failure array of the
+current prefix instead.  The budget still counts all k**n words (or roots).
+The words module's naive scans are the independent route, checked by verify.
 
 The subtree below a fixed prefix is a prefix block, so the search space may
-be partitioned by fixed prefixes and the partial counts summed, optionally
-across worker processes; results are identical whatever the partitioning,
-and completed counts are memoised per process.
+be partitioned by canonical prefixes and the weighted partial counts summed,
+optionally across worker processes; results are identical whatever the
+partitioning, and completed counts are memoised per process.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import os
 from collections import Counter
 from enum import Enum
@@ -65,17 +69,39 @@ def _check_jobs(jobs: int) -> None:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
 
 
-def _iter_words(k: int, n: int, prefix: tuple[int, ...] = ()):
-    """All length-n words with the given prefix, in lexicographic order."""
-    for rest in itertools.product(range(k), repeat=n - len(prefix)):
-        yield prefix + rest
+def _iter_words(k: int, n: int):
+    """All length-n words, in lexicographic order."""
+    return itertools.product(range(k), repeat=n)
 
 
-def _prefix_blocks(k: int, n: int, workers: int) -> list[tuple[int, ...]]:
+def _words_up_to_renaming(k: int, n: int, w: tuple[int, ...] = (), used: int = 0):
+    """The length-n words whose letters first appear in the order 0, 1, 2,
+    ..., each with the number of words that rename its letters, perm(k, d)
+    for d distinct letters: one representative per renaming class."""
+    if len(w) == n:
+        yield w, math.perm(k, used)
+        return
+    for a in range(min(used + 1, k)):
+        yield from _words_up_to_renaming(k, n, w + (a,), max(used, a + 1))
+
+
+def _canonical_blocks(k: int, n: int, workers: int) -> list:
     length = 0
     while length < n and k ** length < 4 * workers:
         length += 1
-    return list(itertools.product(range(k), repeat=length))
+    return list(_words_up_to_renaming(k, length))
+
+
+def _walk_levels(k: int, n: int, prefix: tuple[int, ...]):
+    """The (letter, weight, used after) choices of a walk below prefix, per depth
+    and per number `used` of distinct letters: prefix renamed canonically, which
+    keeps every count, then each used letter and the first unused for k - used."""
+    names: dict[int, int] = {}
+    pinned = [[[(names.setdefault(c, len(names)), 1, len(names))]] * (k + 1) for c in prefix]
+    branches = [[(c, 1, used) for c in range(used)] for used in range(k + 1)]
+    for used in range(k):
+        branches[used].append((used, k - used, used + 1))
+    return pinned + [branches] * (n - len(prefix))
 
 
 # ---------------------------------------------------------------------------
@@ -123,35 +149,36 @@ _PRUNED_FAMILIES = {
 def _count_pruned(k: int, n: int, family: Family, prefix: tuple[int, ...]) -> int:
     forbidden, first, step, leaf = _PRUNED_FAMILIES[family]
     tested = [m >= first and (m - first) % step == 0 for m in range(n + 1)]
+    levels = _walk_levels(k, n, prefix)
     fixed = len(prefix)
-    alphabet = range(k)
 
-    def walk(w: tuple[int, ...]) -> int:
+    def walk(w: tuple[int, ...], used: int) -> int:
         m = len(w)
-        letters = (prefix[m],) if m < fixed else alphabet
         dead = forbidden(w) if tested[m + 1] else None
         if m + 1 == n:
-            if leaf is None:
-                return len(letters) - (dead in letters)
-            dead = leaf(w) | {dead}
-            return sum(1 for c in letters if c not in dead)
+            # every rejected letter occurs in w: a used letter, of weight 1
+            rejected = {dead} if leaf is None else leaf(w) | {dead}
+            rejected.discard(None)
+            if m < fixed:
+                return sum(weight for c, weight, _ in levels[m][used] if c not in rejected)
+            return k - len(rejected)
         total = 0
-        for c in letters:
+        for c, weight, after in levels[m][used]:
             if c != dead:
-                total += walk(w + (c,))
+                total += weight * walk(w + (c,), after)
         return total
 
-    return walk(())
+    return walk((), 0)
 
 
 def _count_unbordered(k: int, n: int, prefix: tuple[int, ...]) -> int:
     w = [0] * n
     # fail[m]: length of the longest proper border of w[:m]
     fail = [0] * (n + 1)
+    levels = _walk_levels(k, n, prefix)
     fixed = len(prefix)
-    alphabet = range(k)
 
-    def walk(m: int) -> int:
+    def walk(m: int, used: int) -> int:
         if m == n - 1:
             # w[:m] + c is bordered iff c is w[0] or the letter after a border
             bordered = {w[0]} if m else set()
@@ -159,19 +186,21 @@ def _count_unbordered(k: int, n: int, prefix: tuple[int, ...]) -> int:
             while b:
                 bordered.add(w[b])
                 b = fail[b]
-            return int(prefix[m] not in bordered) if m < fixed else k - len(bordered)
+            if m < fixed:
+                return sum(weight for c, weight, _ in levels[m][used] if c not in bordered)
+            return k - len(bordered)
         total = 0
         longest = fail[m]
-        for c in (prefix[m],) if m < fixed else alphabet:
+        for c, weight, after in levels[m][used]:
             b = longest
             while b and w[b] != c:
                 b = fail[b]
             fail[m + 1] = b + 1 if m and w[b] == c else 0
             w[m] = c
-            total += walk(m + 1)
+            total += weight * walk(m + 1, after)
         return total
 
-    return walk(0)
+    return walk(0, 0)
 
 
 def _family_block(k: int, n: int, family: Family, prefix: tuple[int, ...]) -> int:
@@ -188,14 +217,13 @@ def _profile_block(k: int, n: int, prefix: tuple[int, ...]) -> Counter:
     w = [0] * n
     fail = [0] * (n + 1)
     half = n // 2
-    fixed = len(prefix)
-    alphabet = range(k)
+    levels = _walk_levels(k, n, prefix)
     counts: Counter = Counter()
 
-    def walk(m: int, evens: int, odds: int) -> None:
+    def walk(m: int, used: int, words: int, evens: int, odds: int) -> None:
         length = m + 1
         longest = fail[m]
-        for c in (prefix[m],) if m < fixed else alphabet:
+        for c, weight, after in levels[m][used]:
             b = longest
             while b and w[b] != c:
                 b = fail[b]
@@ -209,16 +237,16 @@ def _profile_block(k: int, n: int, prefix: tuple[int, ...]) -> Counter:
                     e |= 1 << (length // 2)
             if length < n:
                 fail[length] = b
-                walk(length, e, o)
+                walk(length, after, words * weight, e, o)
                 continue
             borders = 0
             while b:
                 if b <= half:
                     borders |= 1 << b
                 b = fail[b]
-            counts[borders, e, o] += 1
+            counts[borders, e, o] += words * weight
 
-    walk(0, 0, 0)
+    walk(0, 0, 1, 0, 0)
     return counts
 
 
@@ -261,10 +289,9 @@ def census_family(
         _check_budget(k, n, budget)
         walked = Family.NO_SQUARE_PREFIX if family is Family.HAS_SQUARE_PREFIX else family
         workers = min(jobs, os.cpu_count() or 1)
-        blocks = _prefix_blocks(k, n, workers)
-        value = sum(
-            _map_blocks(_family_block, [(k, n, walked, b) for b in blocks], workers)
-        )
+        blocks = _canonical_blocks(k, n, workers)
+        parts = _map_blocks(_family_block, [(k, n, walked, b) for b, _ in blocks], workers)
+        value = sum(size * part for (_, size), part in zip(blocks, parts))
         _family_cache[k, n, walked] = value
         if walked is Family.NO_SQUARE_PREFIX:
             _family_cache[k, n, Family.HAS_SQUARE_PREFIX] = k ** n - value
@@ -285,13 +312,13 @@ def _profile_counters(
         return cached
     _check_budget(k, n, budget)
     workers = min(jobs, os.cpu_count() or 1)
-    blocks = _prefix_blocks(k, n, workers)
-    parts = _map_blocks(_profile_block, [(k, n, b) for b in blocks], workers)
+    blocks = _canonical_blocks(k, n, workers)
+    parts = _map_blocks(_profile_block, [(k, n, b) for b, _ in blocks], workers)
     result = (Counter(), Counter(), Counter())
-    for part in parts:
+    for (_, size), part in zip(blocks, parts):
         for masks, count in part.items():
             for counter, mask in zip(result, masks):
-                counter[_mask_set(mask)] += count
+                counter[_mask_set(mask)] += size * count
     _profile_cache[key] = result
     return result
 

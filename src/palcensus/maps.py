@@ -60,8 +60,13 @@ class Permutation(_Record):
     images: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if sorted(self.images) != list(range(1, len(self.images) + 1)):
-            raise ValueError(f"not a permutation of 1..{len(self.images)}: {self.images}")
+        n = len(self.images)
+        seen = bytearray(n + 1)  # a byte a position, not sorted lists of n ints
+        if min(self.images, default=1) >= 1 and max(self.images, default=0) <= n:
+            for i in self.images:
+                seen[i] = 1
+        if seen.count(1) != n:  # n images in 1..n mark all n iff distinct
+            raise ValueError(f"not a permutation of 1..{n}: {self.images}")
 
     @property
     def n(self) -> int:

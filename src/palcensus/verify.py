@@ -8,8 +8,6 @@ and exits nonzero if anything failed.
 
 from __future__ import annotations
 
-import itertools
-import math
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -20,6 +18,7 @@ from .census import (
     ProfileKind,
     _iter_words,
     _profile_counters,
+    _words_up_to_renaming,
     census_family,
     list_profile,
 )
@@ -148,23 +147,12 @@ def suite_g_map(k_max: int, n_max: int, budget: int) -> SuiteResult:
     return result
 
 
-def _words_up_to_renaming(k: int, n: int, w: tuple[int, ...] = (), used: int = 0):
-    """The length-n words whose letters first appear in the order 0, 1, 2,
-    ..., each with the number of words that rename its letters, perm(k, d)
-    for d distinct letters: one representative per renaming class."""
-    if len(w) == n:
-        yield w, math.perm(k, used)
-        return
-    for a in range(min(used + 1, k)):
-        yield from _words_up_to_renaming(k, n, w + (a,), max(used, a + 1))
-
-
 def _naive_census(k: int, n: int):
     """Family counts and profile counters of length n from the naive word
     scans: the second route for the prefix-tree census.
 
-    Renaming the letters keeps every border, palindromic prefix and square,
-    so one word per renaming class is scanned and weighted by the class size.
+    Renaming the letters keeps every border, palindromic prefix and square, so
+    the word scans run on the census's class generator, weighted by class size.
     """
     classes: Counter = Counter()
     for w, size in _words_up_to_renaming(k, n):
@@ -408,7 +396,7 @@ def suite_lemmas(k_max: int, n_max: int, budget: int) -> SuiteResult:
             head = (n + 1) // 2
             if k ** head > budget:
                 break
-            for half_word in itertools.product(range(k), repeat=head):
+            for half_word in _iter_words(k, head):
                 p = half_word + half_word[::-1][n % 2:]
                 for m in range(n // 2 + 1, n):
                     if p[:m] == p[m - 1::-1]:

@@ -17,10 +17,12 @@ from palcensus.census import (
     BudgetExceededError,
     Family,
     ProfileKind,
+    _canonical_blocks,
     _family_block,
     _iter_words,
     _profile_block,
     _profile_counters,
+    _words_up_to_renaming,
     census_family,
     census_profile,
     list_profile,
@@ -141,6 +143,19 @@ class TestFamilyCounts:
         with pytest.raises(BudgetExceededError, match=r"3\*\*20"):
             census_family(3, 20, Family.UNBORDERED, budget=10 ** 6)
 
+    def test_budget_counts_every_word_before_any_walk(self, monkeypatch):
+        # 2**27 words exceed the default budget although the walk would
+        # visit only the 2**26 that start with 0
+        def no_walk(*args):
+            raise AssertionError("walked past the budget")
+
+        for name in ("_canonical_blocks", "_family_block", "_profile_block"):
+            monkeypatch.setattr(census, name, no_walk)
+        with pytest.raises(BudgetExceededError, match=r"2\*\*27"):
+            census_family(2, 27, Family.UNBORDERED)
+        with pytest.raises(BudgetExceededError, match=r"2\*\*27"):
+            census_profile(2, 27, ProfileKind.SHORT_BORDERS, set())
+
 
 class TestProfileCensus:
     def test_example_counts(self):
@@ -200,6 +215,32 @@ class TestAgainstTheNaiveFilter:
                 for counter, scan in zip(expected, scans):
                     counter[scan(w)] += 1
             assert _profile_counters(k, n) == expected, (k, n)
+
+
+def _canonical(w):
+    """w with its letters renamed to 0, 1, 2, ... in order of first appearance."""
+    names = {}
+    return tuple(names.setdefault(c, len(names)) for c in w)
+
+
+class TestCanonicalBlocks:
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+    def test_one_block_per_renaming_class(self, k):
+        for length in range(0, 7):
+            blocks = dict(_words_up_to_renaming(k, length))
+            assert sum(blocks.values()) == k ** length
+            classes = Counter(
+                _canonical(w) for w in itertools.product(range(k), repeat=length)
+            )
+            assert blocks == classes
+
+    def test_block_length_follows_the_workers(self):
+        assert [b for b, _ in _canonical_blocks(2, 10, 1)] == [(0, 0), (0, 1)]
+        assert [b for b, _ in _canonical_blocks(3, 10, 1)] == [(0, 0), (0, 1)]
+        assert [b for b, _ in _canonical_blocks(2, 10, 2)] == [
+            (0, 0, 0), (0, 0, 1), (0, 1, 0), (0, 1, 1)
+        ]
+        assert _canonical_blocks(4, 1, 8) == [((0,), 4)]
 
 
 class TestDeterminism:
@@ -275,7 +316,7 @@ class TestJobs:
             (64, 2, 10, [2]),  # one worker per CPU
             (64, None, 10, []),  # unknown CPU count: in-process
             (3, 8, 10, [3]),  # fewer jobs than CPUs
-            (16, 16, 2, [4]),  # one worker per block
+            (16, 16, 2, [2]),  # one worker per block: 00 and 01 at k=2
         ],
     )
     def test_pool_is_clamped(self, monkeypatch, fresh_memo, jobs, cpus, n, sizes):

@@ -95,6 +95,23 @@ class TestCount:
         assert code == 2
         assert "3**20" in err
 
+    def test_default_budget_counts_every_word(self, capsys, monkeypatch):
+        # the walk would visit only the canonical half of the 2**27 words;
+        # the budget still refuses the whole space before walking
+        from palcensus import census
+
+        def no_walk(*args):
+            raise AssertionError("walked past the budget")
+
+        monkeypatch.setattr(census, "_family_block", no_walk)
+        code, out, err = run(
+            capsys, "count", "--k", "2", "--n-min", "27", "--n-max", "28",
+            "--family", "unbordered", "--method", "brute",
+        )
+        assert code == 2
+        assert out == ""
+        assert "2**27" in err
+
     def test_invalid_family_is_a_usage_error(self, capsys):
         with pytest.raises(SystemExit) as outcome:
             main(["count", "--k", "2", "--n-max", "5", "--family", "weird"])

@@ -96,8 +96,22 @@ class TestPermutation:
     def test_size_validation(self):
         with pytest.raises(ValueError, match="at least 1"):
             milk_shuffle_permutation(0)
-        with pytest.raises(ValueError, match="not a permutation"):
-            Permutation((1, 1))
+        for images in (
+            (1, 1),  # duplicate
+            (2, 3, 2),  # duplicate, one position missing
+            (0, 1),  # 0
+            (1, 3),  # n + 1
+            (-1, 1),  # negative
+            (2, -1),  # negative, a valid index from the end
+            (0,),
+            (2,),
+        ):
+            with pytest.raises(ValueError, match=f"not a permutation of 1..{len(images)}"):
+                Permutation(images)
+
+    def test_valid_images_are_accepted(self):
+        for images in ((), (1,), (2, 1), (3, 1, 2), tuple(range(1000, 0, -1))):
+            assert Permutation(images).n == len(images)
 
     def test_realises_shuffle(self):
         for n in range(1, 10):

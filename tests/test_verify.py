@@ -1,5 +1,6 @@
 """The cross-checking suites must fail on planted bugs, not only pass."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -41,6 +42,99 @@ def test_counts_suite_catches_an_off_by_one_prune(monkeypatch, family, planted):
     assert not result.passed
     assert result.failures[0].startswith(f"{family.value} mismatch at k=2")
     assert "naive filter" in result.failures[0]
+
+
+def _walk_levels_planted(k, n, prefix, *, new_weight=True, past_k=False):
+    # the walk's letter choices with one part changed: new_weight=False
+    # weights the first unused letter 1, not k - used; past_k=True still
+    # offers a letter once all k are used, weighted 1 and keeping used at k
+    # (at its true weight k - k = 0 the extra letter would count nothing)
+    names = {}
+    levels = []
+    for c in prefix:
+        c = names.setdefault(c, len(names))
+        levels.append([[(c, 1, len(names))]] * (k + 1))
+    branches = []
+    for used in range(k + 1):
+        letters = [(c, 1, used) for c in range(used)]
+        if used < k:
+            letters.append((used, k - used if new_weight else 1, used + 1))
+        elif past_k:
+            letters.append((used, 1, used))
+        branches.append(letters)
+    return levels + [branches] * (n - len(prefix))
+
+
+def _canonical_blocks_planted(k, n, workers, *, weight=math.perm):
+    # the census blocks with their class size given by weight; weight=pow
+    # weights each canonical block k**d instead of perm(k, d)
+    length = 0
+    while length < n and k ** length < 4 * workers:
+        length += 1
+    return [
+        (w, weight(k, len(set(w))))
+        for w, _ in census._words_up_to_renaming(k, length)
+    ]
+
+
+def test_planted_renaming_walk_without_a_change_is_the_walk():
+    for k in range(1, 6):
+        for n in range(0, 6):
+            for prefix in ((), (0,), (3, 3, 1), (2, 0, 2, 1, 4)):
+                assert _walk_levels_planted(k, n, prefix) == census._walk_levels(
+                    k, n, prefix
+                )
+            for workers in (1, 2, 8):
+                assert _canonical_blocks_planted(k, n, workers) == (
+                    census._canonical_blocks(k, n, workers)
+                )
+
+
+@pytest.mark.parametrize(
+    "name,planted,unchanged,failure",
+    [
+        pytest.param(
+            "_walk_levels",
+            lambda k, n, prefix: _walk_levels_planted(k, n, prefix, new_weight=False),
+            _walk_levels_planted,
+            # at k=2 the new letter weighs k - 1 = 1 everywhere below the root
+            "borders profile census mismatch at k=3, n=3",
+            id="new-letter-weighted-one",
+        ),
+        pytest.param(
+            "_canonical_blocks",
+            lambda k, n, workers: _canonical_blocks_planted(k, n, workers, weight=pow),
+            _canonical_blocks_planted,
+            "unbordered mismatch at k=2, n=2: census 4, naive filter 2",
+            id="blocks-weighted-k-to-the-d",
+        ),
+        pytest.param(
+            "_walk_levels",
+            lambda k, n, prefix: _walk_levels_planted(k, n, prefix, past_k=True),
+            _walk_levels_planted,
+            "borders profile census mismatch at k=2, n=3",
+            id="new-letter-past-k",
+        ),
+    ],
+)
+def test_counts_suite_catches_a_planted_renaming_bug(
+    monkeypatch, name, planted, unchanged, failure
+):
+    # the naive route calls the class generator, not the census blocks or
+    # walk, so only the census sees the plant; the unbordered recurrence is
+    # checked against the census once, by the unchanged run
+    monkeypatch.setattr(recurrences, "_validated_alphabets", set())
+    monkeypatch.setattr(census, name, unchanged)
+    monkeypatch.setattr(census, "_family_cache", {})
+    monkeypatch.setattr(census, "_profile_cache", {})
+    honest = suite_counts(3, 7, DEFAULT_BUDGET)
+    assert honest.passed, honest.failures
+    monkeypatch.setattr(census, name, planted)
+    monkeypatch.setattr(census, "_family_cache", {})
+    monkeypatch.setattr(census, "_profile_cache", {})
+    result = suite_counts(3, 7, DEFAULT_BUDGET)
+    assert not result.passed
+    assert result.failures[0] == failure
 
 
 def _milk_shuffle_reading_one_letter_early(w):
