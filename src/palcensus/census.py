@@ -6,9 +6,11 @@ and profile depends only on where letters repeat, so one word per renaming
 class stands for the perm(k, d) words that rename its d distinct letters.
 The walk tests only each newly extended prefix.  A family that forbids a
 palindromic or square prefix loses the whole subtree below the first one;
-unbordered words and the profile census keep the KMP failure array of the
-current prefix instead.  The budget still counts all k**n words (or roots).
-The words module's naive scans are the independent route, checked by verify.
+unbordered words and the profile walk keep the KMP failure array of the
+current prefix instead; list_profile runs the profile walk too and renames
+the letters of each canonical word it keeps in every way.  The budget still
+counts all k**n words (or roots).  The words module's naive scans are the
+independent route, checked by verify and the tests.
 
 The subtree below a fixed prefix is a prefix block, so the search space may
 be partitioned by canonical prefixes and the weighted partial counts summed,
@@ -24,7 +26,7 @@ import os
 from collections import Counter
 from enum import Enum
 
-from .words import Word, _even_pp_set, _odd_pp_set, _short_border_set
+from .words import Word
 
 DEFAULT_BUDGET = 1 << 26
 
@@ -51,6 +53,7 @@ class Family(Enum):
 
 
 class ProfileKind(Enum):
+    # in the order of the profile masks and counters
     SHORT_BORDERS = "borders"
     EVEN_PP_ORDERS = "even-pp"
     ODD_PP_ORDERS = "odd-pp"
@@ -86,10 +89,14 @@ def _words_up_to_renaming(k: int, n: int, w: tuple[int, ...] = (), used: int = 0
 
 
 def _canonical_blocks(k: int, n: int, workers: int) -> list:
+    """The canonical prefixes, with their class sizes, of the shortest length
+    up to n that has at least 4 * workers of them; k = 1 has one per length."""
     length = 0
-    while length < n and k ** length < 4 * workers:
+    blocks = [((), 1)]
+    while k > 1 and length < n and len(blocks) < 4 * workers:
         length += 1
-    return list(_words_up_to_renaming(k, length))
+        blocks = list(_words_up_to_renaming(k, length))
+    return blocks
 
 
 def _walk_levels(k: int, n: int, prefix: tuple[int, ...]):
@@ -211,26 +218,30 @@ def _family_block(k: int, n: int, family: Family, prefix: tuple[int, ...]) -> in
     return _count_pruned(k, n, family, prefix)
 
 
-def _profile_block(k: int, n: int, prefix: tuple[int, ...]) -> Counter:
-    """Counter of (short-border mask, even-order mask, odd-order mask) over the
-    length-n words starting with prefix; bit i of a mask stands for i."""
+def _walk_profiles(k: int, n: int, prefix: tuple[int, ...], leaf) -> None:
+    """Call leaf(w, used, weight, masks) on each canonical length-n word w
+    starting with prefix (the walk's buffer), with its number of distinct
+    letters, the number of words it stands for and its (short-border mask,
+    even-order mask, odd-order mask); bit i of a mask stands for i."""
     w = [0] * n
-    fail = [0] * (n + 1)
+    # fail[m]: length of the longest proper border of w[:m], -1 for m = 0
+    fail = [-1] + [0] * n
     half = n // 2
     levels = _walk_levels(k, n, prefix)
-    counts: Counter = Counter()
 
     def walk(m: int, used: int, words: int, evens: int, odds: int) -> None:
         length = m + 1
         longest = fail[m]
         for c, weight, after in levels[m][used]:
             b = longest
-            while b and w[b] != c:
+            while b >= 0 and w[b] != c:
                 b = fail[b]
-            b = b + 1 if m and w[b] == c else 0
+            b += 1
             w[m] = c
             e, o = evens, odds
-            if m and c == w[0] and w[:length] == w[m::-1]:
+            # a palindrome ends in its first two letters reversed: test those
+            # before comparing slices
+            if m and c == w[0] and w[1] == w[m - 1] and w[:length] == w[m::-1]:
                 if length % 2:
                     o |= 1 << (length // 2)
                 else:
@@ -244,9 +255,22 @@ def _profile_block(k: int, n: int, prefix: tuple[int, ...]) -> Counter:
                 if b <= half:
                     borders |= 1 << b
                 b = fail[b]
-            counts[borders, e, o] += words * weight
+            leaf(w, after, words * weight, (borders, e, o))
 
-    walk(0, 0, 1, 0, 0)
+    if n:
+        walk(0, 0, 1, 0, 0)
+    else:
+        leaf(w, 0, 1, (0, 0, 0))
+
+
+def _profile_block(k: int, n: int, prefix: tuple[int, ...]) -> Counter:
+    """Counter of the masks over the length-n words starting with prefix."""
+    counts: Counter = Counter()
+
+    def add(w, used, weight, masks) -> None:
+        counts[masks] += weight
+
+    _walk_profiles(k, n, prefix, add)
     return counts
 
 
@@ -323,20 +347,9 @@ def _profile_counters(
     return result
 
 
-_KIND_INDEX = {
-    ProfileKind.SHORT_BORDERS: 0,
-    ProfileKind.EVEN_PP_ORDERS: 1,
-    ProfileKind.ODD_PP_ORDERS: 2,
-}
-
-_KIND_EXTRACTOR = {
-    ProfileKind.SHORT_BORDERS: _short_border_set,
-    ProfileKind.EVEN_PP_ORDERS: _even_pp_set,
-    ProfileKind.ODD_PP_ORDERS: _odd_pp_set,
-}
-
-
 def _validate_profile_set(n: int, profile_set) -> frozenset[int]:
+    if n < 0:
+        raise ValueError(f"profile length must be at least 0, got {n}")
     wanted = frozenset(profile_set)
     bad = sorted(
         str(i) for i in wanted if not isinstance(i, int) or not 1 <= i <= n // 2
@@ -361,7 +374,7 @@ def census_profile(
     profile_set exactly (the empty set asks for words with no such structure)."""
     wanted = _validate_profile_set(n, profile_set)
     counters = _profile_counters(k, n, budget=budget, jobs=jobs)
-    return counters[_KIND_INDEX[kind]][wanted]
+    return counters[list(ProfileKind).index(kind)][wanted]
 
 
 def list_profile(
@@ -372,8 +385,19 @@ def list_profile(
     *,
     budget: int = DEFAULT_BUDGET,
 ) -> list[Word]:
-    """The words census_profile counts, in lexicographic order."""
+    """The words census_profile counts, in lexicographic order: each
+    canonical word of the profile under every renaming of its letters."""
     wanted = _validate_profile_set(n, profile_set)
     _check_budget(k, n, budget)
-    extractor = _KIND_EXTRACTOR[kind]
-    return [Word.of(w, k) for w in _iter_words(k, n) if extractor(w) == wanted]
+    index, mask = list(ProfileKind).index(kind), sum(1 << i for i in wanted)
+    kept = []
+
+    def keep(w, used, weight, masks) -> None:
+        if masks[index] == mask:
+            kept.extend(
+                tuple(names[c] for c in w)
+                for names in itertools.permutations(range(k), used)
+            )
+
+    _walk_profiles(k, n, (), keep)
+    return [Word.of(w, k) for w in sorted(kept)]

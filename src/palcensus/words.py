@@ -9,12 +9,14 @@ ground truth for everything built on top of it.
 The tuple-level helpers (underscore names) work on bare symbol tuples, so
 the verify suites can run them over every word of a length without building
 a ``Word`` per candidate.  They are the naive route that the prefix-tree
-census counts are checked against; the census only uses them to list the
-words of a profile.
+census and ``word_profile`` are checked against; neither calls them.
+``word_profile`` finds all four profile sets in one pass over the positions
+that repeat the first letter.
 """
 
 from __future__ import annotations
 
+import functools
 import operator
 from enum import Enum
 
@@ -173,16 +175,6 @@ def _square_half_set(w: tuple[int, ...]) -> frozenset[int]:
     )
 
 
-def _has_short_border(w: tuple[int, ...]) -> bool:
-    # a long border overlaps itself and forces a short one, so scanning the
-    # short range decides borderedness
-    n = len(w)
-    for i in range(1, n // 2 + 1):
-        if w[:i] == w[n - i:]:
-            return True
-    return False
-
-
 def _has_pal_prefix(w: tuple[int, ...]) -> bool:
     for m in range(2, len(w) + 1):
         if w[:m] == w[m - 1::-1]:
@@ -241,7 +233,8 @@ def short_border_lengths(w: Word) -> frozenset[int]:
 
 
 def is_unbordered(w: Word) -> bool:
-    return not _has_short_border(w.symbols)
+    # a long border overlaps itself and forces a short one
+    return not _short_border_set(w.symbols)
 
 
 def square_half_lengths(w: Word) -> frozenset[int]:
@@ -254,13 +247,29 @@ def has_nontrivial_pal_prefix(w: Word) -> bool:
     return _has_pal_prefix(w.symbols)
 
 
+# one frozenset per distinct entry tuple, shared by the profiles that have
+# it; the table keeps at most 4096 of them
+_entry_set = functools.lru_cache(maxsize=4096)(frozenset)
+
+
 def word_profile(w: Word) -> WordProfile:
+    """The four profile sets of w in one pass: every border (starting at
+    p = n - i), palindromic prefix (of length p + 1) and square prefix (of
+    half-length p) has a witness p >= 1 with s[p] == s[0]."""
     s = w.symbols
+    n = len(s)
+    borders, evens, odds, squares = [], [], [], []
+    for p in range(1, n):
+        if s[p] == s[0]:
+            if 2 * p >= n and s[:n - p] == s[p:]:
+                borders.append(n - p)
+            if s[:p + 1] == s[p::-1]:
+                (evens if p % 2 else odds).append((p + 1) // 2)
+            if 2 * p <= n and s[:p] == s[p:2 * p]:
+                squares.append(p)
     return WordProfile(
-        short_borders=_short_border_set(s),
-        even_pp_orders=_even_pp_set(s),
-        odd_pp_orders=_odd_pp_set(s),
-        square_half_lengths=_square_half_set(s),
+        _entry_set(tuple(borders)), _entry_set(tuple(evens)),
+        _entry_set(tuple(odds)), _entry_set(tuple(squares)),
     )
 
 

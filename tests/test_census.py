@@ -9,6 +9,7 @@ prefix are A121880.  A252696 is the ternary no-palindromic-prefix count.
 import concurrent.futures
 import itertools
 from collections import Counter
+from types import SimpleNamespace
 
 import pytest
 
@@ -149,12 +150,14 @@ class TestFamilyCounts:
         def no_walk(*args):
             raise AssertionError("walked past the budget")
 
-        for name in ("_canonical_blocks", "_family_block", "_profile_block"):
+        for name in ("_canonical_blocks", "_family_block", "_walk_profiles"):
             monkeypatch.setattr(census, name, no_walk)
         with pytest.raises(BudgetExceededError, match=r"2\*\*27"):
             census_family(2, 27, Family.UNBORDERED)
         with pytest.raises(BudgetExceededError, match=r"2\*\*27"):
             census_profile(2, 27, ProfileKind.SHORT_BORDERS, set())
+        with pytest.raises(BudgetExceededError, match=r"2\*\*27"):
+            list_profile(2, 27, ProfileKind.SHORT_BORDERS, set())
 
 
 class TestProfileCensus:
@@ -192,6 +195,50 @@ class TestProfileCensus:
     def test_budget_applies(self):
         with pytest.raises(BudgetExceededError):
             list_profile(2, 30, ProfileKind.SHORT_BORDERS, {1}, budget=2 ** 10)
+
+    def test_empty_word(self):
+        for kind in ProfileKind:
+            assert census_profile(3, 0, kind, set()) == 1
+            assert [w.symbols for w in list_profile(3, 0, kind, set())] == [()]
+        with pytest.raises(ValueError, match="at least 0"):
+            list_profile(2, -1, ProfileKind.SHORT_BORDERS, set())
+
+    @pytest.mark.parametrize("k,n", [(2, 10), (3, 6), (4, 5), (1, 4)])
+    def test_lists_match_the_naive_filter(self, k, n):
+        assert _first_list_mismatch(k, n) is None
+
+    def test_naive_filter_sees_an_expansion_that_never_moves_letter_0(self, monkeypatch):
+        def fixing_0(letters, d):
+            return (
+                names for names in itertools.permutations(letters, d)
+                if names[:1] in ((), (0,))
+            )
+
+        planted = SimpleNamespace(permutations=fixing_0, product=itertools.product)
+        monkeypatch.setattr(census, "itertools", planted)
+        assert _first_list_mismatch(3, 6) is not None
+
+
+PROFILE_SCANS = {
+    ProfileKind.SHORT_BORDERS: _short_border_set,
+    ProfileKind.EVEN_PP_ORDERS: _even_pp_set,
+    ProfileKind.ODD_PP_ORDERS: _odd_pp_set,
+}
+
+
+def _first_list_mismatch(k, n):
+    """The first (kind, set) whose list_profile differs from the naive filter
+    of all words in lexicographic order, or None."""
+    for kind, scan in PROFILE_SCANS.items():
+        expected = {}
+        for w in itertools.product(range(k), repeat=n):
+            expected.setdefault(scan(w), []).append(w)
+        for size in range(n // 2 + 1):
+            for subset in itertools.combinations(range(1, n // 2 + 1), size):
+                listed = [w.symbols for w in list_profile(k, n, kind, subset)]
+                if listed != expected.get(frozenset(subset), []):
+                    return kind, subset
+    return None
 
 
 @pytest.fixture
@@ -235,12 +282,26 @@ class TestCanonicalBlocks:
             assert blocks == classes
 
     def test_block_length_follows_the_workers(self):
-        assert [b for b, _ in _canonical_blocks(2, 10, 1)] == [(0, 0), (0, 1)]
-        assert [b for b, _ in _canonical_blocks(3, 10, 1)] == [(0, 0), (0, 1)]
-        assert [b for b, _ in _canonical_blocks(2, 10, 2)] == [
+        assert [b for b, _ in _canonical_blocks(2, 10, 1)] == [
             (0, 0, 0), (0, 0, 1), (0, 1, 0), (0, 1, 1)
         ]
+        assert [b for b, _ in _canonical_blocks(3, 10, 1)] == [
+            (0, 0, 0), (0, 0, 1), (0, 1, 0), (0, 1, 1), (0, 1, 2)
+        ]
+        assert [b for b, _ in _canonical_blocks(2, 10, 2)] == [
+            (0,) + w for w in itertools.product(range(2), repeat=3)
+        ]
         assert _canonical_blocks(4, 1, 8) == [((0,), 4)]
+        # one letter has one canonical prefix of each length: no split
+        assert _canonical_blocks(1, 10, 8) == [((), 1)]
+
+    @pytest.mark.parametrize("k,n", [(3, 10), (4, 8)])
+    def test_no_block_holds_more_than_a_quarter_of_the_walk(self, k, n):
+        blocks = _canonical_blocks(k, n, 2)
+        length = len(blocks[0][0])
+        sizes = Counter(w[:length] for w, _ in _words_up_to_renaming(k, n))
+        assert list(sizes) == [b for b, _ in blocks]
+        assert max(sizes.values()) <= sum(sizes.values()) / 4
 
 
 class TestDeterminism:

@@ -69,12 +69,11 @@ def _canonical_blocks_planted(k, n, workers, *, weight=math.perm):
     # the census blocks with their class size given by weight; weight=pow
     # weights each canonical block k**d instead of perm(k, d)
     length = 0
-    while length < n and k ** length < 4 * workers:
+    prefixes = [()]
+    while k > 1 and length < n and len(prefixes) < 4 * workers:
         length += 1
-    return [
-        (w, weight(k, len(set(w))))
-        for w, _ in census._words_up_to_renaming(k, length)
-    ]
+        prefixes = [w for w, _ in census._words_up_to_renaming(k, length)]
+    return [(w, weight(k, len(set(w)))) for w in prefixes]
 
 
 def test_planted_renaming_walk_without_a_change_is_the_walk():
@@ -97,8 +96,9 @@ def test_planted_renaming_walk_without_a_change_is_the_walk():
             "_walk_levels",
             lambda k, n, prefix: _walk_levels_planted(k, n, prefix, new_weight=False),
             _walk_levels_planted,
-            # at k=2 the new letter weighs k - 1 = 1 everywhere below the root
-            "borders profile census mismatch at k=3, n=3",
+            # at k=2 the new letter weighs k - 1 = 1 everywhere below the root;
+            # at k=3, n=3 the five blocks pin every letter, so n=4 is the first
+            "borders profile census mismatch at k=3, n=4",
             id="new-letter-weighted-one",
         ),
         pytest.param(
@@ -112,7 +112,8 @@ def test_planted_renaming_walk_without_a_change_is_the_walk():
             "_walk_levels",
             lambda k, n, prefix: _walk_levels_planted(k, n, prefix, past_k=True),
             _walk_levels_planted,
-            "borders profile census mismatch at k=2, n=3",
+            # at n=3 the four binary blocks pin every letter
+            "borders profile census mismatch at k=2, n=4",
             id="new-letter-past-k",
         ),
     ],

@@ -1,5 +1,6 @@
 """Word primitives: frozen examples plus exhaustive and generated invariants."""
 
+import inspect
 import itertools
 import pickle
 from fractions import Fraction
@@ -8,10 +9,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from palcensus import words
 from palcensus.words import (
     Alphabet,
     Parity,
     Word,
+    _even_pp_set,
+    _odd_pp_set,
+    _short_border_set,
+    _square_half_set,
     border_lengths,
     format_word,
     has_nontrivial_pal_prefix,
@@ -177,6 +183,29 @@ class TestProfile:
         assert profile.odd_pp_orders == {3}
         assert profile.square_half_lengths == {3}
 
+    def test_matches_the_naive_scans(self):
+        assert _first_profile_mismatch(word_profile) is None
+
+    @pytest.mark.parametrize(
+        "old,new",
+        [
+            ("range(1, n)", "range(1, n - 1)"),  # stops at p = n - 2
+            ("2 * p <= n", "2 * p < n"),  # misses the square of the whole word
+        ],
+    )
+    def test_naive_scans_see_a_planted_bug(self, old, new):
+        source = inspect.getsource(words.word_profile)
+        assert source.count(old) == 1
+        namespace = dict(vars(words))
+        exec(source.replace(old, new), namespace)
+        assert _first_profile_mismatch(namespace["word_profile"]) is not None
+
+    def test_equal_sets_are_shared(self):
+        first = word_profile(binary("0110110"))
+        second = word_profile(binary("1001001"))
+        assert first.square_half_lengths is second.square_half_lengths
+        assert words._entry_set.cache_info().maxsize == 4096
+
     def test_entries_in_range(self):
         for n in range(0, 11):
             for w in itertools.product(range(2), repeat=n):
@@ -188,6 +217,25 @@ class TestProfile:
                     profile.square_half_lengths,
                 ):
                     assert all(1 <= i <= n // 2 for i in entries)
+
+
+def _first_profile_mismatch(profile):
+    """The first word, empty and one-letter words included, whose profile
+    differs from the four naive scans, or None."""
+    for k, n_max in ((1, 8), (2, 12), (3, 7), (4, 5)):
+        for n in range(n_max + 1):
+            for w in itertools.product(range(k), repeat=n):
+                got = profile(Word.of(w, k))
+                scans = (
+                    _short_border_set(w), _even_pp_set(w), _odd_pp_set(w),
+                    _square_half_set(w),
+                )
+                if (
+                    got.short_borders, got.even_pp_orders, got.odd_pp_orders,
+                    got.square_half_lengths,
+                ) != scans:
+                    return w
+    return None
 
 
 class TestTextForm:
