@@ -1,34 +1,43 @@
 """Exhaustive classification of the words of a given length.
 
-Counts come from a depth-first walk over the prefix tree of the canonical
-words, whose letters first appear in the order 0, 1, 2, ...: every family
-and profile depends only on where letters repeat, so one word per renaming
-class stands for the perm(k, d) words that rename its d distinct letters.
-The walk tests only each newly extended prefix.  A family that forbids a
-palindromic or square prefix loses the whole subtree below the first one;
-unbordered words and the profile walk keep the KMP failure array of the
-current prefix instead; list_profile runs the profile walk too and renames
-the letters of each canonical word it keeps in every way.  The budget still
-counts all k**n words (or roots).  The words module's naive scans are the
-independent route, checked by verify and the tests.
-
-The subtree below a fixed prefix is a prefix block, so the search space may
-be partitioned by canonical prefixes and the weighted partial counts summed,
-optionally across worker processes; results are identical whatever the
-partitioning, and completed counts are memoised per process.
+Each family and profile kind is a list of patterns, each the equalities
+w[a] == w[b] over a set of position pairs: a border of length i pairs t with
+n-i+t, a palindromic prefix of length m pairs t with m-1-t, and a square
+prefix of half-length j pairs t with j+t (mod n for min-square, a square
+prefix of ww).  A family is the words holding none of its patterns, a
+profile set the patterns a word holds.  One engine walks the canonical
+prefixes of length n - L (letters first appear as 0, 1, 2, ...), each
+standing for the perm(k, d) renamings of its d letters, drops the subtree
+below a prefix that holds a forbidden pattern, and decides the k**L
+completions of each prefix at once as the bits of one integer: a pattern is
+the AND of letter and pair-equality masks cached per (k, L).  The budget
+still counts all k**n words (or roots).  The naive scans of the words module
+are the independent route, checked by verify and the tests.  Blocks of words
+below canonical prefixes may be counted on one process pool per process,
+with identical results; completed counts are memoised per process.
 """
 
 from __future__ import annotations
 
+import atexit
 import itertools
 import math
 import os
 from collections import Counter
 from enum import Enum
+from functools import lru_cache
 
 from .words import Word
 
 DEFAULT_BUDGET = 1 << 26
+# the k**L completions of one prefix are the bits of an integer of at most
+# this many bits
+_MASK_BITS = 1 << 12
+# letters always walked: from length 5 on, an in-process census walks below
+# its blocks (of 3 letters) before the masks take over, so verify sees both
+_MIN_WALK = 4
+# one letter has one word of each length, which the budget cannot bound
+MAX_UNARY_LENGTH = 1000
 
 
 class BudgetExceededError(ValueError):
@@ -65,6 +74,10 @@ def _check_budget(k: int, n: int, budget: int) -> None:
         raise BudgetExceededError(
             f"enumerating {k}**{n} = {space} words exceeds the budget of {budget}"
         )
+    if k == 1 and n > MAX_UNARY_LENGTH:
+        raise ValueError(
+            f"unary census lengths must be at most {MAX_UNARY_LENGTH}, got {n}"
+        )
 
 
 def _check_jobs(jobs: int) -> None:
@@ -77,15 +90,19 @@ def _iter_words(k: int, n: int):
     return itertools.product(range(k), repeat=n)
 
 
-def _words_up_to_renaming(k: int, n: int, w: tuple[int, ...] = (), used: int = 0):
+def _words_up_to_renaming(k: int, n: int):
     """The length-n words whose letters first appear in the order 0, 1, 2,
     ..., each with the number of words that rename its letters, perm(k, d)
-    for d distinct letters: one representative per renaming class."""
-    if len(w) == n:
-        yield w, math.perm(k, used)
-        return
-    for a in range(min(used + 1, k)):
-        yield from _words_up_to_renaming(k, n, w + (a,), max(used, a + 1))
+    for d distinct letters: one representative per renaming class, in
+    lexicographic order."""
+    stack = [((), 0)]
+    while stack:
+        w, used = stack.pop()
+        if len(w) == n:
+            yield w, math.perm(k, used)
+        else:
+            for a in range(min(used + 1, k) - 1, -1, -1):
+                stack.append((w + (a,), max(used, a + 1)))
 
 
 def _canonical_blocks(k: int, n: int, workers: int) -> list:
@@ -99,191 +116,231 @@ def _canonical_blocks(k: int, n: int, workers: int) -> list:
     return blocks
 
 
-def _walk_levels(k: int, n: int, prefix: tuple[int, ...]):
-    """The (letter, weight, used after) choices of a walk below prefix, per depth
-    and per number `used` of distinct letters: prefix renamed canonically, which
-    keeps every count, then each used letter and the first unused for k - used."""
-    names: dict[int, int] = {}
-    pinned = [[[(names.setdefault(c, len(names)), 1, len(names))]] * (k + 1) for c in prefix]
-    branches = [[(c, 1, used) for c in range(used)] for used in range(k + 1)]
-    for used in range(k):
-        branches[used].append((used, k - used, used + 1))
-    return pinned + [branches] * (n - len(prefix))
+def _split_length(k: int, n: int) -> int:
+    """The number L of last letters decided at once: the most, up to
+    n - _MIN_WALK, whose k**L completions fit in a mask (one letter stops
+    where two would)."""
+    split = 0
+    while split < n - _MIN_WALK and max(k, 2) ** (split + 1) <= _MASK_BITS:
+        split += 1
+    return split
 
 
 # ---------------------------------------------------------------------------
-# the prefix-tree walks; each covers the words that extend a fixed prefix
+# patterns: lists of pieces (A, B), nonempty ranges whose terms pair up as
+# a < b, B rising; the pattern holds when w[a] == w[b] for every pair
 
 
-def _palindrome_letter(w: tuple[int, ...]):
-    """The letter c for which w + c is a palindrome, or None."""
-    rest = w[1:]
-    return w[0] if rest == rest[::-1] else None
+def _palindrome(m: int) -> list:
+    half = m // 2
+    return [(range(half - 1, -1, -1), range(m - half, m))]
 
 
-def _square_letter(w: tuple[int, ...]):
-    """The letter c for which w + c is a square, or None; len(w) is odd."""
-    half = len(w) // 2
-    return w[half] if w[:half] == w[half + 1:] else None
+def _square(n: int, j: int) -> list:
+    # w[t] == w[(j + t) % n] for t < j: a square prefix of ww
+    if 2 * j <= n:
+        return [(range(j), range(j, 2 * j))]
+    return [(range(2 * j - n), range(n - j, j)), (range(n - j), range(j, n))]
 
 
-def _straddling_letters(u: tuple[int, ...]) -> set[int]:
-    """The letters c for which ww, w = u + c, has a square prefix of
-    half-length j with n/2 < j < n, n = len(w); the shorter ones are square
-    prefixes of w, which the walk has pruned.  Such a square is a border of
-    w of length b = n - j (so c = u[b - 1]) with w[b:j] = w[:j - b]."""
-    n = len(u) + 1
-    return {
-        u[b - 1]
-        for b in range(1, (n + 1) // 2)
-        if u[b] == u[0] and u[:b - 1] == u[n - b:] and u[b:n - b] == u[:n - 2 * b]
-    }
-
-
-# family -> (the letter whose extension of a prefix is forbidden, the first
-# prefix length that test applies to, the step between the lengths it
-# applies to, the letters a leaf test rejects or None).  A forbidden prefix
-# stays in every extension, so the walk drops the subtree below it.
-_PRUNED_FAMILIES = {
-    Family.NO_EVEN_PP: (_palindrome_letter, 2, 2, None),
-    Family.NO_ODD_PP: (_palindrome_letter, 3, 2, None),
-    Family.NO_PAL_PREFIX: (_palindrome_letter, 2, 1, None),
-    Family.NO_SQUARE_PREFIX: (_square_letter, 2, 2, None),
-    Family.MIN_SQUARE: (_square_letter, 2, 2, _straddling_letters),
+# family -> its patterns at length n; the family is the words that hold none
+_PATTERNS = {
+    Family.UNBORDERED: lambda n: [
+        [(range(i), range(n - i, n))] for i in range(1, n // 2 + 1)
+    ],
+    Family.NO_EVEN_PP: lambda n: [_palindrome(2 * i) for i in range(1, n // 2 + 1)],
+    Family.NO_ODD_PP: lambda n: [_palindrome(2 * i + 1) for i in range(1, (n + 1) // 2)],
+    Family.NO_PAL_PREFIX: lambda n: [_palindrome(m) for m in range(2, n + 1)],
+    Family.NO_SQUARE_PREFIX: lambda n: [_square(n, j) for j in range(1, n // 2 + 1)],
+    Family.MIN_SQUARE: lambda n: [_square(n, j) for j in range(1, n)],
 }
+# per profile kind, the family whose i-th pattern puts i in the kind's set
+_KIND_FAMILIES = (Family.UNBORDERED, Family.NO_EVEN_PP, Family.NO_ODD_PP)
 
 
-def _count_pruned(k: int, n: int, family: Family, prefix: tuple[int, ...]) -> int:
-    forbidden, first, step, leaf = _PRUNED_FAMILIES[family]
-    tested = [m >= first and (m - first) % step == 0 for m in range(n + 1)]
-    levels = _walk_levels(k, n, prefix)
-    fixed = len(prefix)
-
-    def walk(w: tuple[int, ...], used: int) -> int:
-        m = len(w)
-        dead = forbidden(w) if tested[m + 1] else None
-        if m + 1 == n:
-            # every rejected letter occurs in w: a used letter, of weight 1
-            rejected = {dead} if leaf is None else leaf(w) | {dead}
-            rejected.discard(None)
-            if m < fixed:
-                return sum(weight for c, weight, _ in levels[m][used] if c not in rejected)
-            return k - len(rejected)
-        total = 0
-        for c, weight, after in levels[m][used]:
-            if c != dead:
-                total += weight * walk(w + (c,), after)
-        return total
-
-    return walk((), 0)
+@lru_cache(maxsize=8)
+def _masks(k: int, split: int):
+    """(letter, pair, full) over the k**split completions, completion c
+    spelling c in base k: bit c of letter[q][x] is set when letter q of c is
+    x, of pair[q][r] when letters q and r agree, and of full always."""
+    full = (1 << k ** split) - 1
+    letter = []
+    for q in range(split):
+        run = k ** (split - 1 - q)
+        # a bit at the start of every k runs, shifted to the run of x
+        starts = full // ((1 << k * run) - 1)
+        letter.append([starts * ((1 << run) - 1) << x * run for x in range(k)])
+    pair = [[sum(a & b for a, b in zip(p, q)) for q in letter] for p in letter]
+    return letter, pair, full
 
 
-def _count_unbordered(k: int, n: int, prefix: tuple[int, ...]) -> int:
-    w = [0] * n
-    # fail[m]: length of the longest proper border of w[:m]
-    fail = [0] * (n + 1)
-    levels = _walk_levels(k, n, prefix)
-    fixed = len(prefix)
-
-    def walk(m: int, used: int) -> int:
-        if m == n - 1:
-            # w[:m] + c is bordered iff c is w[0] or the letter after a border
-            bordered = {w[0]} if m else set()
-            b = fail[m]
-            while b:
-                bordered.add(w[b])
-                b = fail[b]
-            if m < fixed:
-                return sum(weight for c, weight, _ in levels[m][used] if c not in bordered)
-            return k - len(bordered)
-        total = 0
-        longest = fail[m]
-        for c, weight, after in levels[m][used]:
-            b = longest
-            while b and w[b] != c:
-                b = fail[b]
-            fail[m + 1] = b + 1 if m and w[b] == c else 0
-            w[m] = c
-            total += weight * walk(m + 1, after)
-        return total
-
-    return walk(0, 0)
+def _slice(r: range) -> slice:
+    # the slice that reads a nonempty range; a falling one may end at 0
+    return slice(r.start, r.stop if r.stop >= 0 else None, r.step)
 
 
-def _family_block(k: int, n: int, family: Family, prefix: tuple[int, ...]) -> int:
-    """Number of length-n words starting with prefix that lie in family
-    (HAS_SQUARE_PREFIX excepted: it is counted as a complement)."""
-    if family is Family.UNBORDERED:
-        return _count_unbordered(k, n, prefix)
-    return _count_pruned(k, n, family, prefix)
-
-
-def _walk_profiles(k: int, n: int, prefix: tuple[int, ...], leaf) -> None:
-    """Call leaf(w, used, weight, masks) on each canonical length-n word w
-    starting with prefix (the walk's buffer), with its number of distinct
-    letters, the number of words it stands for and its (short-border mask,
-    even-order mask, odd-order mask); bit i of a mask stands for i."""
-    w = [0] * n
-    # fail[m]: length of the longest proper border of w[:m], -1 for m = 0
-    fail = [-1] + [0] * n
-    half = n // 2
-    levels = _walk_levels(k, n, prefix)
-
-    def walk(m: int, used: int, words: int, evens: int, odds: int) -> None:
-        length = m + 1
-        longest = fail[m]
-        for c, weight, after in levels[m][used]:
-            b = longest
-            while b >= 0 and w[b] != c:
-                b = fail[b]
-            b += 1
-            w[m] = c
-            e, o = evens, odds
-            # a palindrome ends in its first two letters reversed: test those
-            # before comparing slices
-            if m and c == w[0] and w[1] == w[m - 1] and w[:length] == w[m::-1]:
-                if length % 2:
-                    o |= 1 << (length // 2)
+@lru_cache(maxsize=8)
+def _compile(k: int, n: int, split: int, patterns) -> list:
+    """Each of the patterns(n) as (end, inside, letters, base) for prefixes
+    of length n - split: the prefix length that holds all its pairs (n when
+    the completion takes part), its pairs inside the prefix as slices to
+    compare, its completion letters q tied to prefix letters a as (a, q),
+    and the AND of its pairs inside the completion."""
+    stop = n - split
+    _, pair, full = _masks(k, split)
+    compiled = []
+    for pieces in patterns(n):
+        end, inside, letters, base = 0, [], [], full
+        for a_range, b_range in pieces:
+            end = max(end, b_range[-1] + 1)
+            cut = min(max(stop - b_range.start, 0), len(b_range))
+            if cut:
+                inside.append((_slice(a_range[:cut]), _slice(b_range[:cut])))
+            for a, b in zip(a_range[cut:], b_range[cut:]):
+                if a < stop:
+                    letters.append((a, b - stop))
                 else:
-                    e |= 1 << (length // 2)
-            if length < n:
-                fail[length] = b
-                walk(length, after, words * weight, e, o)
+                    base &= pair[a - stop][b - stop]
+        compiled.append((end, inside, letters, base))
+    return compiled
+
+
+def _held(w, pattern, letter) -> int:
+    """The completions of prefix w that hold the compiled pattern."""
+    _, inside, letters, held = pattern
+    if not all(w[a] == w[b] for a, b in inside):
+        return 0
+    for a, q in letters:
+        held &= letter[q][w[a]]
+    return held
+
+
+def _parts(w, compiled, letter, full) -> dict:
+    """The completions of prefix w split by the patterns they hold: {mask
+    with bit i for the i-th pattern: completions}."""
+    parts = {0: full}
+    for i, pattern in enumerate(compiled, 1):
+        held = _held(w, pattern, letter)
+        if held:
+            parts = {
+                key: bits
+                for mask, part in parts.items()
+                for key, bits in ((mask | 1 << i, part & held), (mask, part & ~held))
+                if bits
+            }
+    return parts
+
+
+# ---------------------------------------------------------------------------
+# the prefix walk; a block covers the words that extend a canonical prefix
+
+
+def _walk(k: int, length: int, prefix: tuple[int, ...], dead=None):
+    """Yield (w, used, weight) for each canonical word w of the given length
+    that extends the canonical prefix and has no prefix w[:m] for which
+    dead(m, w) holds: w is the walk's buffer, used its number of distinct
+    letters, and weight the number of words that rename the letters it adds,
+    a first unused letter standing for k - used."""
+    w = list(prefix) + [0] * (length - len(prefix))
+    if dead is not None and any(dead(m, w) for m in range(1, len(prefix) + 1)):
+        return
+    # (m, c, used, weight): the prefix of length m, ending in letter c
+    stack = [(len(prefix), None, len(set(prefix)), 1)]
+    while stack:
+        m, c, used, weight = stack.pop()
+        if c is not None:
+            w[m - 1] = c
+            if dead is not None and dead(m, w):
                 continue
-            borders = 0
-            while b:
-                if b <= half:
-                    borders |= 1 << b
-                b = fail[b]
-            leaf(w, after, words * weight, (borders, e, o))
-
-    if n:
-        walk(0, 0, 1, 0, 0)
-    else:
-        leaf(w, 0, 1, (0, 0, 0))
+        if m == length:
+            yield w, used, weight
+            continue
+        for c in range(min(used + 1, k) - 1, -1, -1):
+            grown = c == used
+            stack.append(
+                (m + 1, c, used + grown, weight * (k - used) if grown else weight)
+            )
 
 
-def _profile_block(k: int, n: int, prefix: tuple[int, ...]) -> Counter:
-    """Counter of the masks over the length-n words starting with prefix."""
-    counts: Counter = Counter()
+def _family_block(k: int, n: int, family: Family, split: int, prefix: tuple) -> int:
+    """Number of length-n words starting with the canonical prefix that lie
+    in family (HAS_SQUARE_PREFIX excepted: it is counted as a complement),
+    the last split letters decided at once."""
+    stop = n - split
+    letter, _, full = _masks(k, split)
+    compiled = _compile(k, n, split, _PATTERNS[family])
+    # the patterns inside the prefix, by the prefix length that completes them
+    within: dict[int, list] = {}
+    for pattern in compiled:
+        if pattern[0] <= stop:
+            within.setdefault(pattern[0], []).append(pattern)
 
-    def add(w, used, weight, masks) -> None:
-        counts[masks] += weight
+    def dead(m, w) -> bool:
+        return any(_held(w, pattern, letter) for pattern in within.get(m, ()))
 
-    _walk_profiles(k, n, prefix, add)
+    total = 0
+    for w, _, weight in _walk(k, stop, prefix, dead):
+        hit = 0
+        for pattern in compiled:
+            hit |= _held(w, pattern, letter)
+        total += weight * (full ^ hit).bit_count()
+    return total
+
+
+def _profile_block(k: int, n: int, split: int, prefix: tuple[int, ...]) -> tuple:
+    """Per profile kind, a Counter of set masks (bit i for i) over the
+    length-n words starting with the canonical prefix."""
+    letter, _, full = _masks(k, split)
+    kinds = [_compile(k, n, split, _PATTERNS[family]) for family in _KIND_FAMILIES]
+    counts = tuple(Counter() for _ in kinds)
+    for w, _, weight in _walk(k, n - split, prefix):
+        for counter, compiled in zip(counts, kinds):
+            for mask, part in _parts(w, compiled, letter, full).items():
+                counter[mask] += weight * part.bit_count()
     return counts
 
 
-def _map_blocks(worker, argument_lists, workers: int):
-    workers = min(workers, len(argument_lists))
-    if workers > 1:
+_pool = None
+
+
+def _close_pool() -> None:
+    global _pool
+    if _pool is not None:
+        _pool[1].shutdown()
+        atexit.unregister(_pool[1].shutdown)
+        _pool = None
+
+
+def _census(worker, k: int, n: int, arguments: tuple, jobs: int) -> list:
+    """(class size, worker(k, n, *arguments, split, block)) per canonical
+    block, in-process or on the process's one pool: started with one process
+    per block up to min(jobs, CPUs), kept while it has enough of them and no
+    more, and shut down, its processes joined, when the interpreter exits."""
+    global _pool
+    split = _split_length(k, n)
+    workers = min(jobs, os.cpu_count() or 1)
+    blocks = _canonical_blocks(k, n - split, workers)
+    calls = [(k, n, *arguments, split, block) for block, _ in blocks]
+    needed = min(workers, len(calls))
+    if needed < 2:
+        parts = [worker(*args) for args in calls]
+    else:
         # imported only here, so that a process which never starts a pool
         # does not load multiprocessing and logging
-        from concurrent.futures import ProcessPoolExecutor
+        from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(worker, *zip(*argument_lists)))
-    return [worker(*args) for args in argument_lists]
+        if _pool is not None and not needed <= _pool[0] <= workers:
+            _close_pool()
+        if _pool is None:
+            _pool = needed, ProcessPoolExecutor(max_workers=needed)
+            atexit.register(_pool[1].shutdown)
+        try:
+            parts = list(_pool[1].map(worker, *zip(*calls)))
+        except BrokenExecutor:
+            # a worker died; the next call starts a new pool
+            _close_pool()
+            raise
+    return [(size, part) for (_, size), part in zip(blocks, parts)]
 
 
 _family_cache: dict[tuple[int, int, Family], int] = {}
@@ -291,12 +348,7 @@ _profile_cache: dict[tuple[int, int], tuple[Counter, Counter, Counter]] = {}
 
 
 def census_family(
-    k: int,
-    n: int,
-    family: Family,
-    *,
-    budget: int = DEFAULT_BUDGET,
-    jobs: int = 1,
+    k: int, n: int, family: Family, *, budget: int = DEFAULT_BUDGET, jobs: int = 1
 ) -> int:
     """Exact number of words in the family, by full enumeration.
 
@@ -312,10 +364,8 @@ def census_family(
     if key not in _family_cache:
         _check_budget(k, n, budget)
         walked = Family.NO_SQUARE_PREFIX if family is Family.HAS_SQUARE_PREFIX else family
-        workers = min(jobs, os.cpu_count() or 1)
-        blocks = _canonical_blocks(k, n, workers)
-        parts = _map_blocks(_family_block, [(k, n, walked, b) for b, _ in blocks], workers)
-        value = sum(size * part for (_, size), part in zip(blocks, parts))
+        blocks = _census(_family_block, k, n, (walked,), jobs)
+        value = sum(size * part for size, part in blocks)
         _family_cache[k, n, walked] = value
         if walked is Family.NO_SQUARE_PREFIX:
             _family_cache[k, n, Family.HAS_SQUARE_PREFIX] = k ** n - value
@@ -330,21 +380,15 @@ def _profile_counters(
     k: int, n: int, *, budget: int = DEFAULT_BUDGET, jobs: int = 1
 ) -> tuple[Counter, Counter, Counter]:
     _check_jobs(jobs)
-    key = (k, n)
-    cached = _profile_cache.get(key)
-    if cached is not None:
-        return cached
-    _check_budget(k, n, budget)
-    workers = min(jobs, os.cpu_count() or 1)
-    blocks = _canonical_blocks(k, n, workers)
-    parts = _map_blocks(_profile_block, [(k, n, b) for b, _ in blocks], workers)
-    result = (Counter(), Counter(), Counter())
-    for (_, size), part in zip(blocks, parts):
-        for masks, count in part.items():
-            for counter, mask in zip(result, masks):
-                counter[_mask_set(mask)] += size * count
-    _profile_cache[key] = result
-    return result
+    if (k, n) not in _profile_cache:
+        _check_budget(k, n, budget)
+        result = (Counter(), Counter(), Counter())
+        for size, part in _census(_profile_block, k, n, (), jobs):
+            for counter, masks in zip(result, part):
+                for mask, count in masks.items():
+                    counter[_mask_set(mask)] += size * count
+        _profile_cache[k, n] = result
+    return _profile_cache[k, n]
 
 
 def _validate_profile_set(n: int, profile_set) -> frozenset[int]:
@@ -378,26 +422,24 @@ def census_profile(
 
 
 def list_profile(
-    k: int,
-    n: int,
-    kind: ProfileKind,
-    profile_set,
-    *,
-    budget: int = DEFAULT_BUDGET,
+    k: int, n: int, kind: ProfileKind, profile_set, *, budget: int = DEFAULT_BUDGET
 ) -> list[Word]:
-    """The words census_profile counts, in lexicographic order: each
-    canonical word of the profile under every renaming of its letters."""
+    """The words census_profile counts, in lexicographic order: the wanted
+    completions of each canonical prefix, under every renaming of the
+    prefix's letters (the letters it leaves unused follow in order)."""
     wanted = _validate_profile_set(n, profile_set)
     _check_budget(k, n, budget)
-    index, mask = list(ProfileKind).index(kind), sum(1 << i for i in wanted)
+    split = _split_length(k, n)
+    letter, _, full = _masks(k, split)
+    family = _KIND_FAMILIES[list(ProfileKind).index(kind)]
+    compiled = _compile(k, n, split, _PATTERNS[family])
+    mask = sum(1 << i for i in wanted)
+    completions = list(itertools.product(range(k), repeat=split))
     kept = []
-
-    def keep(w, used, weight, masks) -> None:
-        if masks[index] == mask:
-            kept.extend(
-                tuple(names[c] for c in w)
-                for names in itertools.permutations(range(k), used)
-            )
-
-    _walk_profiles(k, n, (), keep)
+    for w, used, _ in _walk(k, n - split, ()):
+        part = _parts(w, compiled, letter, full).get(mask, 0)
+        words = [tuple(w) + tail for c, tail in enumerate(completions) if part >> c & 1]
+        for names in itertools.permutations(range(k), used):
+            names += tuple(c for c in range(k) if c not in names)
+            kept += [tuple(names[c] for c in word) for word in words]
     return [Word.of(w, k) for w in sorted(kept)]

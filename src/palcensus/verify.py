@@ -149,10 +149,11 @@ def suite_g_map(k_max: int, n_max: int, budget: int) -> SuiteResult:
 
 def _naive_census(k: int, n: int):
     """Family counts and profile counters of length n from the naive word
-    scans: the second route for the prefix-tree census.
+    scans: the second route for the census engine.
 
     Renaming the letters keeps every border, palindromic prefix and square, so
-    the word scans run on the census's class generator, weighted by class size.
+    the word scans run on the census's class generator, weighted by class
+    size; the engine takes only its blocks from it and walks the rest itself.
     """
     classes: Counter = Counter()
     for w, size in _words_up_to_renaming(k, n):

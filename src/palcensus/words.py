@@ -8,8 +8,8 @@ ground truth for everything built on top of it.
 
 The tuple-level helpers (underscore names) work on bare symbol tuples, so
 the verify suites can run them over every word of a length without building
-a ``Word`` per candidate.  They are the naive route that the prefix-tree
-census and ``word_profile`` are checked against; neither calls them.
+a ``Word`` per candidate.  They are the naive route that the census
+engine and ``word_profile`` are checked against; neither calls them.
 ``word_profile`` finds all four profile sets in one pass over the positions
 that repeat the first letter.
 """

@@ -8,11 +8,17 @@ prefix are A121880.  A252696 is the ternary no-palindromic-prefix count.
 
 import concurrent.futures
 import itertools
+import os
+import signal
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
 
+import palcensus
 from palcensus import census
 from palcensus.census import (
     BudgetExceededError,
@@ -28,6 +34,7 @@ from palcensus.census import (
     census_profile,
     list_profile,
 )
+from palcensus.verify import _naive_census
 from palcensus.words import (
     _even_pp_set,
     _has_pal_prefix,
@@ -44,7 +51,7 @@ C2 = [2, 2, 4, 6, 10, 20, 36, 72, 142, 280, 560, 1114]
 D2 = [0, 2, 4, 10, 20, 44, 88, 182, 364, 738, 1476, 2972]
 A3 = [3, 6, 12, 30, 78, 222, 636, 1878, 5556, 16590]
 
-# the families the prefix-tree walk counts; HAS_SQUARE_PREFIX is a complement
+# the families the census engine counts; HAS_SQUARE_PREFIX is a complement
 WALKED = [family for family in Family if family is not Family.HAS_SQUARE_PREFIX]
 
 # membership by the naive word scans, one word at a time
@@ -72,6 +79,9 @@ EXAMPLE_EVEN_PP_WORDS = [
     "00110000", "00110001", "00110010", "00110011",
     "11001100", "11001101", "11001110", "11001111",
 ]
+
+
+SRC = str(Path(palcensus.__file__).resolve().parent.parent)
 
 
 class TestFamilyCounts:
@@ -134,6 +144,27 @@ class TestFamilyCounts:
             assert census_family(1, n, Family.HAS_SQUARE_PREFIX) == 1
             assert census_family(1, n, Family.MIN_SQUARE) == 0
 
+    def test_unary_words_past_the_recursion_limit(self):
+        # 0**1000 has every border, palindromic prefix and square prefix
+        n = 1000
+        assert [census_family(1, n, family) for family in Family] == [0] * 5 + [1, 0]
+        everything = {
+            ProfileKind.SHORT_BORDERS: range(1, n // 2 + 1),
+            ProfileKind.EVEN_PP_ORDERS: range(1, n // 2 + 1),
+            ProfileKind.ODD_PP_ORDERS: range(1, (n - 1) // 2 + 1),
+        }
+        for kind, full in everything.items():
+            assert census_profile(1, n, kind, set()) == 0
+            assert census_profile(1, n, kind, full) == 1
+            assert [w.symbols for w in list_profile(1, n, kind, full)] == [(0,) * n]
+        for query in (
+            lambda: census_family(1, 1200, Family.UNBORDERED),
+            lambda: census_profile(1, 1200, ProfileKind.SHORT_BORDERS, set()),
+            lambda: list_profile(1, 1200, ProfileKind.SHORT_BORDERS, set()),
+        ):
+            with pytest.raises(ValueError, match="at most 1000, got 1200"):
+                query()
+
     def test_argument_validation(self):
         with pytest.raises(ValueError):
             census_family(0, 3, Family.UNBORDERED)
@@ -150,7 +181,7 @@ class TestFamilyCounts:
         def no_walk(*args):
             raise AssertionError("walked past the budget")
 
-        for name in ("_canonical_blocks", "_family_block", "_walk_profiles"):
+        for name in ("_canonical_blocks", "_family_block", "_walk"):
             monkeypatch.setattr(census, name, no_walk)
         with pytest.raises(BudgetExceededError, match=r"2\*\*27"):
             census_family(2, 27, Family.UNBORDERED)
@@ -226,17 +257,15 @@ PROFILE_SCANS = {
 }
 
 
-def _first_list_mismatch(k, n):
+def _first_list_mismatch(k, n, expected=None):
     """The first (kind, set) whose list_profile differs from the naive filter
-    of all words in lexicographic order, or None."""
-    for kind, scan in PROFILE_SCANS.items():
-        expected = {}
-        for w in itertools.product(range(k), repeat=n):
-            expected.setdefault(scan(w), []).append(w)
+    of all words in lexicographic order (the lists of _naive_lists), or None."""
+    expected = expected or _naive_lists(k, n)
+    for kind in PROFILE_SCANS:
         for size in range(n // 2 + 1):
             for subset in itertools.combinations(range(1, n // 2 + 1), size):
                 listed = [w.symbols for w in list_profile(k, n, kind, subset)]
-                if listed != expected.get(frozenset(subset), []):
+                if listed != expected[kind].get(frozenset(subset), []):
                     return kind, subset
     return None
 
@@ -245,6 +274,15 @@ def _first_list_mismatch(k, n):
 def fresh_memo(monkeypatch):
     monkeypatch.setattr(census, "_family_cache", {})
     monkeypatch.setattr(census, "_profile_cache", {})
+
+
+@pytest.fixture
+def fresh_pool(monkeypatch):
+    """No pool at the start; the one the test starts, if any, is shut down."""
+    monkeypatch.setattr(census, "_pool", None)
+    yield
+    if census._pool is not None:
+        census._pool[1].shutdown()
 
 
 class TestAgainstTheNaiveFilter:
@@ -307,37 +345,85 @@ class TestCanonicalBlocks:
 class TestDeterminism:
     @pytest.mark.parametrize("family", WALKED)
     def test_prefix_partitions_sum_to_the_direct_count(self, family):
-        for k, n in ((2, 9), (3, 5), (2, 3)):
-            direct = _family_block(k, n, family, ())
+        for k, n, split in ((2, 9, 3), (3, 5, 1), (2, 3, 0)):
+            direct = _family_block(k, n, family, split, ())
             for prefix_length in (1, 2, 3):
-                blocks = itertools.product(range(k), repeat=prefix_length)
-                assert sum(_family_block(k, n, family, b) for b in blocks) == direct
+                blocks = _words_up_to_renaming(k, prefix_length)
+                assert sum(
+                    size * _family_block(k, n, family, split, b) for b, size in blocks
+                ) == direct
 
     def test_profile_partitions_sum_to_the_direct_counters(self):
-        for k, n in ((2, 9), (3, 5), (2, 3)):
-            direct = _profile_block(k, n, ())
+        for k, n, split in ((2, 9, 3), (3, 5, 1), (2, 3, 0)):
+            direct = _profile_block(k, n, split, ())
             for prefix_length in (1, 2, 3):
-                total = Counter()
-                for b in itertools.product(range(k), repeat=prefix_length):
-                    total.update(_profile_block(k, n, b))
+                total = (Counter(), Counter(), Counter())
+                for b, size in _words_up_to_renaming(k, prefix_length):
+                    for counter, part in zip(total, _profile_block(k, n, split, b)):
+                        for mask, count in part.items():
+                            counter[mask] += size * count
                 assert total == direct
 
-    def test_worker_pool_matches_direct(self, fresh_memo):
-        sequential = {family: census_family(3, 7, family) for family in Family}
+    def test_worker_pool_matches_direct(self, monkeypatch, fresh_memo, fresh_pool):
+        # (3, 10) decides the last 6 letters at once below the canonical
+        # prefixes of length 4
+        monkeypatch.setattr(census.os, "cpu_count", lambda: 2)
+        sequential = {family: census_family(3, 10, family) for family in Family}
         census._family_cache.clear()
-        pooled = {family: census_family(3, 7, family, jobs=2) for family in Family}
+        pooled = {family: census_family(3, 10, family, jobs=2) for family in Family}
+        assert census._pool is not None
         assert pooled == sequential
 
-    def test_profile_pool_matches_direct(self):
-        from palcensus.census import _profile_cache, _profile_counters
-
-        sequential = _profile_counters(2, 9)
-        _profile_cache.pop((2, 9))
-        assert _profile_counters(2, 9, jobs=2) == sequential
+    def test_profile_pool_matches_direct(self, monkeypatch, fresh_memo, fresh_pool):
+        monkeypatch.setattr(census.os, "cpu_count", lambda: 2)
+        sequential = _profile_counters(2, 15)
+        census._profile_cache.clear()
+        assert _profile_counters(2, 15, jobs=2) == sequential
+        assert census._pool is not None
 
     def test_repeat_calls_are_stable(self):
         first = census_family(3, 7, Family.NO_ODD_PP)
         assert census_family(3, 7, Family.NO_ODD_PP) == first
+
+
+def _naive_lists(k, n):
+    """Per profile kind, {set: the words with it, in lexicographic order}."""
+    lists = {}
+    for kind, scan in PROFILE_SCANS.items():
+        lists[kind] = {}
+        for w in itertools.product(range(k), repeat=n):
+            lists[kind].setdefault(scan(w), []).append(w)
+    return lists
+
+
+class TestSplitPoints:
+    """Every split length L from 0 (the walk reaches the whole word) to n (no
+    walk), so that a pattern's pairs fall inside the prefix, across it and
+    inside the completion, in-process and through the jobs > 1 block path."""
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_counts_match_the_naive_scans(
+        self, monkeypatch, fresh_memo, fresh_pool, k, jobs
+    ):
+        monkeypatch.setattr(census.os, "cpu_count", lambda: 2)
+        for n in range(1, 9):
+            families, profiles = _naive_census(k, n)
+            for split in range(n + 1):
+                monkeypatch.setattr(census, "_split_length", lambda k, n, s=split: s)
+                census._family_cache.clear()
+                census._profile_cache.clear()
+                for family in Family:
+                    got = census_family(k, n, family, jobs=jobs)
+                    assert got == families[family], (n, split, family)
+                assert _profile_counters(k, n, jobs=jobs) == profiles, (n, split)
+
+    @pytest.mark.parametrize("k,n", [(1, 6), (2, 8), (3, 6), (4, 5)])
+    def test_lists_match_the_naive_filter(self, monkeypatch, k, n):
+        expected = _naive_lists(k, n)
+        for split in range(n + 1):
+            monkeypatch.setattr(census, "_split_length", lambda k, n, s=split: s)
+            assert _first_list_mismatch(k, n, expected) is None, split
 
 
 class TestComplementReuse:
@@ -380,26 +466,77 @@ class TestJobs:
             (16, 16, 2, [2]),  # one worker per block: 00 and 01 at k=2
         ],
     )
-    def test_pool_is_clamped(self, monkeypatch, fresh_memo, jobs, cpus, n, sizes):
-        created = []
-
-        class FakePool:
-            """Records its size and runs the blocks in-process."""
-
-            def __init__(self, max_workers):
-                created.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc_info):
-                return False
-
-            def map(self, worker, *argument_lists):
-                return map(worker, *argument_lists)
-
-        # _map_blocks imports the pool class when it starts one
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
+    def test_pool_is_clamped(self, monkeypatch, fresh_memo, fresh_pool, jobs, cpus, n, sizes):
+        started = _fake_pool(monkeypatch)
         monkeypatch.setattr(census.os, "cpu_count", lambda: cpus)
         assert census_family(2, n, Family.UNBORDERED, jobs=jobs) == U2[n - 1]
-        assert created == sizes
+        assert [pool.size for pool in started] == sizes
+
+    def test_one_pool_serves_every_call(self, monkeypatch, fresh_memo, fresh_pool):
+        started = _fake_pool(monkeypatch)
+        monkeypatch.setattr(census.os, "cpu_count", lambda: 8)
+        census_family(3, 10, Family.UNBORDERED, jobs=2)
+        census_family(3, 10, Family.NO_ODD_PP, jobs=2)
+        _profile_counters(3, 10, jobs=2)
+        census_family(3, 9, Family.MIN_SQUARE, jobs=2)
+        assert [pool.size for pool in started] == [2]
+        # one block runs in-process; more jobs start a larger pool, which
+        # serves fewer blocks until a call asks for fewer jobs than it has
+        census_family(3, 1, Family.UNBORDERED, jobs=2)
+        census_family(3, 11, Family.UNBORDERED, jobs=4)
+        census_family(3, 10, Family.NO_EVEN_PP, jobs=4)
+        assert [pool.size for pool in started] == [2, 4]
+        census_family(3, 10, Family.NO_PAL_PREFIX, jobs=3)
+        assert [(pool.size, pool.down) for pool in started] == [
+            (2, True), (4, True), (3, False)
+        ]
+
+    def test_a_broken_pool_is_replaced(self, monkeypatch, fresh_memo, fresh_pool):
+        monkeypatch.setattr(census.os, "cpu_count", lambda: 2)
+        census_family(3, 10, Family.UNBORDERED, jobs=2)
+        os.kill(next(iter(census._pool[1]._processes)), signal.SIGKILL)
+        with pytest.raises(concurrent.futures.BrokenExecutor):
+            census_family(3, 10, Family.NO_EVEN_PP, jobs=2)
+        assert census._pool is None
+        # at even n the no-odd-pp count is k * u(n - 1), and u(9) = 11034 at k=3
+        assert census_family(3, 10, Family.NO_ODD_PP, jobs=2) == 3 * 11034
+
+    def test_no_worker_outlives_the_process(self):
+        code = (
+            "from palcensus import census\n"
+            "census.os.cpu_count = lambda: 2\n"
+            "census.census_family(3, 10, census.Family.UNBORDERED, jobs=2)\n"
+            "print(*census._pool[1]._processes)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=SRC)
+        done = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=env,
+            timeout=60, check=True,
+        )
+        assert done.stderr == ""
+        pids = [int(pid) for pid in done.stdout.split()]
+        assert len(pids) == 2
+        for pid in pids:
+            with pytest.raises(ProcessLookupError):
+                os.kill(pid, 0)
+
+
+def _fake_pool(monkeypatch) -> list:
+    """Replace the process pool with one that runs the blocks in-process;
+    returns the list of the pools started, in order."""
+    started = []
+
+    class FakePool:
+        def __init__(self, max_workers):
+            self.size, self.down = max_workers, False
+            started.append(self)
+
+        def map(self, worker, *argument_lists):
+            return map(worker, *argument_lists)
+
+        def shutdown(self):
+            self.down = True
+
+    # _census imports the pool class when it starts one
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
+    return started

@@ -104,6 +104,7 @@ class TestCount:
             raise AssertionError("walked past the budget")
 
         monkeypatch.setattr(census, "_family_block", no_walk)
+        monkeypatch.setattr(census, "_walk", no_walk)
         code, out, err = run(
             capsys, "count", "--k", "2", "--n-min", "27", "--n-max", "28",
             "--family", "unbordered", "--method", "brute",
@@ -111,6 +112,27 @@ class TestCount:
         assert code == 2
         assert out == ""
         assert "2**27" in err
+
+    def test_unary_length_past_the_recursion_limit(self, capsys):
+        # one word per length, walked without recursion: 1000 letters are
+        # past what a walk recursing once per letter reaches under Python's
+        # default recursion limit
+        code, out, err = run(
+            capsys, "count", "--k", "1", "--n-min", "1000", "--n-max", "1000",
+            "--family", "unbordered", "--method", "brute",
+        )
+        assert (code, out, err) == (0, "1000\t0\n", "")
+
+    @pytest.mark.parametrize("command", [
+        ["count", "--n-min", "1200", "--n-max", "1200", "--family", "unbordered",
+         "--method", "brute"],
+        ["profile", "--n", "1200", "--kind", "borders", "--set", ""],
+    ])
+    def test_unary_length_cap_is_a_usage_error(self, capsys, command):
+        # the budget of 1**n words cannot bound a unary census
+        code, out, err = run(capsys, command[0], "--k", "1", *command[1:])
+        assert (code, out) == (2, "")
+        assert err == "error: unary census lengths must be at most 1000, got 1200\n"
 
     def test_invalid_family_is_a_usage_error(self, capsys):
         with pytest.raises(SystemExit) as outcome:

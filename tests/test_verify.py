@@ -21,48 +21,53 @@ def test_counts_suite_passes():
 @pytest.mark.parametrize(
     "family,planted",
     [
-        # even palindromic prefixes tested from length 4: 00... survives
+        # even palindromic prefixes forbidden from length 4: 00... survives
         pytest.param(
-            Family.NO_EVEN_PP, (census._palindrome_letter, 4, 2, None),
+            Family.NO_EVEN_PP,
+            lambda n: [census._palindrome(2 * i) for i in range(2, n // 2 + 1)],
             id="no-even-pp",
         ),
-        # square prefixes of minimal-square roots tested from length 4; no
+        # square prefixes of minimal-square roots forbidden from length 4; no
         # recurrence backs min-square, only the naive filter can see this
         pytest.param(
             Family.MIN_SQUARE,
-            (census._square_letter, 4, 2, census._straddling_letters),
+            lambda n: [census._square(n, j) for j in range(2, n)],
             id="min-square",
         ),
     ],
 )
 def test_counts_suite_catches_an_off_by_one_prune(monkeypatch, family, planted):
     monkeypatch.setattr(census, "_family_cache", {})
-    monkeypatch.setitem(census._PRUNED_FAMILIES, family, planted)
+    monkeypatch.setitem(census._PATTERNS, family, planted)
     result = suite_counts(3, 7, DEFAULT_BUDGET)
     assert not result.passed
     assert result.failures[0].startswith(f"{family.value} mismatch at k=2")
     assert "naive filter" in result.failures[0]
 
 
-def _walk_levels_planted(k, n, prefix, *, new_weight=True, past_k=False):
-    # the walk's letter choices with one part changed: new_weight=False
-    # weights the first unused letter 1, not k - used; past_k=True still
-    # offers a letter once all k are used, weighted 1 and keeping used at k
-    # (at its true weight k - k = 0 the extra letter would count nothing)
-    names = {}
-    levels = []
-    for c in prefix:
-        c = names.setdefault(c, len(names))
-        levels.append([[(c, 1, len(names))]] * (k + 1))
-    branches = []
-    for used in range(k + 1):
-        letters = [(c, 1, used) for c in range(used)]
-        if used < k:
-            letters.append((used, k - used if new_weight else 1, used + 1))
-        elif past_k:
-            letters.append((used, 1, used))
-        branches.append(letters)
-    return levels + [branches] * (n - len(prefix))
+def _walk_planted(k, length, prefix, dead=None, *, new_weight=True, past_k=False):
+    # the prefix walk with one part changed: new_weight=False weights the
+    # first unused letter 1, not k - used; past_k=True still offers a letter
+    # once all k are used, weighted 1 and keeping used at k (at its true
+    # weight k - k = 0 the extra letter would count nothing)
+    w = list(prefix) + [0] * (length - len(prefix))
+    if dead is not None and any(dead(m, w) for m in range(1, len(prefix) + 1)):
+        return
+    stack = [(len(prefix), None, len(set(prefix)), 1)]
+    while stack:
+        m, c, used, weight = stack.pop()
+        if c is not None:
+            w[m - 1] = c
+            if dead is not None and dead(m, w):
+                continue
+        if m == length:
+            yield w, used, weight
+            continue
+        top = used + 1 if past_k else min(used + 1, k)
+        for c in range(top - 1, -1, -1):
+            grown = c == used < k
+            factor = k - used if grown and new_weight else 1
+            stack.append((m + 1, c, used + grown, weight * factor))
 
 
 def _canonical_blocks_planted(k, n, workers, *, weight=math.perm):
@@ -76,29 +81,68 @@ def _canonical_blocks_planted(k, n, workers, *, weight=math.perm):
     return [(w, weight(k, len(set(w)))) for w in prefixes]
 
 
+def _dead_at(lengths):
+    return lambda m, w: m in lengths and w[0] == w[m - 1]
+
+
 def test_planted_renaming_walk_without_a_change_is_the_walk():
     for k in range(1, 6):
         for n in range(0, 6):
-            for prefix in ((), (0,), (3, 3, 1), (2, 0, 2, 1, 4)):
-                assert _walk_levels_planted(k, n, prefix) == census._walk_levels(
-                    k, n, prefix
-                )
+            for prefix in ((), (0,), (0, 0, 1), (0, 1, 0, 2, 1)):
+                if len(prefix) > n or max(prefix, default=0) >= k:
+                    continue
+                for dead in (None, _dead_at({2}), _dead_at({3, 5})):
+                    walks = [
+                        [(tuple(w), used, weight) for w, used, weight in walk(
+                            k, n, prefix, dead
+                        )]
+                        for walk in (_walk_planted, census._walk)
+                    ]
+                    assert walks[0] == walks[1]
             for workers in (1, 2, 8):
                 assert _canonical_blocks_planted(k, n, workers) == (
                     census._canonical_blocks(k, n, workers)
                 )
 
 
+_honest_masks = census._masks
+
+
+def _masks_with_a_wrong_bit(k, split):
+    # the completion masks with one bit set in the first letter's mask for
+    # 0: that of the last completion, which spells k-1 at every place
+    letter, pair, full = _honest_masks(k, split)
+    if split:
+        letter = [row[:] for row in letter]
+        letter[0][0] ^= 1 << k ** split - 1
+    return letter, pair, full
+
+
+def test_planted_masks_differ_in_one_bit():
+    for k in (2, 3):
+        for split in range(1, 7):
+            honest, pair, full = _honest_masks(k, split)
+            planted, planted_pair, planted_full = _masks_with_a_wrong_bit(k, split)
+            assert (planted_pair, planted_full) == (pair, full)
+            flipped = [
+                (q, x, (a ^ b).bit_count())
+                for q, (row, other) in enumerate(zip(honest, planted))
+                for x, (a, b) in enumerate(zip(row, other))
+                if a != b
+            ]
+            assert flipped == [(0, 0, 1)]
+
+
 @pytest.mark.parametrize(
     "name,planted,unchanged,failure",
     [
         pytest.param(
-            "_walk_levels",
-            lambda k, n, prefix: _walk_levels_planted(k, n, prefix, new_weight=False),
-            _walk_levels_planted,
+            "_walk",
+            lambda *args: _walk_planted(*args, new_weight=False),
+            _walk_planted,
             # at k=2 the new letter weighs k - 1 = 1 everywhere below the root;
-            # at k=3, n=3 the five blocks pin every letter, so n=4 is the first
-            "borders profile census mismatch at k=3, n=4",
+            # at k=3, n=4 the walk adds one letter below the five blocks
+            "unbordered mismatch at k=3, n=4: census 45, naive filter 48",
             id="new-letter-weighted-one",
         ),
         pytest.param(
@@ -109,21 +153,29 @@ def test_planted_renaming_walk_without_a_change_is_the_walk():
             id="blocks-weighted-k-to-the-d",
         ),
         pytest.param(
-            "_walk_levels",
-            lambda k, n, prefix: _walk_levels_planted(k, n, prefix, past_k=True),
-            _walk_levels_planted,
-            # at n=3 the four binary blocks pin every letter
-            "borders profile census mismatch at k=2, n=4",
+            "_walk",
+            lambda *args: _walk_planted(*args, past_k=True),
+            _walk_planted,
+            # at n=4 the walk adds one letter below the four binary blocks
+            "unbordered mismatch at k=2, n=4: census 12, naive filter 6",
             id="new-letter-past-k",
+        ),
+        pytest.param(
+            "_masks",
+            _masks_with_a_wrong_bit,
+            _honest_masks,
+            # n=5 is the first length that decides a letter from the masks
+            "unbordered mismatch at k=2, n=5: census 0, naive filter 12",
+            id="mask-table-one-wrong-bit",
         ),
     ],
 )
 def test_counts_suite_catches_a_planted_renaming_bug(
     monkeypatch, name, planted, unchanged, failure
 ):
-    # the naive route calls the class generator, not the census blocks or
-    # walk, so only the census sees the plant; the unbordered recurrence is
-    # checked against the census once, by the unchanged run
+    # the naive route calls the class generator, not the census blocks,
+    # walk or masks, so only the census sees the plant; the unbordered
+    # recurrence is checked against the census once, by the unchanged run
     monkeypatch.setattr(recurrences, "_validated_alphabets", set())
     monkeypatch.setattr(census, name, unchanged)
     monkeypatch.setattr(census, "_family_cache", {})
