@@ -12,9 +12,13 @@ below a prefix that holds a forbidden pattern, and decides the k**L
 completions of each prefix at once as the bits of one integer: a pattern is
 the AND of letter and pair-equality masks cached per (k, L).  The budget
 still counts all k**n words (or roots).  The naive scans of the words module
-are the independent route, checked by verify and the tests.  Blocks of words
-below canonical prefixes may be counted on one process pool per process,
-with identical results; completed counts are memoised per process.
+are the independent route, checked by verify and the tests.  The walk is cut
+into blocks below canonical prefixes.  A census whose work (the completions
+its canonical prefixes decide) is below a measured cutoff counts a few
+blocks in-process whatever jobs is (so does every family census the
+default budget admits); a larger one with jobs > 1 hands about 64 blocks per
+worker, one at a time, to the process's one pool, with identical results.
+Completed counts are memoised per process.
 """
 
 from __future__ import annotations
@@ -36,6 +40,22 @@ _MASK_BITS = 1 << 12
 # letters always walked: from length 5 on, an in-process census walks below
 # its blocks (of 3 letters) before the masks take over, so verify sees both
 _MIN_WALK = 4
+# a census runs in-process, whatever jobs is, while its work is below this:
+# its canonical prefixes of length n - L times the k**L completions each
+# decides, times _PROFILE_COST for a profile, whose prefixes cost about 8
+# times as much.  On a 2-CPU box the pool, its start included, broke even
+# at work 2**26 (binary n = 27, ternary n = 18) for unbordered and lost for
+# the pruned no-square-prefix; it paid from binary n = 28 for families and
+# n = 25 for profiles.  A family the default budget admits has work at most
+# k**n / k <= 2**25.
+_POOL_MIN_WORK = 1 << 27
+_PROFILE_COST = 8
+# the fewest canonical blocks of an in-process census, so that verify checks
+# the blocks a pool counts; a pool gets _BLOCKS_PER_WORKER per worker, each
+# handed to the next worker that frees up, so pruning leaves none the larger
+# share
+_MIN_BLOCKS = 4
+_BLOCKS_PER_WORKER = 64
 # one letter has one word of each length, which the budget cannot bound
 MAX_UNARY_LENGTH = 1000
 
@@ -105,15 +125,24 @@ def _words_up_to_renaming(k: int, n: int):
                 stack.append((w + (a,), max(used, a + 1)))
 
 
-def _canonical_blocks(k: int, n: int, workers: int) -> list:
+def _canonical_blocks(k: int, n: int, count: int) -> list:
     """The canonical prefixes, with their class sizes, of the shortest length
-    up to n that has at least 4 * workers of them; k = 1 has one per length."""
+    up to n that has at least count of them; k = 1 has one per length."""
     length = 0
     blocks = [((), 1)]
-    while k > 1 and length < n and len(blocks) < 4 * workers:
+    while k > 1 and length < n and len(blocks) < count:
         length += 1
         blocks = list(_words_up_to_renaming(k, length))
     return blocks
+
+
+def _canonical_count(k: int, n: int) -> int:
+    """The number of canonical words of length n (counts[d] those with d
+    letters)."""
+    counts = [1] + [0] * k
+    for _ in range(n):
+        counts = [0] + [d * counts[d] + counts[d - 1] for d in range(1, k + 1)]
+    return sum(counts)
 
 
 def _split_length(k: int, n: int) -> int:
@@ -124,6 +153,20 @@ def _split_length(k: int, n: int) -> int:
     while split < n - _MIN_WALK and max(k, 2) ** (split + 1) <= _MASK_BITS:
         split += 1
     return split
+
+
+def _plan(k: int, n: int, workers: int, cost: int = 1) -> tuple[int, list, int]:
+    """(split, blocks, processes) for a census on up to workers processes:
+    _MIN_BLOCKS canonical blocks in-process (processes 1) when one worker is
+    asked for or the work, cost times k**split per canonical prefix of
+    length n - split, is below _POOL_MIN_WORK; else _BLOCKS_PER_WORKER per
+    worker on as many workers as there are blocks, up to workers."""
+    split = _split_length(k, n)
+    stop = n - split
+    if workers > 1 and cost * _canonical_count(k, stop) * k ** split >= _POOL_MIN_WORK:
+        blocks = _canonical_blocks(k, stop, _BLOCKS_PER_WORKER * workers)
+        return split, blocks, min(workers, len(blocks))
+    return split, _canonical_blocks(k, stop, _MIN_BLOCKS), 1
 
 
 # ---------------------------------------------------------------------------
@@ -311,17 +354,18 @@ def _close_pool() -> None:
         _pool = None
 
 
-def _census(worker, k: int, n: int, arguments: tuple, jobs: int) -> list:
-    """(class size, worker(k, n, *arguments, split, block)) per canonical
-    block, in-process or on the process's one pool: started with one process
+def _census(
+    worker, k: int, n: int, arguments: tuple, jobs: int, cost: int = 1
+) -> list:
+    """(class size, worker(k, n, *arguments, split, block)) per block of
+    _plan, in-process or on the process's one pool: started with one process
     per block up to min(jobs, CPUs), kept while it has enough of them and no
-    more, and shut down, its processes joined, when the interpreter exits."""
+    more, handing each block to the next free worker, and shut down, its
+    processes joined, when the interpreter exits."""
     global _pool
-    split = _split_length(k, n)
     workers = min(jobs, os.cpu_count() or 1)
-    blocks = _canonical_blocks(k, n - split, workers)
+    split, blocks, needed = _plan(k, n, workers, cost)
     calls = [(k, n, *arguments, split, block) for block, _ in blocks]
-    needed = min(workers, len(calls))
     if needed < 2:
         parts = [worker(*args) for args in calls]
     else:
@@ -383,7 +427,7 @@ def _profile_counters(
     if (k, n) not in _profile_cache:
         _check_budget(k, n, budget)
         result = (Counter(), Counter(), Counter())
-        for size, part in _census(_profile_block, k, n, (), jobs):
+        for size, part in _census(_profile_block, k, n, (), jobs, _PROFILE_COST):
             for counter, masks in zip(result, part):
                 for mask, count in masks.items():
                     counter[_mask_set(mask)] += size * count

@@ -23,9 +23,8 @@ from .census import DEFAULT_BUDGET, BudgetExceededError, Family, ProfileKind
 # import verify (a test keeps the two equal)
 SUITE_NAMES = ("bijection", "g-map", "counts", "recurrences", "constants", "lemmas")
 
-# shuffle-order caps, measured to keep a request under 0.5 s on a 2-CPU box:
-# worst --n (2n-1, n-1 prime) 0.25 s, --n-max 0.45 s, --check 0.45 s and 57 MB
-MAX_SHUFFLE_N = 10**12
+# shuffle-order caps beside the library's --n cap, measured to keep a
+# request under 0.5 s on a 2-CPU box: --n-max 0.45 s, --check 0.45 s and 57 MB
 MAX_SHUFFLE_RANGE = 20_000
 MAX_CHECK_POSITIONS = 500_000
 
@@ -187,7 +186,12 @@ def _cmd_constants(args) -> int:
 
 
 def _cmd_shuffle_order(args) -> int:
-    from .maps import milk_shuffle_order, milk_shuffle_permutation, permutation_order
+    from .maps import (
+        MAX_SHUFFLE_N,
+        milk_shuffle_order,
+        milk_shuffle_permutation,
+        permutation_order,
+    )
 
     single = args.n is not None
     top, cap = (args.n, MAX_SHUFFLE_N) if single else (args.n_max, MAX_SHUFFLE_RANGE)
@@ -245,7 +249,8 @@ def _add_budget_options(parser, jobs: bool = True, cache: bool = False) -> None:
     if jobs:
         parser.add_argument(
             "--jobs", type=int, default=1,
-            help="worker processes for the census, at most one per CPU "
+            help="worker processes, at most one per CPU, for a census large "
+            "enough to repay their start; smaller ones run in-process "
             "(results are identical)",
         )
     if cache:
@@ -349,7 +354,9 @@ def _build_parser() -> argparse.ArgumentParser:
         "shuffle-order", help="order of the milk-shuffle permutation"
     )
     group = shuffle.add_mutually_exclusive_group(required=True)
-    group.add_argument("--n", type=int, help=f"2 <= N <= {MAX_SHUFFLE_N}")
+    # maps.MAX_SHUFFLE_N, spelled out so that the parser need not import maps
+    # (a test keeps the two equal)
+    group.add_argument("--n", type=int, help="2 <= N <= 1000000000000")
     group.add_argument("--n-max", type=int, help=f"2 <= N_MAX <= {MAX_SHUFFLE_RANGE}")
     shuffle.add_argument(
         "--check", action="store_true",

@@ -15,6 +15,11 @@ import math
 
 from .words import Word, _Record, _shuffle, _unshuffle
 
+# milk_shuffle_order's largest n: up to it the two trial divisions take at
+# most 0.25 s on a 2-CPU x86-64 box (2n-1 and n-1 prime); past it they can
+# run for seconds to minutes (n = 2**57 + 1 took 7 s)
+MAX_SHUFFLE_N = 10**12
+
 
 def _milk_shuffle(w: tuple[int, ...]) -> tuple[int, ...]:
     n = len(w)
@@ -128,11 +133,13 @@ def milk_shuffle_order(n: int) -> int:
 
     Computed from the factorisation of M = 2n-1: Euler's phi(M) loses each
     prime p while 2**(order/p) is still 1 mod M, and the order of 2 left is
-    halved when 2**(order/2) is -1.  Two trial divisions up to about sqrt(2n)
-    take under 0.2 s on a 2-CPU x86-64 box below the CLI's cap n <= 10**12.
+    halved when 2**(order/2) is -1.  The two trial divisions run up to about
+    sqrt(2n), so n must be at most MAX_SHUFFLE_N.
     """
     if n < 2:
         raise ValueError(f"milk shuffle order characterisation needs n >= 2, got {n}")
+    if n > MAX_SHUFFLE_N:
+        raise ValueError(f"milk shuffle order needs n <= {MAX_SHUFFLE_N}, got {n}")
     modulus = 2 * n - 1
     order = modulus
     for p in _prime_factors(modulus):

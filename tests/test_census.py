@@ -12,6 +12,7 @@ import os
 import signal
 import subprocess
 import sys
+import time
 from collections import Counter
 from pathlib import Path
 from types import SimpleNamespace
@@ -21,12 +22,15 @@ import pytest
 import palcensus
 from palcensus import census
 from palcensus.census import (
+    DEFAULT_BUDGET,
     BudgetExceededError,
     Family,
     ProfileKind,
     _canonical_blocks,
+    _canonical_count,
     _family_block,
     _iter_words,
+    _plan,
     _profile_block,
     _profile_counters,
     _words_up_to_renaming,
@@ -277,9 +281,11 @@ def fresh_memo(monkeypatch):
 
 
 @pytest.fixture
-def fresh_pool(monkeypatch):
-    """No pool at the start; the one the test starts, if any, is shut down."""
+def forced_pool(monkeypatch):
+    """No pool at the start, and a census of any size fans out when it has
+    two workers and two blocks; the pool the test starts is shut down."""
     monkeypatch.setattr(census, "_pool", None)
+    monkeypatch.setattr(census, "_POOL_MIN_WORK", 0)
     yield
     if census._pool is not None:
         census._pool[1].shutdown()
@@ -319,23 +325,41 @@ class TestCanonicalBlocks:
             )
             assert blocks == classes
 
-    def test_block_length_follows_the_workers(self):
-        assert [b for b, _ in _canonical_blocks(2, 10, 1)] == [
+    def test_block_length_follows_the_workers(self, monkeypatch):
+        assert [b for b, _ in _canonical_blocks(2, 10, 4)] == [
             (0, 0, 0), (0, 0, 1), (0, 1, 0), (0, 1, 1)
         ]
-        assert [b for b, _ in _canonical_blocks(3, 10, 1)] == [
+        assert [b for b, _ in _canonical_blocks(3, 10, 4)] == [
             (0, 0, 0), (0, 0, 1), (0, 1, 0), (0, 1, 1), (0, 1, 2)
         ]
-        assert [b for b, _ in _canonical_blocks(2, 10, 2)] == [
+        assert [b for b, _ in _canonical_blocks(2, 10, 8)] == [
             (0,) + w for w in itertools.product(range(2), repeat=3)
         ]
-        assert _canonical_blocks(4, 1, 8) == [((0,), 4)]
+        assert _canonical_blocks(4, 1, 32) == [((0,), 4)]
+        # in-process at least 4 blocks, on the pool 64 per worker: 2**(m-1)
+        # binary classes of length m; 122 ternary ones of length 6 are too
+        # few for two workers, 365 of length 7 enough
+        monkeypatch.setattr(census, "_POOL_MIN_WORK", 0)
+        for k, n, workers, length, count in (
+            (2, 20, 1, 3, 4), (2, 20, 2, 8, 128), (3, 20, 1, 3, 5), (3, 20, 2, 7, 365)
+        ):
+            _, blocks, processes = _plan(k, n, workers)
+            assert (len(blocks), processes) == (count, workers), (k, workers)
+            assert {len(b) for b, _ in blocks} == {length}
         # one letter has one canonical prefix of each length: no split
         assert _canonical_blocks(1, 10, 8) == [((), 1)]
 
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+    def test_class_counts(self, k):
+        for length in range(0, 9):
+            assert _canonical_count(k, length) == len(
+                list(_words_up_to_renaming(k, length))
+            )
+
     @pytest.mark.parametrize("k,n", [(3, 10), (4, 8)])
     def test_no_block_holds_more_than_a_quarter_of_the_walk(self, k, n):
-        blocks = _canonical_blocks(k, n, 2)
+        # the blocks of a pool of two workers
+        blocks = _canonical_blocks(k, n, 2 * census._BLOCKS_PER_WORKER)
         length = len(blocks[0][0])
         sizes = Counter(w[:length] for w, _ in _words_up_to_renaming(k, n))
         assert list(sizes) == [b for b, _ in blocks]
@@ -364,7 +388,7 @@ class TestDeterminism:
                             counter[mask] += size * count
                 assert total == direct
 
-    def test_worker_pool_matches_direct(self, monkeypatch, fresh_memo, fresh_pool):
+    def test_worker_pool_matches_direct(self, monkeypatch, fresh_memo, forced_pool):
         # (3, 10) decides the last 6 letters at once below the canonical
         # prefixes of length 4
         monkeypatch.setattr(census.os, "cpu_count", lambda: 2)
@@ -374,7 +398,7 @@ class TestDeterminism:
         assert census._pool is not None
         assert pooled == sequential
 
-    def test_profile_pool_matches_direct(self, monkeypatch, fresh_memo, fresh_pool):
+    def test_profile_pool_matches_direct(self, monkeypatch, fresh_memo, forced_pool):
         monkeypatch.setattr(census.os, "cpu_count", lambda: 2)
         sequential = _profile_counters(2, 15)
         census._profile_cache.clear()
@@ -396,27 +420,59 @@ def _naive_lists(k, n):
     return lists
 
 
+def _first_split_mismatch(monkeypatch, k, jobs):
+    """The first (n, split, family or "profile") up to n = 8 whose census
+    with the last split letters decided at once differs from the naive
+    scans, or None."""
+    for n in range(1, 9):
+        families, profiles = _naive_census(k, n)
+        for split in range(n + 1):
+            monkeypatch.setattr(census, "_split_length", lambda k, n, s=split: s)
+            census._family_cache.clear()
+            census._profile_cache.clear()
+            for family in Family:
+                if census_family(k, n, family, jobs=jobs) != families[family]:
+                    return n, split, family
+            if _profile_counters(k, n, jobs=jobs) != profiles:
+                return n, split, "profile"
+    return None
+
+
 class TestSplitPoints:
     """Every split length L from 0 (the walk reaches the whole word) to n (no
     walk), so that a pattern's pairs fall inside the prefix, across it and
-    inside the completion, in-process and through the jobs > 1 block path."""
+    inside the completion, in-process and, with the pool forced at these
+    small sizes, through the jobs > 1 block path."""
 
     @pytest.mark.parametrize("jobs", [1, 2])
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
     def test_counts_match_the_naive_scans(
-        self, monkeypatch, fresh_memo, fresh_pool, k, jobs
+        self, monkeypatch, fresh_memo, forced_pool, k, jobs
     ):
         monkeypatch.setattr(census.os, "cpu_count", lambda: 2)
-        for n in range(1, 9):
-            families, profiles = _naive_census(k, n)
-            for split in range(n + 1):
-                monkeypatch.setattr(census, "_split_length", lambda k, n, s=split: s)
-                census._family_cache.clear()
-                census._profile_cache.clear()
-                for family in Family:
-                    got = census_family(k, n, family, jobs=jobs)
-                    assert got == families[family], (n, split, family)
-                assert _profile_counters(k, n, jobs=jobs) == profiles, (n, split)
+        assert _first_split_mismatch(monkeypatch, k, jobs) is None
+        # one letter has one block per length, so it never fans out
+        assert (census._pool is not None) == (jobs == 2 and k > 1)
+
+    @pytest.mark.parametrize("planted", ["dropped last block", "wrong class size"])
+    def test_a_planted_bug_in_the_pooled_blocks_fails(
+        self, monkeypatch, fresh_memo, forced_pool, planted
+    ):
+        monkeypatch.setattr(census.os, "cpu_count", lambda: 2)
+        blocks = census._canonical_blocks
+
+        def planted_blocks(k, n, count):
+            found = blocks(k, n, count)
+            if len(found) < 3:  # one block left would run in-process
+                return found
+            if planted == "dropped last block":
+                return found[:-1]
+            prefix, size = found[-1]
+            return found[:-1] + [(prefix, size + 1)]
+
+        monkeypatch.setattr(census, "_canonical_blocks", planted_blocks)
+        assert _first_split_mismatch(monkeypatch, 3, 2) is not None
+        assert census._pool is not None
 
     @pytest.mark.parametrize("k,n", [(1, 6), (2, 8), (3, 6), (4, 5)])
     def test_lists_match_the_naive_filter(self, monkeypatch, k, n):
@@ -466,13 +522,20 @@ class TestJobs:
             (16, 16, 2, [2]),  # one worker per block: 00 and 01 at k=2
         ],
     )
-    def test_pool_is_clamped(self, monkeypatch, fresh_memo, fresh_pool, jobs, cpus, n, sizes):
+    def test_pool_is_clamped(
+        self, monkeypatch, fresh_memo, forced_pool, jobs, cpus, n, sizes
+    ):
         started = _fake_pool(monkeypatch)
         monkeypatch.setattr(census.os, "cpu_count", lambda: cpus)
         assert census_family(2, n, Family.UNBORDERED, jobs=jobs) == U2[n - 1]
         assert [pool.size for pool in started] == sizes
+        # 64 blocks per worker are more than the canonical prefixes the walk
+        # reaches here (8 of length 4 at n=10, 2 of length 2 at n=2), so
+        # each of them is a block
+        stop = n - census._split_length(2, n)
+        assert [len(pool.blocks) for pool in started] == [2 ** (stop - 1)] * len(sizes)
 
-    def test_one_pool_serves_every_call(self, monkeypatch, fresh_memo, fresh_pool):
+    def test_one_pool_serves_every_call(self, monkeypatch, fresh_memo, forced_pool):
         started = _fake_pool(monkeypatch)
         monkeypatch.setattr(census.os, "cpu_count", lambda: 8)
         census_family(3, 10, Family.UNBORDERED, jobs=2)
@@ -491,10 +554,15 @@ class TestJobs:
             (2, True), (4, True), (3, False)
         ]
 
-    def test_a_broken_pool_is_replaced(self, monkeypatch, fresh_memo, fresh_pool):
+    def test_a_broken_pool_is_replaced(self, monkeypatch, fresh_memo, forced_pool):
         monkeypatch.setattr(census.os, "cpu_count", lambda: 2)
         census_family(3, 10, Family.UNBORDERED, jobs=2)
         os.kill(next(iter(census._pool[1]._processes)), signal.SIGKILL)
+        # wait until the pool has seen the death, or the other worker could
+        # count every block of the next census first
+        deadline = time.monotonic() + 30
+        while not census._pool[1]._broken and time.monotonic() < deadline:
+            time.sleep(0.01)
         with pytest.raises(concurrent.futures.BrokenExecutor):
             census_family(3, 10, Family.NO_EVEN_PP, jobs=2)
         assert census._pool is None
@@ -505,6 +573,7 @@ class TestJobs:
         code = (
             "from palcensus import census\n"
             "census.os.cpu_count = lambda: 2\n"
+            "census._POOL_MIN_WORK = 0\n"
             "census.census_family(3, 10, census.Family.UNBORDERED, jobs=2)\n"
             "print(*census._pool[1]._processes)\n"
         )
@@ -521,17 +590,70 @@ class TestJobs:
                 os.kill(pid, 0)
 
 
+class TestRoute:
+    """Which censuses fan out, decided by counts the code computes, whatever
+    the clock says."""
+
+    def test_small_censuses_start_no_pool(self, monkeypatch, fresh_memo):
+        monkeypatch.setattr(census, "_pool", None)
+        started = _fake_pool(monkeypatch)
+        monkeypatch.setattr(census.os, "cpu_count", lambda: 2)
+        census_family(2, 19, Family.UNBORDERED, jobs=2)
+        census_family(2, 19, Family.NO_SQUARE_PREFIX, jobs=2)
+        _profile_counters(2, 16, jobs=2)
+        assert started == []
+        assert _plan(2, 19, 2) == (12, _canonical_blocks(2, 7, 4), 1)
+
+    def test_no_family_in_the_default_budget_fans_out(self):
+        # the work is at most k**n / k, under the cutoff for every k
+        for k in range(2, 65):
+            n = 1
+            while k ** n <= DEFAULT_BUDGET:
+                assert _plan(k, n, 64)[2] == 1, (k, n)
+                n += 1
+
+    def test_profiles_fan_out_from_binary_length_25(self):
+        cost = census._PROFILE_COST
+        assert _plan(2, 24, 2, cost)[2] == 1
+        _, blocks, processes = _plan(2, 25, 2, cost)
+        assert (len(blocks), processes) == (128, 2)
+        assert _plan(3, 16, 2, cost)[2] == 1
+        assert _plan(3, 17, 2, cost)[2] == 2
+
+    @pytest.mark.parametrize("workers,blocks", [(1, 4), (2, 128), (3, 256), (8, 512)])
+    def test_large_censuses_get_64_blocks_per_worker(self, workers, blocks):
+        # binary n = 28 walks canonical prefixes of length 16; one process
+        # takes 4 of length 3, and 64 * workers first occur at length 8, 9,
+        # 10 and 10
+        split, found, processes = _plan(2, 28, workers)
+        assert (split, len(found), processes) == (12, blocks, workers)
+        assert sum(size for _, size in found) == 2 ** len(found[0][0])
+
+    def test_a_large_census_hands_every_block_to_the_pool(
+        self, monkeypatch, fresh_memo
+    ):
+        # each block is one task, counted on the fake pool by a stub worker
+        monkeypatch.setattr(census, "_pool", None)
+        started = _fake_pool(monkeypatch)
+        monkeypatch.setattr(census.os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(census, "_family_block", lambda *args: 1)
+        assert census_family(2, 30, Family.UNBORDERED, budget=2 ** 30, jobs=2) == 2 ** 8
+        assert [(pool.size, len(pool.blocks)) for pool in started] == [(2, 128)]
+
+
 def _fake_pool(monkeypatch) -> list:
-    """Replace the process pool with one that runs the blocks in-process;
-    returns the list of the pools started, in order."""
+    """Replace the process pool with one that runs the blocks in-process and
+    keeps those of its last map; returns the list of the pools started, in
+    order."""
     started = []
 
     class FakePool:
         def __init__(self, max_workers):
-            self.size, self.down = max_workers, False
+            self.size, self.down, self.blocks = max_workers, False, ()
             started.append(self)
 
         def map(self, worker, *argument_lists):
+            self.blocks = argument_lists[-1]
             return map(worker, *argument_lists)
 
         def shutdown(self):

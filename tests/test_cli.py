@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import palcensus
-from palcensus import cli, verify
+from palcensus import cli, maps, verify
 from palcensus.cli import main
 from palcensus.constants import MAX_DIGITS
 
@@ -417,13 +417,13 @@ class TestShuffleOrder:
     @pytest.mark.parametrize(
         "argv,named",
         [
-            (["--n", str(cli.MAX_SHUFFLE_N + 1)], str(cli.MAX_SHUFFLE_N)),
+            (["--n", str(maps.MAX_SHUFFLE_N + 1)], str(maps.MAX_SHUFFLE_N)),
             (["--n-max", str(cli.MAX_SHUFFLE_RANGE + 1)], str(cli.MAX_SHUFFLE_RANGE)),
             (["--n-max", "1"], str(cli.MAX_SHUFFLE_RANGE)),
             (["--n-max", "-5"], str(cli.MAX_SHUFFLE_RANGE)),
             (["--n", "500001", "--check"], str(cli.MAX_CHECK_POSITIONS)),
             (["--n-max", "1000", "--check"], str(cli.MAX_CHECK_POSITIONS)),
-            (["--n", str(cli.MAX_SHUFFLE_N), "--check"], str(cli.MAX_CHECK_POSITIONS)),
+            (["--n", str(maps.MAX_SHUFFLE_N), "--check"], str(cli.MAX_CHECK_POSITIONS)),
             (["--n", "0"], "n >= 2"),
         ],
         ids=["n-above-cap", "n-max-above-cap", "n-max-1", "n-max-negative",
@@ -436,7 +436,7 @@ class TestShuffleOrder:
         assert (code, out) == (2, "")
         assert err.startswith("error:") and named in err
 
-    @pytest.mark.parametrize("n", [cli.MAX_SHUFFLE_N, 999_999_999_864])
+    @pytest.mark.parametrize("n", [maps.MAX_SHUFFLE_N, 999_999_999_864])
     def test_largest_orders_are_fast(self, capsys, n):
         # at 999 999 999 864, 2n-1 and n-1 are prime: both trial divisions
         # run to the square root
@@ -450,6 +450,12 @@ class TestShuffleOrder:
         code, out, _ = run(capsys, "shuffle-order", "--n-max", "999", "--check")
         assert code == 0
         assert len(out.splitlines()) == 998
+
+    def test_help_names_the_library_cap(self, capsys):
+        # the parser spells the cap out so that it need not import maps
+        with pytest.raises(SystemExit):
+            main(["shuffle-order", "--help"])
+        assert f"2 <= N <= {maps.MAX_SHUFFLE_N}" in capsys.readouterr().out
 
 
 class TestVerify:
@@ -497,12 +503,18 @@ NO_SEQUENCES = NO_POOL + ("palcensus.constants", "palcensus.recurrences")
              "--jobs", "1"],
             NO_POOL,
         ),
+        # below the in-process cutoff more jobs start no pool
+        (
+            ["count", "--k", "2", "--n-min", "19", "--n-max", "19",
+             "--family", "min-square", "--method", "brute", "--jobs", "2"],
+            NO_POOL,
+        ),
         (
             ["constants", "--k", "3", "--which", "h", "--method", "closed-form"],
             NO_POOL,
         ),
     ],
-    ids=["map", "shuffle-order", "count", "constants"],
+    ids=["map", "shuffle-order", "count", "count-jobs-2", "constants"],
 )
 def test_start_up_imports_only_what_the_command_runs(argv, absent):
     script = (

@@ -1,12 +1,14 @@
 """Milk shuffle, its permutation and order, and the adjacent-sum map."""
 
 import itertools
+import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from palcensus.maps import (
+    MAX_SHUFFLE_N,
     Permutation,
     adjacent_sum_map,
     adjacent_sum_preimages,
@@ -219,6 +221,15 @@ class TestOrders:
     def test_degenerate_size(self):
         with pytest.raises(ValueError, match="n >= 2"):
             milk_shuffle_order(1)
+
+    @pytest.mark.parametrize("n", [MAX_SHUFFLE_N + 1, 2 ** 57 + 1, 2 ** 60])
+    def test_sizes_past_the_cap_are_refused_at_once(self, n):
+        # 2**57 + 1 took 7 s without the cap; 2**61 - 1 is prime, so n = 2**60
+        # would trial-divide to about 1.5 * 10**9
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=f"n <= {MAX_SHUFFLE_N}, got {n}"):
+            milk_shuffle_order(n)
+        assert time.perf_counter() - start < 0.01
 
 
 class TestAdjacentSums:

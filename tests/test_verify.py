@@ -70,12 +70,12 @@ def _walk_planted(k, length, prefix, dead=None, *, new_weight=True, past_k=False
             stack.append((m + 1, c, used + grown, weight * factor))
 
 
-def _canonical_blocks_planted(k, n, workers, *, weight=math.perm):
+def _canonical_blocks_planted(k, n, count, *, weight=math.perm):
     # the census blocks with their class size given by weight; weight=pow
     # weights each canonical block k**d instead of perm(k, d)
     length = 0
     prefixes = [()]
-    while k > 1 and length < n and len(prefixes) < 4 * workers:
+    while k > 1 and length < n and len(prefixes) < count:
         length += 1
         prefixes = [w for w, _ in census._words_up_to_renaming(k, length)]
     return [(w, weight(k, len(set(w)))) for w in prefixes]
@@ -99,9 +99,9 @@ def test_planted_renaming_walk_without_a_change_is_the_walk():
                         for walk in (_walk_planted, census._walk)
                     ]
                     assert walks[0] == walks[1]
-            for workers in (1, 2, 8):
-                assert _canonical_blocks_planted(k, n, workers) == (
-                    census._canonical_blocks(k, n, workers)
+            for count in (1, 4, 8, 128):
+                assert _canonical_blocks_planted(k, n, count) == (
+                    census._canonical_blocks(k, n, count)
                 )
 
 
@@ -147,7 +147,7 @@ def test_planted_masks_differ_in_one_bit():
         ),
         pytest.param(
             "_canonical_blocks",
-            lambda k, n, workers: _canonical_blocks_planted(k, n, workers, weight=pow),
+            lambda k, n, count: _canonical_blocks_planted(k, n, count, weight=pow),
             _canonical_blocks_planted,
             "unbordered mismatch at k=2, n=2: census 4, naive filter 2",
             id="blocks-weighted-k-to-the-d",
