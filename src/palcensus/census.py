@@ -16,14 +16,13 @@ are the independent route, checked by verify and the tests.  The walk is cut
 into blocks below canonical prefixes.  A census whose work (the completions
 its canonical prefixes decide) is below a measured cutoff counts a few
 blocks in-process whatever jobs is (so does every family census the
-default budget admits); a larger one with jobs > 1 hands about 64 blocks per
-worker, one at a time, to the process's one pool, with identical results.
-Completed counts are memoised per process.
+default budget admits); a larger one with jobs > 1 starts a pool of its own
+and hands it about 64 blocks per worker, one at a time, with identical
+results.  Completed counts are memoised per process.
 """
 
 from __future__ import annotations
 
-import atexit
 import itertools
 import math
 import os
@@ -343,26 +342,14 @@ def _profile_block(k: int, n: int, split: int, prefix: tuple[int, ...]) -> tuple
     return counts
 
 
-_pool = None
-
-
-def _close_pool() -> None:
-    global _pool
-    if _pool is not None:
-        _pool[1].shutdown()
-        atexit.unregister(_pool[1].shutdown)
-        _pool = None
-
-
 def _census(
     worker, k: int, n: int, arguments: tuple, jobs: int, cost: int = 1
 ) -> list:
     """(class size, worker(k, n, *arguments, split, block)) per block of
-    _plan, in-process or on the process's one pool: started with one process
-    per block up to min(jobs, CPUs), kept while it has enough of them and no
-    more, handing each block to the next free worker, and shut down, its
-    processes joined, when the interpreter exits."""
-    global _pool
+    _plan, in-process or on a pool of its own: one process per block up to
+    min(jobs, CPUs), each block handed to the next free worker, and the pool
+    shut down, its queued blocks cancelled and its processes joined, before
+    the census returns or raises."""
     workers = min(jobs, os.cpu_count() or 1)
     split, blocks, needed = _plan(k, n, workers, cost)
     calls = [(k, n, *arguments, split, block) for block, _ in blocks]
@@ -371,19 +358,13 @@ def _census(
     else:
         # imported only here, so that a process which never starts a pool
         # does not load multiprocessing and logging
-        from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
+        from concurrent.futures import ProcessPoolExecutor
 
-        if _pool is not None and not needed <= _pool[0] <= workers:
-            _close_pool()
-        if _pool is None:
-            _pool = needed, ProcessPoolExecutor(max_workers=needed)
-            atexit.register(_pool[1].shutdown)
+        pool = ProcessPoolExecutor(max_workers=needed)
         try:
-            parts = list(_pool[1].map(worker, *zip(*calls)))
-        except BrokenExecutor:
-            # a worker died; the next call starts a new pool
-            _close_pool()
-            raise
+            parts = list(pool.map(worker, *zip(*calls)))
+        finally:
+            pool.shutdown(cancel_futures=True)
     return [(size, part) for (_, size), part in zip(blocks, parts)]
 
 

@@ -166,17 +166,21 @@ def adjacent_sum_map(w: Word) -> Word:
     return Word(w.alphabet, _adjacent_sums(w.symbols, w.alphabet.k))
 
 
+def _adjacent_sum_preimages(x: tuple[int, ...], k: int) -> list[tuple[int, ...]]:
+    preimages = []
+    for first in range(k):
+        symbols = [first]
+        for s in x:
+            symbols.append((s - symbols[-1]) % k)
+        preimages.append(tuple(symbols))
+    return preimages
+
+
 def adjacent_sum_preimages(x: Word) -> list[Word]:
     """The k words mapping to x under adjacent_sum_map, ordered by first symbol.
 
     Fixing the first symbol determines the rest: each next symbol is the
     current target symbol minus the previous one, mod k.
     """
-    k = x.alphabet.k
-    preimages = []
-    for first in range(k):
-        symbols = [first]
-        for s in x.symbols:
-            symbols.append((s - symbols[-1]) % k)
-        preimages.append(Word(x.alphabet, tuple(symbols)))
-    return preimages
+    preimages = _adjacent_sum_preimages(x.symbols, x.alphabet.k)
+    return [Word(x.alphabet, w) for w in preimages]

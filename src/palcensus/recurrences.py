@@ -122,9 +122,7 @@ def _validate_unbordered(k: int, budget: int) -> None:
     _validated_alphabets.add(k)
 
 
-def unbordered_counts(
-    k: int, N: int, *, validate: bool = True, budget: int = DEFAULT_BUDGET
-) -> CountSeq:
+def unbordered_counts(k: int, N: int, *, budget: int = DEFAULT_BUDGET) -> CountSeq:
     """Counts of length-n unbordered words.
 
     Uses u(1) = k, u(2) = k**2 - k, u(2n+1) = k*u(2n), and
@@ -132,32 +130,27 @@ def unbordered_counts(
     enumeration census once per alphabet size before its first use.
     """
     _require(k, N)
-    if validate:
-        _validate_unbordered(k, budget)
+    _validate_unbordered(k, budget)
     return CountSeq(k, Family.UNBORDERED, _unbordered_values(k, N))
 
 
-def no_even_pp_counts(
-    k: int, N: int, *, validate: bool = True, budget: int = DEFAULT_BUDGET
-) -> CountSeq:
+def no_even_pp_counts(k: int, N: int, *, budget: int = DEFAULT_BUDGET) -> CountSeq:
     """Counts of length-n words with no even palindromic prefix.
 
     Equal to the unbordered counts at every length: the milk shuffle maps one
     family onto the other.
     """
-    u = unbordered_counts(k, N, validate=validate, budget=budget)
+    u = unbordered_counts(k, N, budget=budget)
     return CountSeq(k, Family.NO_EVEN_PP, dict(u.values))
 
 
-def no_odd_pp_counts(
-    k: int, N: int, *, validate: bool = True, budget: int = DEFAULT_BUDGET
-) -> CountSeq:
+def no_odd_pp_counts(k: int, N: int, *, budget: int = DEFAULT_BUDGET) -> CountSeq:
     """Counts of length-n words with no nontrivial odd palindromic prefix.
 
     Equals the unbordered count for odd n and k times the length-(n-1)
     unbordered count for even n.
     """
-    u = unbordered_counts(k, N, validate=validate, budget=budget)
+    u = unbordered_counts(k, N, budget=budget)
     values = {n: u[n] if n % 2 else k * u[n - 1] for n in range(1, N + 1)}
     return CountSeq(k, Family.NO_ODD_PP, values)
 

@@ -30,6 +30,7 @@ from .constants import (
     square_prefix_densities,
 )
 from .maps import (
+    _adjacent_sum_preimages,
     _adjacent_sums,
     _milk_shuffle,
     _milk_unshuffle,
@@ -39,10 +40,12 @@ from .maps import (
 )
 from .recurrences import family_counts, min_square_counts, no_pal_prefix_ratios
 from .words import (
+    _border_set,
     _even_pp_set,
     _has_pal_prefix,
     _odd_pp_set,
     _short_border_set,
+    _shuffle,
     _square_half_set,
 )
 
@@ -124,15 +127,9 @@ def suite_g_map(k_max: int, n_max: int, budget: int) -> SuiteResult:
                 result.checks += 1
         for n in _lengths(k, min(n_max, 8), budget):
             for x in _iter_words(k, n - 1):
-                preimages = set()
-                for first in range(k):
-                    symbols = [first]
-                    for s in x:
-                        symbols.append((s - symbols[-1]) % k)
-                    w = tuple(symbols)
-                    if _adjacent_sums(w, k) != x:
-                        result.fail(f"preimage does not map back at k={k}, x={x}")
-                    preimages.add(w)
+                preimages = set(_adjacent_sum_preimages(x, k))
+                if any(_adjacent_sums(w, k) != x for w in preimages):
+                    result.fail(f"preimage does not map back at k={k}, x={x}")
                 if len(preimages) != k:
                     result.fail(f"expected {k} distinct preimages at k={k}, x={x}")
                 result.checks += 1
@@ -375,20 +372,14 @@ def suite_lemmas(k_max: int, n_max: int, budget: int) -> SuiteResult:
                 break
             for y in _iter_words(k, n):
                 for z in _iter_words(k, n):
-                    out = [0] * (2 * n)
-                    out[0::2], out[1::2] = y, z
-                    shuffled = tuple(out)
-                    out[0::2], out[1::2] = z[::-1], y[::-1]
-                    if shuffled[::-1] != tuple(out):
+                    if _shuffle(y, z)[::-1] != _shuffle(z[::-1], y[::-1]):
                         result.fail(f"shuffle reversal law failed at k={k}, y={y}, z={z}")
                     result.checks += 1
         # long borders force short ones
         for n in _lengths(k, min(n_max, 12), budget):
             for w in _iter_words(k, n):
-                long_border = any(
-                    w[:i] == w[n - i:] for i in range(n // 2 + 1, n)
-                )
-                if long_border and not _short_border_set(w):
+                # the shortest border, if any, is at most half the word
+                if min(_border_set(w), default=0) > n // 2:
                     result.fail(f"long border without short border at k={k}, w={w}")
                 result.checks += 1
         # a palindromic prefix longer than half of a palindrome forces a

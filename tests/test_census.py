@@ -8,18 +8,13 @@ prefix are A121880.  A252696 is the ternary no-palindromic-prefix count.
 
 import concurrent.futures
 import itertools
+import multiprocessing
 import os
-import signal
-import subprocess
-import sys
-import time
 from collections import Counter
-from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
 
-import palcensus
 from palcensus import census
 from palcensus.census import (
     DEFAULT_BUDGET,
@@ -83,9 +78,6 @@ EXAMPLE_EVEN_PP_WORDS = [
     "00110000", "00110001", "00110010", "00110011",
     "11001100", "11001101", "11001110", "11001111",
 ]
-
-
-SRC = str(Path(palcensus.__file__).resolve().parent.parent)
 
 
 class TestFamilyCounts:
@@ -282,13 +274,19 @@ def fresh_memo(monkeypatch):
 
 @pytest.fixture
 def forced_pool(monkeypatch):
-    """No pool at the start, and a census of any size fans out when it has
-    two workers and two blocks; the pool the test starts is shut down."""
-    monkeypatch.setattr(census, "_pool", None)
+    """A census of any size fans out when it has two workers and two blocks;
+    returns the list of the (real) pools started, in order."""
     monkeypatch.setattr(census, "_POOL_MIN_WORK", 0)
-    yield
-    if census._pool is not None:
-        census._pool[1].shutdown()
+    started = []
+
+    class RecordedPool(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, max_workers):
+            super().__init__(max_workers)
+            started.append(self)
+
+    # _census imports the pool class when it starts one
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordedPool)
+    return started
 
 
 class TestAgainstTheNaiveFilter:
@@ -395,7 +393,7 @@ class TestDeterminism:
         sequential = {family: census_family(3, 10, family) for family in Family}
         census._family_cache.clear()
         pooled = {family: census_family(3, 10, family, jobs=2) for family in Family}
-        assert census._pool is not None
+        assert forced_pool
         assert pooled == sequential
 
     def test_profile_pool_matches_direct(self, monkeypatch, fresh_memo, forced_pool):
@@ -403,7 +401,7 @@ class TestDeterminism:
         sequential = _profile_counters(2, 15)
         census._profile_cache.clear()
         assert _profile_counters(2, 15, jobs=2) == sequential
-        assert census._pool is not None
+        assert len(forced_pool) == 1
 
     def test_repeat_calls_are_stable(self):
         first = census_family(3, 7, Family.NO_ODD_PP)
@@ -452,7 +450,7 @@ class TestSplitPoints:
         monkeypatch.setattr(census.os, "cpu_count", lambda: 2)
         assert _first_split_mismatch(monkeypatch, k, jobs) is None
         # one letter has one block per length, so it never fans out
-        assert (census._pool is not None) == (jobs == 2 and k > 1)
+        assert bool(forced_pool) == (jobs == 2 and k > 1)
 
     @pytest.mark.parametrize("planted", ["dropped last block", "wrong class size"])
     def test_a_planted_bug_in_the_pooled_blocks_fails(
@@ -472,7 +470,7 @@ class TestSplitPoints:
 
         monkeypatch.setattr(census, "_canonical_blocks", planted_blocks)
         assert _first_split_mismatch(monkeypatch, 3, 2) is not None
-        assert census._pool is not None
+        assert forced_pool
 
     @pytest.mark.parametrize("k,n", [(1, 6), (2, 8), (3, 6), (4, 5)])
     def test_lists_match_the_naive_filter(self, monkeypatch, k, n):
@@ -522,9 +520,8 @@ class TestJobs:
             (16, 16, 2, [2]),  # one worker per block: 00 and 01 at k=2
         ],
     )
-    def test_pool_is_clamped(
-        self, monkeypatch, fresh_memo, forced_pool, jobs, cpus, n, sizes
-    ):
+    def test_pool_is_clamped(self, monkeypatch, fresh_memo, jobs, cpus, n, sizes):
+        monkeypatch.setattr(census, "_POOL_MIN_WORK", 0)
         started = _fake_pool(monkeypatch)
         monkeypatch.setattr(census.os, "cpu_count", lambda: cpus)
         assert census_family(2, n, Family.UNBORDERED, jobs=jobs) == U2[n - 1]
@@ -534,60 +531,27 @@ class TestJobs:
         # each of them is a block
         stop = n - census._split_length(2, n)
         assert [len(pool.blocks) for pool in started] == [2 ** (stop - 1)] * len(sizes)
-
-    def test_one_pool_serves_every_call(self, monkeypatch, fresh_memo, forced_pool):
-        started = _fake_pool(monkeypatch)
-        monkeypatch.setattr(census.os, "cpu_count", lambda: 8)
-        census_family(3, 10, Family.UNBORDERED, jobs=2)
-        census_family(3, 10, Family.NO_ODD_PP, jobs=2)
-        _profile_counters(3, 10, jobs=2)
-        census_family(3, 9, Family.MIN_SQUARE, jobs=2)
-        assert [pool.size for pool in started] == [2]
-        # one block runs in-process; more jobs start a larger pool, which
-        # serves fewer blocks until a call asks for fewer jobs than it has
-        census_family(3, 1, Family.UNBORDERED, jobs=2)
-        census_family(3, 11, Family.UNBORDERED, jobs=4)
-        census_family(3, 10, Family.NO_EVEN_PP, jobs=4)
-        assert [pool.size for pool in started] == [2, 4]
-        census_family(3, 10, Family.NO_PAL_PREFIX, jobs=3)
-        assert [(pool.size, pool.down) for pool in started] == [
-            (2, True), (4, True), (3, False)
-        ]
+        assert all(pool.down for pool in started)
 
     def test_a_broken_pool_is_replaced(self, monkeypatch, fresh_memo, forced_pool):
         monkeypatch.setattr(census.os, "cpu_count", lambda: 2)
-        census_family(3, 10, Family.UNBORDERED, jobs=2)
-        os.kill(next(iter(census._pool[1]._processes)), signal.SIGKILL)
-        # wait until the pool has seen the death, or the other worker could
-        # count every block of the next census first
-        deadline = time.monotonic() + 30
-        while not census._pool[1]._broken and time.monotonic() < deadline:
-            time.sleep(0.01)
+        monkeypatch.setattr(census, "_family_block", _block_that_exits)
         with pytest.raises(concurrent.futures.BrokenExecutor):
-            census_family(3, 10, Family.NO_EVEN_PP, jobs=2)
-        assert census._pool is None
+            census_family(3, 10, Family.NO_ODD_PP, jobs=2)
+        assert multiprocessing.active_children() == []
+        monkeypatch.setattr(census, "_family_block", _family_block)
         # at even n the no-odd-pp count is k * u(n - 1), and u(9) = 11034 at k=3
         assert census_family(3, 10, Family.NO_ODD_PP, jobs=2) == 3 * 11034
+        assert len(forced_pool) == 2
 
-    def test_no_worker_outlives_the_process(self):
-        code = (
-            "from palcensus import census\n"
-            "census.os.cpu_count = lambda: 2\n"
-            "census._POOL_MIN_WORK = 0\n"
-            "census.census_family(3, 10, census.Family.UNBORDERED, jobs=2)\n"
-            "print(*census._pool[1]._processes)\n"
-        )
-        env = dict(os.environ, PYTHONPATH=SRC)
-        done = subprocess.run(
-            [sys.executable, "-c", code], capture_output=True, text=True, env=env,
-            timeout=60, check=True,
-        )
-        assert done.stderr == ""
-        pids = [int(pid) for pid in done.stdout.split()]
-        assert len(pids) == 2
-        for pid in pids:
-            with pytest.raises(ProcessLookupError):
-                os.kill(pid, 0)
+    def test_no_worker_outlives_the_process(self, monkeypatch, fresh_memo, forced_pool):
+        # nor the census: each pool is shut down, its workers joined, before
+        # the census returns
+        monkeypatch.setattr(census.os, "cpu_count", lambda: 2)
+        census_family(3, 10, Family.UNBORDERED, jobs=2)
+        _profile_counters(3, 10, jobs=2)
+        assert len(forced_pool) == 2
+        assert multiprocessing.active_children() == []
 
 
 class TestRoute:
@@ -595,7 +559,6 @@ class TestRoute:
     the clock says."""
 
     def test_small_censuses_start_no_pool(self, monkeypatch, fresh_memo):
-        monkeypatch.setattr(census, "_pool", None)
         started = _fake_pool(monkeypatch)
         monkeypatch.setattr(census.os, "cpu_count", lambda: 2)
         census_family(2, 19, Family.UNBORDERED, jobs=2)
@@ -633,7 +596,6 @@ class TestRoute:
         self, monkeypatch, fresh_memo
     ):
         # each block is one task, counted on the fake pool by a stub worker
-        monkeypatch.setattr(census, "_pool", None)
         started = _fake_pool(monkeypatch)
         monkeypatch.setattr(census.os, "cpu_count", lambda: 2)
         monkeypatch.setattr(census, "_family_block", lambda *args: 1)
@@ -641,23 +603,29 @@ class TestRoute:
         assert [(pool.size, len(pool.blocks)) for pool in started] == [(2, 128)]
 
 
+def _block_that_exits(k, n, family, split, prefix):
+    # a block worker that dies on every block ending in the letter 1
+    if prefix[-1] == 1:
+        os._exit(1)
+    return _family_block(k, n, family, split, prefix)
+
+
 def _fake_pool(monkeypatch) -> list:
-    """Replace the process pool with one that runs the blocks in-process and
-    keeps those of its last map; returns the list of the pools started, in
-    order."""
+    """Replace the process pool with one that runs the blocks of its one map
+    in-process; returns the list of the pools started, in order."""
     started = []
 
     class FakePool:
         def __init__(self, max_workers):
-            self.size, self.down, self.blocks = max_workers, False, ()
+            self.size, self.blocks, self.down = max_workers, (), False
             started.append(self)
 
         def map(self, worker, *argument_lists):
             self.blocks = argument_lists[-1]
             return map(worker, *argument_lists)
 
-        def shutdown(self):
-            self.down = True
+        def shutdown(self, cancel_futures):
+            self.down = cancel_futures
 
     # _census imports the pool class when it starts one
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)

@@ -198,6 +198,24 @@ def _milk_shuffle_reading_one_letter_early(w):
     return _shuffle(y, z[::-1]) + w[half:n - half]
 
 
+def _preimages_subtracting_the_first_letter(x, k):
+    # each next symbol should be the target minus the previous one; at k=2
+    # adding the previous one instead would be the same map
+    return [
+        (first,) + tuple((s - first) % k for s in x) for first in range(k)
+    ]
+
+
+def _border_set_reading_one_letter_early(w):
+    # the suffix of length i should be w[n - i:]; this ends a letter early
+    n = len(w)
+    return frozenset(i for i in range(1, n) if w[:i] == w[n - i - 1:n - 1])
+
+
+def _shuffle_reading_the_second_track_backwards(y, z):
+    return _shuffle(y, z[::-1])
+
+
 def _no_pal_prefix_counts_without_even_subtraction(k, N):
     # count(2n) = k * count(2n-1) - count(n), with the subtraction dropped
     values = {1: k, 2: k * k - k}
@@ -295,6 +313,18 @@ def test_planted_order_without_a_change_is_the_order():
             verify, "milk_shuffle_order",
             lambda n: _shuffle_order_planted(n, strip_repeats=False),
             "bijection", "shuffle order mismatch at n=26", id="order-primes-stripped-once",
+        ),
+        pytest.param(
+            verify, "_adjacent_sum_preimages", _preimages_subtracting_the_first_letter,
+            "g-map", "preimage does not map back at k=2", id="preimage-first-letter",
+        ),
+        pytest.param(
+            verify, "_border_set", _border_set_reading_one_letter_early,
+            "lemmas", "long border without short border at k=2", id="border-set",
+        ),
+        pytest.param(
+            verify, "_shuffle", _shuffle_reading_the_second_track_backwards,
+            "lemmas", "shuffle reversal law failed at k=2", id="shuffle-reversal",
         ),
         pytest.param(
             recurrences, "no_pal_prefix_counts",
