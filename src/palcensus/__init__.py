@@ -15,11 +15,12 @@ _EXPORTS = {
         "census_family", "census_profile", "list_profile",
     ),
     "constants": (
-        "CertificationError", "DecimalReport", "Enclosure", "Method",
+        "CertificationError", "DecimalReport", "Enclosure",
         "closed_form_report", "decimal_string", "density_series",
         "density_series_enclosure", "density_series_report",
         "pal_free_density", "pal_free_density_enclosure",
-        "square_prefix_densities", "unbordered_density_estimate",
+        "square_prefix_densities", "unbordered_density",
+        "unbordered_density_enclosure", "unbordered_density_estimate",
     ),
     "maps": (
         "Permutation", "adjacent_sum_map", "adjacent_sum_preimages",

@@ -88,6 +88,9 @@ class ProfileKind(Enum):
 
 
 def _check_budget(k: int, n: int, budget: int) -> None:
+    # every census entry point passes here, so it also guards the alphabet
+    if k < 1:
+        raise ValueError(f"census needs an alphabet of size k >= 1, got k={k}")
     space = k ** n
     if space > budget:
         raise BudgetExceededError(
@@ -382,8 +385,8 @@ def census_family(
     enumerates the k**n length-n roots w and keeps those whose doubling ww
     has no nonempty proper square prefix.
     """
-    if k < 1 or n < 1:
-        raise ValueError(f"census needs k >= 1 and n >= 1, got k={k}, n={n}")
+    if n < 1:
+        raise ValueError(f"census needs n >= 1, got n={n}")
     _check_jobs(jobs)
     key = (k, n, family)
     if key not in _family_cache:

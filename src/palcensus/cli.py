@@ -153,19 +153,16 @@ def _cmd_constants(args) -> int:
         density_series_report,
         pal_free_density,
         square_prefix_densities,
-        unbordered_density_estimate,
+        unbordered_density,
     )
     from .recurrences import min_square_counts
 
-    if args.which == "h":
-        if args.method == "closed-form":
-            report = closed_form_report(args.k, args.terms, args.digits)
-        else:
-            report = density_series_report(args.k, args.digits)
-        print(report.value)
-    elif args.which == "rho":
-        print(pal_free_density(args.k, args.digits).value)
-    elif args.which in ("beta", "alpha"):
+    reports = {"h": density_series_report, "rho": pal_free_density, "gamma": unbordered_density}
+    if args.which == "h" and args.method == "closed-form":
+        print(closed_form_report(args.k, args.terms, args.digits).value)
+    elif args.which in reports:
+        print(reports[args.which](args.k, args.digits).value)
+    else:
         cache = _cache_store(args)
         min_square = min_square_counts(
             args.k, args.c_max, cache=cache, budget=args.budget,
@@ -176,12 +173,6 @@ def _cmd_constants(args) -> int:
         )
         enclosure = with_square if args.which == "beta" else square_free
         print(f"{enclosure.lower} {enclosure.upper}")
-    else:
-        report = unbordered_density_estimate(args.k, args.n)
-        print(
-            f"{report.value} ESTIMATE "
-            f"(heuristic agreement: {report.certified_digits} digits)"
-        )
     return 0
 
 
@@ -325,10 +316,13 @@ def _build_parser() -> argparse.ArgumentParser:
     constants.add_argument(
         "--which", required=True, choices=["h", "rho", "beta", "alpha", "gamma"],
         help="h: the density series at 1/k; rho: limiting no-palindromic-"
-        "prefix density; beta/alpha: square-prefix density and its "
-        "complement; gamma: unbordered density estimate",
+        "prefix density; gamma: limiting unbordered density; beta/alpha: "
+        "square-prefix density and its complement",
     )
-    constants.add_argument("--digits", type=int, default=50)
+    constants.add_argument(
+        "--digits", type=int, default=50,
+        help="certified decimal places for h, rho and gamma (default %(default)s)",
+    )
     constants.add_argument(
         "--method", choices=["series", "closed-form"], default="series",
         help="for h: series sums the counts; closed-form iterates the "
@@ -343,9 +337,6 @@ def _build_parser() -> argparse.ArgumentParser:
     constants.add_argument(
         "--c-max", type=int, default=20,
         help="minimal-square counts used for beta/alpha",
-    )
-    constants.add_argument(
-        "--n", type=int, default=60, help="ratio index for the gamma estimate"
     )
     _add_budget_options(constants, cache=True)
     constants.set_defaults(func=_cmd_constants)

@@ -8,7 +8,8 @@ so a reported digit string is an initial segment of the true expansion.
 The key series is D(X) = sum over n >= 1 of r(n) * X**n, where r(n) is the
 fraction of length-n words with no nontrivial palindromic prefix.  Its value
 at X = 1/k gives the limiting density of that family; the minimal-square
-counts give the square-prefix densities the same way.  D(1/k) has a second
+counts give the square-prefix densities, and the unbordered counts the
+unbordered density γ, through the same kernel.  D(1/k) has a second
 certified route, its functional equation iterated down from X = 1/k.
 """
 
@@ -17,19 +18,13 @@ from __future__ import annotations
 import itertools
 import math
 from decimal import Decimal
-from enum import Enum
 from fractions import Fraction
 
+from .census import DEFAULT_BUDGET
 from .recurrences import (
     CountSeq, no_pal_prefix_counts, no_pal_prefix_ratios, unbordered_counts
 )
 from .words import _Record
-
-
-class Method(Enum):
-    SERIES = "series"
-    CLOSED_FORM = "closed-form"
-    ENCLOSURE = "enclosure"
 
 
 class CertificationError(ValueError):
@@ -64,12 +59,10 @@ class Enclosure(_Record):
 
 
 class DecimalReport(_Record):
-    """A decimal string plus how many of its places are certified and how."""
+    """A decimal string, truncated, every place of it certified."""
 
-    __slots__ = ("value", "certified_digits", "method")
+    __slots__ = ("value",)
     value: str
-    certified_digits: int
-    method: Method
 
 
 def _truncated(x: Fraction, digits: int) -> str:
@@ -182,8 +175,7 @@ def _refine(make_enclosure, digits: int, sizes=None):
 
 def density_series_report(k: int, digits: int) -> DecimalReport:
     """D(1/k) as a certified decimal, from the series enclosure alone."""
-    text = _refine(lambda N: density_series_enclosure(k, N), digits)
-    return DecimalReport(text, digits, Method.SERIES)
+    return DecimalReport(_refine(lambda N: density_series_enclosure(k, N), digits))
 
 
 def closed_form_report(k: int, terms: int, digits: int) -> DecimalReport:
@@ -199,7 +191,7 @@ def closed_form_report(k: int, terms: int, digits: int) -> DecimalReport:
         raise CertificationError(
             f"the functional equation and the series disagree at {digits} digits"
         )
-    return DecimalReport(text, digits, Method.CLOSED_FORM)
+    return DecimalReport(text)
 
 
 # ---------------------------------------------------------------------------
@@ -216,8 +208,27 @@ def pal_free_density_enclosure(k: int, N: int) -> Enclosure:
 def pal_free_density(k: int, digits: int) -> DecimalReport:
     """The limiting no-palindromic-prefix density, certified to the requested
     number of decimal places."""
-    text = _refine(lambda N: pal_free_density_enclosure(k, N), digits)
-    return DecimalReport(text, digits, Method.ENCLOSURE)
+    return DecimalReport(_refine(lambda N: pal_free_density_enclosure(k, N), digits))
+
+
+def unbordered_density_enclosure(k: int, N: int, *, budget: int = DEFAULT_BUDGET) -> Enclosure:
+    """Enclosure of γ, the limiting fraction of unbordered words:
+    1 - sum over m >= 1 of u(m) / k**(2m).
+
+    A bordered word's shortest border is unbordered and at most half its
+    length, so the length-n words with shortest border m number
+    u(m) * k**(n-2m), and u(n) / k**n = 1 - sum over m <= n/2 of
+    u(m) / k**(2m).  Letting n grow gives the series.  budget bounds the
+    census that checks the counts.
+    """
+    series = _series_enclosure(k, unbordered_counts(k, N, budget=budget), N)
+    return Enclosure(1 - series.upper, 1 - series.lower)
+
+
+def unbordered_density(k: int, digits: int) -> DecimalReport:
+    """The limiting unbordered density γ, certified to the requested number
+    of decimal places."""
+    return DecimalReport(_refine(lambda N: unbordered_density_enclosure(k, N), digits))
 
 
 def square_prefix_densities(
@@ -237,23 +248,8 @@ def square_prefix_densities(
 
 
 def unbordered_density_estimate(k: int, n: int) -> DecimalReport:
-    """Heuristic estimate u(n) / k**n of the limiting unbordered density.
-
-    No usable error bound is available for this ratio, so certified_digits
-    is a heuristic: the number of places to which the estimate agrees with
-    the one two lengths back.  This is an estimate, not an enclosure.
-    """
-    if k < 2 or n < 2:
-        raise ValueError("need k >= 2 and n >= 2")
-    u = unbordered_counts(k, n)
-    ratio = Fraction(u[n], k ** n)
-    # the length-0 ratio is 1: the empty word is vacuously unbordered
-    previous = Fraction(u[n - 2], k ** (n - 2)) if n > 2 else Fraction(1)
-    gap = abs(ratio - previous)
-    digits = 0
-    while digits < 60 and gap * 10 ** (digits + 1) < 1:
-        digits += 1
-    text = decimal_string(ratio, max(digits + 4, 16)).rstrip("0")
-    if text.endswith("."):
-        text += "0"
-    return DecimalReport(text, digits, Method.SERIES)
+    """u(n) / k**n truncated to 16 places: an uncertified approximation of
+    γ, within k**-(n//2) / (k-1) above it.  Nothing in the package calls it;
+    it stays only for the benchmark's gamma op until the benchmark revision
+    (ROADMAP item 2).  unbordered_density certifies γ."""
+    return DecimalReport(decimal_string(Fraction(unbordered_counts(k, n)[n], k ** n), 16))

@@ -80,12 +80,11 @@ def no_pal_prefix_counts(k: int, N: int) -> CountSeq:
     return CountSeq(k, Family.NO_PAL_PREFIX, values)
 
 
-# budget for the startup cross-check of the unbordered recurrence against the
+# budget for the cross-check of the unbordered recurrence against the
 # census: all lengths n <= 14 whose cumulative word count stays below this
 # (the full range for k = 2; fewer lengths for larger alphabets, where the
-# enumeration would dominate the run)
+# enumeration would dominate the run).  The census memo answers a repeat.
 _VALIDATION_WORDS = 60_000
-_validated_alphabets: set[int] = set()
 
 
 def _unbordered_values(k: int, N: int) -> dict[int, int]:
@@ -101,33 +100,26 @@ def _unbordered_values(k: int, N: int) -> dict[int, int]:
 
 
 def _validate_unbordered(k: int, budget: int) -> None:
-    if k in _validated_alphabets:
-        return
+    values = _unbordered_values(k, 14)
     total = 0
-    bound = 0
     for n in range(1, 15):
         total += k ** n
         if total > _VALIDATION_WORDS or k ** n > budget:
             break
-        bound = n
-    if bound:
-        values = _unbordered_values(k, bound)
-        for n in range(1, bound + 1):
-            counted = census_family(k, n, Family.UNBORDERED, budget=budget)
-            if values[n] != counted:
-                raise RuntimeError(
-                    f"unbordered recurrence disagrees with the census at "
-                    f"k={k}, n={n}: {values[n]} != {counted}"
-                )
-    _validated_alphabets.add(k)
+        counted = census_family(k, n, Family.UNBORDERED, budget=budget)
+        if values[n] != counted:
+            raise RuntimeError(
+                f"unbordered recurrence disagrees with the census at "
+                f"k={k}, n={n}: {values[n]} != {counted}"
+            )
 
 
 def unbordered_counts(k: int, N: int, *, budget: int = DEFAULT_BUDGET) -> CountSeq:
     """Counts of length-n unbordered words.
 
     Uses u(1) = k, u(2) = k**2 - k, u(2n+1) = k*u(2n), and
-    u(2n) = k*u(2n-1) - u(n).  The recurrence is cross-checked against the
-    enumeration census once per alphabet size before its first use.
+    u(2n) = k*u(2n-1) - u(n).  Each call cross-checks the recurrence
+    against the enumeration census at the short lengths.
     """
     _require(k, N)
     _validate_unbordered(k, budget)

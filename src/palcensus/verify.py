@@ -28,6 +28,7 @@ from .constants import (
     density_series_enclosure,
     pal_free_density_enclosure,
     square_prefix_densities,
+    unbordered_density_enclosure,
 )
 from .maps import (
     _adjacent_sum_preimages,
@@ -279,17 +280,21 @@ def suite_recurrences(k_max: int, n_max: int, budget: int) -> SuiteResult:
 def suite_constants(k_max: int, n_max: int, budget: int) -> SuiteResult:
     """Enclosures match the per-term reference and nest, the functional
     equation balances, its iterated enclosure meets the series enclosure
-    and shrinks doubly exponentially, and the density bounds hold."""
+    and shrinks doubly exponentially, the density bounds hold, and the
+    count ratios approach their limiting densities at the proved rates."""
     result = SuiteResult("constants")
     for k in range(2, max(k_max, 3) + 1):
         for N in (10, 40, 130):
-            outer = density_series_enclosure(k, N)
-            if outer != density_series(k, Fraction(1, k), N):
+            if density_series_enclosure(k, N) != density_series(k, Fraction(1, k), N):
                 result.fail(f"series kernel differs from the Fraction sum at k={k}, N={N}")
-            inner = density_series_enclosure(k, 2 * N)
-            if not (outer.lower <= inner.lower and inner.upper <= outer.upper):
-                result.fail(f"series enclosures failed to nest at k={k}, N={N}")
-            result.checks += 2
+            for name, enclose in (
+                ("series", lambda M: density_series_enclosure(k, M)),
+                ("unbordered", lambda M: unbordered_density_enclosure(k, M, budget=budget)),
+            ):
+                outer, inner = enclose(N), enclose(2 * N)
+                if not (outer.lower <= inner.lower and inner.upper <= outer.upper):
+                    result.fail(f"{name} enclosures failed to nest at k={k}, N={N}")
+            result.checks += 3
         for x in (Fraction(1, k), Fraction(1, 2 * k), Fraction(1, k * k)):
             direct = density_series(k, x, 120)
             inner = density_series(k, x * x / k, 120)
@@ -337,6 +342,15 @@ def suite_constants(k_max: int, n_max: int, budget: int) -> SuiteResult:
             here = ratios[2 * n]
             if here < limit.lower - bound or here > limit.upper + bound:
                 result.fail(f"ratio strayed from the limiting density at k={k}, n={n}")
+            result.checks += 1
+        # the paper's rate: 0 <= u(n)/k**n - γ <= k**-(n//2) / (k-1) for
+        # every γ in the certified enclosure
+        unbordered = family_counts(k, 64, Family.UNBORDERED, budget=budget)
+        gamma = unbordered_density_enclosure(k, 256, budget=budget)
+        for n in (4, 8, 16, 32, 64):
+            here = Fraction(unbordered[n], k ** n)
+            if here < gamma.upper or here - gamma.lower > Fraction(1, (k - 1) * k ** (n // 2)):
+                result.fail(f"unbordered ratio strayed from its limit at k={k}, n={n}")
             result.checks += 1
     return result
 

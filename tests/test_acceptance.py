@@ -18,7 +18,7 @@ from palcensus.constants import (
     density_series_enclosure,
     pal_free_density,
     square_prefix_densities,
-    unbordered_density_estimate,
+    unbordered_density,
 )
 from palcensus.maps import milk_shuffle, milk_shuffle_order
 from palcensus.recurrences import family_counts, min_square_counts
@@ -34,6 +34,8 @@ A3 = [3, 6, 12, 30, 78, 222, 636, 1878, 5556, 16590, 49548, 148422]
 
 H3_DIGITS = "430377520029471213293382335121830467895548542549528870740458"
 RHO3_DIGITS = "27848991988211514682647065951267812841780582980188451703816"
+GAMMA2_DIGITS = "26778684021788911237667140358430255255"
+GAMMA3_DIGITS = "55697983976423029365294131902535625683"
 
 EXAMPLE_BORDER_WORDS = [
     "01000010", "01001010", "01010010", "01011010",
@@ -146,12 +148,10 @@ def test_criterion_4_constants():
     ):
         failures.append(f"square-free density enclosure off: {square_free}")
 
-    estimate = unbordered_density_estimate(2, 60)
-    numeric = Fraction(
-        int(estimate.value.replace("0.", "", 1)), 10 ** (len(estimate.value) - 2)
-    )
-    if abs(numeric - Fraction(2677868, 10 ** 7)) > Fraction(1, 10 ** 7):
-        failures.append(f"unbordered estimate {estimate.value} misses 0.2677868")
+    for k, digits in ((2, GAMMA2_DIGITS), (3, GAMMA3_DIGITS)):
+        gamma = unbordered_density(k, 38)
+        if gamma.value != "0." + digits:
+            failures.append(f"unbordered density digits differ at k={k}: {gamma.value}")
     _finish("4 constants", failures)
 
 

@@ -163,9 +163,17 @@ class TestFamilyCounts:
 
     def test_argument_validation(self):
         with pytest.raises(ValueError):
-            census_family(0, 3, Family.UNBORDERED)
-        with pytest.raises(ValueError):
             census_family(2, 0, Family.UNBORDERED)
+        # one alphabet check guards every entry point (k=0 used to divide
+        # by zero in the profiles, and k=-2 to list nothing)
+        for k in (0, -1, -2):
+            for query in (
+                lambda: census_family(k, 3, Family.UNBORDERED),
+                lambda: census_profile(k, 3, ProfileKind.SHORT_BORDERS, {1}),
+                lambda: list_profile(k, 3, ProfileKind.SHORT_BORDERS, {1}),
+            ):
+                with pytest.raises(ValueError, match=f"k >= 1, got k={k}"):
+                    query()
 
     def test_budget_error_names_the_space(self):
         with pytest.raises(BudgetExceededError, match=r"3\*\*20"):

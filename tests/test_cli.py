@@ -25,6 +25,8 @@ SHUFFLE_ORDERS = [1, 2, 3, 3, 5, 6, 4, 4, 9, 6, 11, 10, 9, 14, 5, 5, 12, 18, 12]
 
 RHO3_DIGITS = "27848991988211514682647065951267812841780582980188451703816"
 H3_DIGITS = "430377520029471213293382335121830467895548542549528870740458"
+GAMMA2_PREFIX = "0.26778684021788911237667140358430255255"
+GAMMA3_PREFIX = "0.55697983976423029365294131902535625683"
 
 
 def run(capsys, *argv):
@@ -237,6 +239,18 @@ class TestProfile:
         assert code == 2
         assert "must lie in" in err
 
+    @pytest.mark.parametrize(
+        "k,n", [("0", "8"), ("-1", "8"), ("-2", "3")], ids=["zero", "minus-1", "minus-2"]
+    )
+    @pytest.mark.parametrize("listing", [[], ["--list"]], ids=["count", "list"])
+    def test_alphabet_below_one_is_a_usage_error(self, capsys, k, n, listing):
+        code, out, err = run(
+            capsys, "profile", "--k", k, "--n", n, "--kind", "borders",
+            "--set", "1", *listing,
+        )
+        assert (code, out) == (2, "")
+        assert err == f"error: census needs an alphabet of size k >= 1, got k={k}\n"
+
 
 class TestConstants:
     def test_rho_digits(self, capsys):
@@ -317,8 +331,9 @@ class TestConstants:
             ["--which", "h"],
             ["--which", "h", "--method", "closed-form", "--terms", "6"],
             ["--which", "rho"],
+            ["--which", "gamma"],
         ],
-        ids=["series", "closed-form", "rho"],
+        ids=["series", "closed-form", "rho", "gamma"],
     )
     def test_digit_request_out_of_range_is_a_usage_error(
         self, capsys, report_args, digits
@@ -360,11 +375,21 @@ class TestConstants:
         low, high = (Fraction(part) for part in out.split())
         assert Fraction(2700426, 10 ** 7) < low < high < Fraction(2700437, 10 ** 7)
 
-    def test_gamma_labelled_estimate(self, capsys):
-        code, out, _ = run(capsys, "constants", "--k", "2", "--which", "gamma")
-        assert code == 0
-        assert out.split()[0].startswith("0.2677868")
-        assert "ESTIMATE" in out
+    def test_gamma_certified_digits(self, capsys):
+        for k, prefix in ((2, GAMMA2_PREFIX), (3, GAMMA3_PREFIX)):
+            argv = ["constants", "--k", str(k), "--which", "gamma"]
+            code, out, err = run(capsys, *argv, "--digits", "1000")
+            assert (code, err, len(out)) == (0, "", 1003)
+            assert out.startswith(prefix)
+            # the default --digits 50 prints the first 50 of the same places
+            assert run(capsys, *argv) == (0, out[:52] + "\n", "")
+
+    def test_gamma_ratio_index_is_refused(self, capsys):
+        # --n chose the ratio of the heuristic estimate that gamma replaced
+        with pytest.raises(SystemExit) as outcome:
+            main(["constants", "--k", "2", "--which", "gamma", "--n", "60"])
+        assert outcome.value.code == 2
+        assert "unrecognized arguments: --n 60" in capsys.readouterr().err
 
     def test_cache_environment_variable(self, capsys, monkeypatch, tmp_path):
         monkeypatch.setenv("PALCENSUS_CACHE", str(tmp_path))

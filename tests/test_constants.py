@@ -1,9 +1,11 @@
 """Enclosures, certified digits, the functional-equation route, and the
 density reports."""
 
+import json
 import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -12,7 +14,6 @@ from palcensus.constants import (
     MAX_DIGITS,
     CertificationError,
     Enclosure,
-    Method,
     _functional_enclosure,
     _refine,
     closed_form_report,
@@ -23,15 +24,24 @@ from palcensus.constants import (
     pal_free_density,
     pal_free_density_enclosure,
     square_prefix_densities,
+    unbordered_density,
+    unbordered_density_enclosure,
     unbordered_density_estimate,
 )
-from palcensus.recurrences import MissingCountError, min_square_counts
+from palcensus.recurrences import (
+    MissingCountError,
+    min_square_counts,
+    unbordered_counts,
+)
 
 # 60 decimal places of the series value at 1/3, and 59 of the resulting
 # limiting density; both certified below by the series enclosure, the
 # first also by the functional equation
 H3_DIGITS = "430377520029471213293382335121830467895548542549528870740458"
 RHO3_DIGITS = "27848991988211514682647065951267812841780582980188451703816"
+# the first 38 places of the limiting unbordered densities at k = 2 and 3
+GAMMA2_PREFIX = "0.26778684021788911237667140358430255255"
+GAMMA3_PREFIX = "0.55697983976423029365294131902535625683"
 
 
 def agreed_digits(a, b, places=2000):
@@ -115,8 +125,6 @@ class TestDensitySeries:
     def test_report(self):
         report = density_series_report(3, 60)
         assert report.value == "0." + H3_DIGITS
-        assert report.certified_digits == 60
-        assert report.method is Method.SERIES
 
     def test_functional_equation_balances(self):
         # the series satisfies
@@ -175,7 +183,6 @@ class TestClosedForm:
     def test_report_certifies_against_series(self):
         report = closed_form_report(3, 6, 60)
         assert report.value == "0." + H3_DIGITS
-        assert report.method is Method.CLOSED_FORM
 
     def test_report_fails_when_terms_cannot_reach_digits(self):
         with pytest.raises(CertificationError, match="certify 60 digits"):
@@ -229,8 +236,6 @@ class TestPalFreeDensity:
     def test_ternary_digits(self):
         report = pal_free_density(3, 59)
         assert report.value == "0." + RHO3_DIGITS
-        assert report.certified_digits == 59
-        assert report.method is Method.ENCLOSURE
 
     def test_enclosure_definition(self):
         series = density_series_enclosure(3, 40)
@@ -296,27 +301,65 @@ class TestSquareDensities:
             square_prefix_densities(2, 20, min_square_counts(2, 5))
 
 
+class TestUnborderedDensity:
+    @pytest.mark.parametrize("k,prefix", [(2, GAMMA2_PREFIX), (3, GAMMA3_PREFIX)])
+    def test_thousand_certified_digits(self, k, prefix):
+        value = unbordered_density(k, 1000).value
+        assert len(value) == 1002
+        assert value.startswith(prefix)
+
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_enclosure_top_is_the_count_ratio(self, k):
+        # u(2N) / k**(2N) = 1 - sum over m <= N of u(m) / k**(2m), exactly
+        u = unbordered_counts(k, 80)
+        for N in (1, 5, 17, 40):
+            enclosure = unbordered_density_enclosure(k, N)
+            assert enclosure.upper == Fraction(u[2 * N], k ** (2 * N))
+            assert enclosure.width == Fraction(1, (k - 1) * k ** N)
+
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_ratios_approach_at_the_proved_rate(self, k):
+        u = unbordered_counts(k, 200)
+        gamma = unbordered_density_enclosure(k, 400)
+        for n in range(1, 201):
+            here = Fraction(u[n], k ** n)
+            assert gamma.upper <= here
+            assert here - gamma.lower <= Fraction(1, (k - 1) * k ** (n // 2))
+
+    def test_ratio_at_sixty_agrees_to_nine_places(self):
+        ratio = Fraction(unbordered_counts(2, 60)[60], 2 ** 60)
+        assert decimal_string(ratio, 9) == unbordered_density(2, 9).value
+        assert decimal_string(ratio, 10) != unbordered_density(2, 10).value
+
+    def test_argument_validation(self):
+        with pytest.raises(ValueError, match="at least 2"):
+            unbordered_density(1, 10)
+        with pytest.raises(ValueError, match="digits must lie in"):
+            unbordered_density(2, 0)
+
+
 class TestUnborderedEstimate:
+    """unbordered_density_estimate, uncertified, stays only for the
+    benchmark's gamma op."""
+
     def test_small_case_is_exact(self):
-        report = unbordered_density_estimate(2, 8)
-        assert report.value == "0.2890625"
-        assert report.certified_digits == 1
-        assert report.method is Method.SERIES
+        assert unbordered_density_estimate(2, 8).value == "0.2890625000000000"
 
     def test_deep_estimate(self):
-        report = unbordered_density_estimate(2, 60)
-        assert report.value.startswith("0.2677868")
-        assert report.certified_digits == 9
+        reference = json.loads(
+            (Path(__file__).parents[1] / "bench" / "reference.json").read_text()
+        )
+        for k, value in ((2, "0.2677868404672904"), (3, "0.5569798397642316")):
+            assert unbordered_density_estimate(k, 60).value == value
+            assert value.startswith(reference["gamma"][str(k)]["estimate_known"])
 
     def test_even_ratios_decrease(self):
-        from palcensus.recurrences import unbordered_counts
-
         u = unbordered_counts(2, 120)
         ratios = [Fraction(u[n], 2 ** n) for n in range(2, 121, 2)]
         assert all(a >= b for a, b in zip(ratios, ratios[1:]))
 
     def test_argument_validation(self):
         with pytest.raises(ValueError):
-            unbordered_density_estimate(2, 1)
+            unbordered_density_estimate(2, 0)
         with pytest.raises(ValueError):
             unbordered_density_estimate(1, 10)

@@ -73,12 +73,20 @@ class TestUnbordered:
         assert seq[8] == 2 * seq[7] - seq[4] == 74
         assert seq[3] == 2 * seq[2] == 4
 
-    def test_validated_against_census(self):
-        from palcensus.recurrences import _validated_alphabets
+    def test_validated_against_census(self, monkeypatch):
+        # every call checks, so a census disagreement after an honest call
+        # still raises, past the lengths the call asks for
+        from palcensus import recurrences
 
-        _validated_alphabets.discard(2)
         unbordered_counts(2, 5)
-        assert 2 in _validated_alphabets
+        honest = recurrences.census_family
+
+        def planted(k, n, family, **options):
+            return honest(k, n, family, **options) + (n == 9)
+
+        monkeypatch.setattr(recurrences, "census_family", planted)
+        with pytest.raises(RuntimeError, match="k=2, n=9: 148 != 149"):
+            unbordered_counts(2, 5)
 
     def test_census_agreement_binary(self):
         seq = unbordered_counts(2, 14)

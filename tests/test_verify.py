@@ -18,6 +18,15 @@ def test_counts_suite_passes():
     assert result.passed, result.failures
 
 
+def test_constants_suite_keeps_the_census_within_the_budget(monkeypatch):
+    # the gamma checks read unbordered counts, whose census self-check must
+    # stop at the suite's budget like every other census call
+    monkeypatch.setattr(census, "_family_cache", {})
+    [result] = run_suites(["constants"], k_max=3, n_max=9, budget=100)
+    assert result.passed, result.failures
+    assert max(k ** n for k, n, _ in census._family_cache) <= 100
+
+
 @pytest.mark.parametrize(
     "family,planted",
     [
@@ -174,18 +183,22 @@ def test_counts_suite_catches_a_planted_renaming_bug(
     monkeypatch, name, planted, unchanged, failure
 ):
     # the naive route calls the class generator, not the census blocks,
-    # walk or masks, so only the census sees the plant; the unbordered
-    # recurrence is checked against the census once, by the unchanged run
-    monkeypatch.setattr(recurrences, "_validated_alphabets", set())
+    # walk or masks, so only the census sees the plant
+    def run_fresh():
+        monkeypatch.setattr(census, "_family_cache", {})
+        monkeypatch.setattr(census, "_profile_cache", {})
+        return suite_counts(3, 7, DEFAULT_BUDGET)
+
     monkeypatch.setattr(census, name, unchanged)
-    monkeypatch.setattr(census, "_family_cache", {})
-    monkeypatch.setattr(census, "_profile_cache", {})
-    honest = suite_counts(3, 7, DEFAULT_BUDGET)
+    honest = run_fresh()
     assert honest.passed, honest.failures
     monkeypatch.setattr(census, name, planted)
-    monkeypatch.setattr(census, "_family_cache", {})
-    monkeypatch.setattr(census, "_profile_cache", {})
-    result = suite_counts(3, 7, DEFAULT_BUDGET)
+    # the unbordered recurrence checks itself against the census on every
+    # call, so it sees the plant first; silenced, the naive filter must
+    with pytest.raises(RuntimeError, match="unbordered recurrence disagrees"):
+        run_fresh()
+    monkeypatch.setattr(recurrences, "_validate_unbordered", lambda k, budget: None)
+    result = run_fresh()
     assert not result.passed
     assert result.failures[0] == failure
 
@@ -204,6 +217,18 @@ def _preimages_subtracting_the_first_letter(x, k):
     return [
         (first,) + tuple((s - first) % k for s in x) for first in range(k)
     ]
+
+
+def _preimages_adding_the_previous_letter(x, k):
+    # each next symbol should be the target minus the previous one; mod 2
+    # adding is subtracting, so only an alphabet of three or more sees this
+    preimages = []
+    for first in range(k):
+        symbols = [first]
+        for s in x:
+            symbols.append((s + symbols[-1]) % k)
+        preimages.append(tuple(symbols))
+    return preimages
 
 
 def _border_set_reading_one_letter_early(w):
@@ -245,6 +270,31 @@ def _series_without_the_last_term(k, counts, N):
         numerator = numerator * k * k + counts[n]
     lower = Fraction(numerator, k ** (2 * N - 2))
     return Enclosure(lower, lower + Fraction(1, (k - 1) * k ** N))
+
+
+_honest_unbordered_counts = recurrences.unbordered_counts
+
+
+# the gamma plants change counts past n = 14, where the unbordered
+# recurrence's census self-check stops
+def _unbordered_counts_shifted(k, N, **options):
+    # each count past n = 14 is read one index early
+    u = _honest_unbordered_counts(k, N, **options)
+    return CountSeq(k, Family.UNBORDERED, {n: u[n - (n > 14)] for n in u.values})
+
+
+def _unbordered_counts_one_scaled(k, N, **options):
+    # the count at n = 20 is k times too large
+    u = _honest_unbordered_counts(k, N, **options)
+    return CountSeq(
+        k, Family.UNBORDERED, {n: u[n] * (k if n == 20 else 1) for n in u.values}
+    )
+
+
+def _unbordered_tail_on_the_wrong_side(k, N, **options):
+    # gamma lies at most the tail below 1 minus the partial sum, not above
+    series = _honest_series_enclosure(k, _honest_unbordered_counts(k, N, **options), N)
+    return Enclosure(1 - series.lower, 1 - series.lower + series.width)
 
 
 def _functional_enclosure_planted(k, j, *, sign=-1, quadratic=True, tail_power=3):
@@ -296,85 +346,112 @@ def test_planted_order_without_a_change_is_the_order():
         assert _shuffle_order_planted(n) == maps.milk_shuffle_order(n)
 
 
+def _case(module, name, planted, suite, failure, *, id, k=2):
+    # one planted bug, run on the alphabets up to k
+    return pytest.param(module, name, planted, suite, failure, k, id=id)
+
+
 @pytest.mark.parametrize(
-    "module,name,planted,suite,failure",
+    "module,name,planted,suite,failure,k",
     [
-        pytest.param(
+        _case(
             verify, "_milk_shuffle", _milk_shuffle_reading_one_letter_early,
             "bijection", "round trip failed at k=2", id="milk-shuffle",
         ),
-        pytest.param(
+        _case(
             verify, "milk_shuffle_order",
             lambda n: _shuffle_order_planted(n, halve=False),
             "bijection", "shuffle order mismatch at n=2", id="order-not-halved",
         ),
         # M = 51 = 3 * 17: phi = 32 keeps a 2 too many, the order is 8
-        pytest.param(
+        _case(
             verify, "milk_shuffle_order",
             lambda n: _shuffle_order_planted(n, strip_repeats=False),
             "bijection", "shuffle order mismatch at n=26", id="order-primes-stripped-once",
         ),
-        pytest.param(
+        _case(
             verify, "_adjacent_sum_preimages", _preimages_subtracting_the_first_letter,
             "g-map", "preimage does not map back at k=2", id="preimage-first-letter",
         ),
-        pytest.param(
+        _case(
+            verify, "_adjacent_sum_preimages", _preimages_adding_the_previous_letter,
+            "g-map", "preimage does not map back at k=3", id="preimage-adds-previous",
+            k=3,
+        ),
+        _case(
             verify, "_border_set", _border_set_reading_one_letter_early,
             "lemmas", "long border without short border at k=2", id="border-set",
         ),
-        pytest.param(
+        _case(
             verify, "_shuffle", _shuffle_reading_the_second_track_backwards,
             "lemmas", "shuffle reversal law failed at k=2", id="shuffle-reversal",
         ),
-        pytest.param(
+        _case(
             recurrences, "no_pal_prefix_counts",
             _no_pal_prefix_counts_without_even_subtraction,
             "counts", "no-pal-prefix mismatch at k=2, n=4: census 2, recurrence 4",
             id="no-pal-prefix-recurrence",
         ),
-        pytest.param(
+        _case(
             verify, "_pal_prefix_lemma", _old_pal_prefix_lemma,
             "lemmas", "palindromic prefix lemma failed at k=2, p=(0, 0, 0), m=2",
             id="non-sharp-lemma",
         ),
-        pytest.param(
+        _case(
             constants, "_series_enclosure", _series_with_a_wider_tail,
             "constants", "series kernel differs from the Fraction sum at k=2, N=10",
             id="series-tail-widened",
         ),
-        pytest.param(
+        _case(
             constants, "_series_enclosure", _series_without_the_last_term,
             "constants", "series kernel differs from the Fraction sum at k=2, N=10",
             id="series-last-term-dropped",
         ),
-        pytest.param(
+        _case(
             verify, "_functional_enclosure",
             lambda k, j: _functional_enclosure_planted(k, j, sign=1),
             "constants",
             "functional-equation enclosure left the series enclosure at k=2, N=16, j=1",
             id="functional-c-sign-flipped",
         ),
-        pytest.param(
+        _case(
             verify, "_functional_enclosure",
             lambda k, j: _functional_enclosure_planted(k, j, quadratic=False),
             "constants",
             "functional-equation enclosure left the series enclosure at k=2, N=16, j=1",
             id="functional-quadratic-term-dropped",
         ),
-        pytest.param(
+        _case(
             verify, "_functional_enclosure",
             lambda k, j: _functional_enclosure_planted(k, j, tail_power=2),
             "constants", "functional-equation enclosure too wide at k=2, j=1",
             id="functional-tail-widened",
         ),
+        _case(
+            constants, "unbordered_counts", _unbordered_counts_shifted,
+            "constants",
+            "unbordered ratio strayed from its limit at k=2, n=32",
+            id="gamma-counts-shifted",
+        ),
+        _case(
+            constants, "unbordered_counts", _unbordered_counts_one_scaled,
+            "constants",
+            "unbordered ratio strayed from its limit at k=2, n=64",
+            id="gamma-count-scaled",
+        ),
+        _case(
+            verify, "unbordered_density_enclosure", _unbordered_tail_on_the_wrong_side,
+            "constants", "unbordered enclosures failed to nest at k=2, N=10",
+            id="gamma-tail-on-the-wrong-side",
+        ),
     ],
 )
 def test_suite_catches_a_planted_bug(
-    monkeypatch, module, name, planted, suite, failure
+    monkeypatch, module, name, planted, suite, failure, k
 ):
-    [honest] = run_suites([suite], k_max=2, n_max=6)
+    [honest] = run_suites([suite], k_max=k, n_max=6)
     assert honest.passed, honest.failures
     monkeypatch.setattr(module, name, planted)
-    [result] = run_suites([suite], k_max=2, n_max=6)
+    [result] = run_suites([suite], k_max=k, n_max=6)
     assert not result.passed
     assert any(message.startswith(failure) for message in result.failures)

@@ -334,7 +334,7 @@ def _records():
     # one value of each record type, built twice so the pairs are equal
     # but not identical
     from palcensus.census import Family
-    from palcensus.constants import DecimalReport, Enclosure, Method
+    from palcensus.constants import DecimalReport, Enclosure
     from palcensus.maps import Permutation
     from palcensus.recurrences import CountSeq
 
@@ -345,7 +345,7 @@ def _records():
         lambda: Permutation((2, 1, 3)),
         lambda: CountSeq(2, Family.UNBORDERED, {1: 2, 2: 2}),
         lambda: Enclosure(Fraction(1, 3), Fraction(1, 2)),
-        lambda: DecimalReport("0.66", 2, Method.SERIES),
+        lambda: DecimalReport("0.66"),
     ]
 
 
