@@ -107,11 +107,6 @@ def _check_jobs(jobs: int) -> None:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
 
 
-def _iter_words(k: int, n: int):
-    """All length-n words, in lexicographic order."""
-    return itertools.product(range(k), repeat=n)
-
-
 def _words_up_to_renaming(k: int, n: int):
     """The length-n words whose letters first appear in the order 0, 1, 2,
     ..., each with the number of words that rename its letters, perm(k, d)
@@ -371,8 +366,21 @@ def _census(
     return [(size, part) for (_, size), part in zip(blocks, parts)]
 
 
-_family_cache: dict[tuple[int, int, Family], int] = {}
-_profile_cache: dict[tuple[int, int], tuple[Counter, Counter, Counter]] = {}
+# (k, n, family) -> count, (k, n) -> profile counters
+_memo: dict = {}
+
+
+def _memoised(key: tuple, budget: int, count, *arguments):
+    """_memo[key] for key = (k, n, ...), counted as count(*arguments) within
+    the budget on a miss."""
+    if key not in _memo:
+        _check_budget(key[0], key[1], budget)
+        _memo[key] = count(*arguments)
+    return _memo[key]
+
+
+def _count_family(k: int, n: int, family: Family, jobs: int) -> int:
+    return sum(size * part for size, part in _census(_family_block, k, n, (family,), jobs))
 
 
 def census_family(
@@ -381,42 +389,37 @@ def census_family(
     """Exact number of words in the family, by full enumeration.
 
     HAS_SQUARE_PREFIX is counted as k**n minus the square-prefix-free count,
-    and either of the two answers the other from the memo; MIN_SQUARE
+    so either of the two answers the other from the memo; MIN_SQUARE
     enumerates the k**n length-n roots w and keeps those whose doubling ww
     has no nonempty proper square prefix.
     """
     if n < 1:
         raise ValueError(f"census needs n >= 1, got n={n}")
     _check_jobs(jobs)
-    key = (k, n, family)
-    if key not in _family_cache:
-        _check_budget(k, n, budget)
-        walked = Family.NO_SQUARE_PREFIX if family is Family.HAS_SQUARE_PREFIX else family
-        blocks = _census(_family_block, k, n, (walked,), jobs)
-        value = sum(size * part for size, part in blocks)
-        _family_cache[k, n, walked] = value
-        if walked is Family.NO_SQUARE_PREFIX:
-            _family_cache[k, n, Family.HAS_SQUARE_PREFIX] = k ** n - value
-    return _family_cache[key]
+    complement = family is Family.HAS_SQUARE_PREFIX
+    walked = Family.NO_SQUARE_PREFIX if complement else family
+    value = _memoised((k, n, walked), budget, _count_family, k, n, walked, jobs)
+    return k ** n - value if complement else value
 
 
 def _mask_set(mask: int) -> frozenset[int]:
     return frozenset(i for i in range(1, mask.bit_length()) if mask >> i & 1)
 
 
+def _count_profiles(k: int, n: int, jobs: int) -> tuple[Counter, Counter, Counter]:
+    result = (Counter(), Counter(), Counter())
+    for size, part in _census(_profile_block, k, n, (), jobs, _PROFILE_COST):
+        for counter, masks in zip(result, part):
+            for mask, count in masks.items():
+                counter[_mask_set(mask)] += size * count
+    return result
+
+
 def _profile_counters(
     k: int, n: int, *, budget: int = DEFAULT_BUDGET, jobs: int = 1
 ) -> tuple[Counter, Counter, Counter]:
     _check_jobs(jobs)
-    if (k, n) not in _profile_cache:
-        _check_budget(k, n, budget)
-        result = (Counter(), Counter(), Counter())
-        for size, part in _census(_profile_block, k, n, (), jobs, _PROFILE_COST):
-            for counter, masks in zip(result, part):
-                for mask, count in masks.items():
-                    counter[_mask_set(mask)] += size * count
-        _profile_cache[k, n] = result
-    return _profile_cache[k, n]
+    return _memoised((k, n), budget, _count_profiles, k, n, jobs)
 
 
 def _validate_profile_set(n: int, profile_set) -> frozenset[int]:

@@ -158,7 +158,9 @@ def _cmd_constants(args) -> int:
     from .recurrences import min_square_counts
 
     reports = {"h": density_series_report, "rho": pal_free_density, "gamma": unbordered_density}
-    if args.which == "h" and args.method == "closed-form":
+    if args.method == "closed-form":
+        if args.which != "h":
+            raise ValueError("--method closed-form applies to --which h only")
         print(closed_form_report(args.k, args.terms, args.digits).value)
     elif args.which in reports:
         print(reports[args.which](args.k, args.digits).value)

@@ -24,20 +24,14 @@ MAX_SHUFFLE_N = 10**12
 def _milk_shuffle(w: tuple[int, ...]) -> tuple[int, ...]:
     n = len(w)
     half = n // 2
-    if n % 2:
-        y, mid, z = w[:half], w[half:half + 1], w[half + 1:]
-    else:
-        y, mid, z = w[:half], (), w[half:]
-    return _shuffle(y, z[::-1]) + mid
+    # the middle letter w[half:n - half] is empty at even n
+    return _shuffle(w[:half], w[n - half:][::-1]) + w[half:n - half]
 
 
 def _milk_unshuffle(w: tuple[int, ...]) -> tuple[int, ...]:
-    if len(w) % 2:
-        core, mid = w[:-1], w[-1:]
-    else:
-        core, mid = w, ()
-    y, zr = _unshuffle(core)
-    return y + mid + zr[::-1]
+    even = len(w) - len(w) % 2
+    y, zr = _unshuffle(w[:even])
+    return y + w[even:] + zr[::-1]
 
 
 def milk_shuffle(w: Word) -> Word:

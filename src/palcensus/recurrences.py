@@ -70,13 +70,8 @@ def no_pal_prefix_counts(k: int, N: int) -> CountSeq:
     """
     _require(k, N)
     values = {1: k}
-    if N >= 2:
-        values[2] = k * k - k
-    for m in range(3, N + 1):
-        if m % 2 == 0:
-            values[m] = k * values[m - 1] - values[m // 2]
-        else:
-            values[m] = k * values[m - 1] - values[(m + 1) // 2]
+    for m in range(2, N + 1):
+        values[m] = k * values[m - 1] - values[(m + 1) // 2]
     return CountSeq(k, Family.NO_PAL_PREFIX, values)
 
 
@@ -89,13 +84,8 @@ _VALIDATION_WORDS = 60_000
 
 def _unbordered_values(k: int, N: int) -> dict[int, int]:
     values = {1: k}
-    if N >= 2:
-        values[2] = k * k - k
-    for m in range(3, N + 1):
-        if m % 2 == 1:
-            values[m] = k * values[m - 1]
-        else:
-            values[m] = k * values[m - 1] - values[m // 2]
+    for m in range(2, N + 1):
+        values[m] = k * values[m - 1] - (0 if m % 2 else values[m // 2])
     return values
 
 

@@ -7,7 +7,7 @@ obvious correctness matters more than speed for code that serves as the
 ground truth for everything built on top of it.
 
 The tuple-level helpers (underscore names) work on bare symbol tuples, so
-the verify suites can run them over every word of a length without building
+the verify suites can run them over many words of a length without building
 a ``Word`` per candidate.  They are the naive route that the census
 engine and ``word_profile`` are checked against; neither calls them.
 ``word_profile`` finds all four profile sets in one pass over the positions
@@ -333,9 +333,7 @@ def parse_word(text: str, k: int) -> Word:
 def format_word(w: Word) -> str:
     """Canonical text form of a word; inverse of parse_word for each k."""
     k = w.alphabet.k
-    if k <= 10:
-        return "".join(_TABLE36[s] for s in w.symbols)
-    if k <= 26:
+    if 10 < k <= 26:
         return "".join(chr(ord("a") + s) for s in w.symbols)
     if k <= 36:
         return "".join(_TABLE36[s] for s in w.symbols)

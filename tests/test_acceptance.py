@@ -47,9 +47,9 @@ EXAMPLE_EVEN_PP_WORDS = [
 ]
 
 # (k_max, n_max, budget) per suite, covering every (k, n) a criterion names:
-# the bijection on every word for k = 2 up to n = 16 and k = 3 up to n = 12,
-# the other word scans for k <= 3 up to n = 12, and the lemmas on binary
-# words and on palindromes up to n = 16
+# the bijection on one word per renaming class for k = 2 up to n = 16 and
+# k = 3 up to n = 12, the other word scans for k <= 3 up to n = 12, and the
+# lemmas on binary words and on palindromes up to n = 16
 BOUNDS = {
     "bijection": (3, 16, 3 ** 12),
     "g-map": (3, 12, 3 ** 12),

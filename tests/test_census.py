@@ -24,7 +24,6 @@ from palcensus.census import (
     _canonical_blocks,
     _canonical_count,
     _family_block,
-    _iter_words,
     _plan,
     _profile_block,
     _profile_counters,
@@ -276,8 +275,7 @@ def _first_list_mismatch(k, n, expected=None):
 
 @pytest.fixture
 def fresh_memo(monkeypatch):
-    monkeypatch.setattr(census, "_family_cache", {})
-    monkeypatch.setattr(census, "_profile_cache", {})
+    monkeypatch.setattr(census, "_memo", {})
 
 
 @pytest.fixture
@@ -301,14 +299,16 @@ class TestAgainstTheNaiveFilter:
     @pytest.mark.parametrize("family", list(Family))
     def test_family_counts(self, fresh_memo, family):
         for k, n in SMALL_SIZES:
-            expected = sum(1 for w in _iter_words(k, n) if NAIVE[family](w))
+            expected = sum(
+                1 for w in itertools.product(range(k), repeat=n) if NAIVE[family](w)
+            )
             assert census_family(k, n, family) == expected, (k, n)
 
     def test_profile_counters(self, fresh_memo):
         scans = (_short_border_set, _even_pp_set, _odd_pp_set)
         for k, n in SMALL_SIZES:
             expected = (Counter(), Counter(), Counter())
-            for w in _iter_words(k, n):
+            for w in itertools.product(range(k), repeat=n):
                 for counter, scan in zip(expected, scans):
                     counter[scan(w)] += 1
             assert _profile_counters(k, n) == expected, (k, n)
@@ -399,7 +399,7 @@ class TestDeterminism:
         # prefixes of length 4
         monkeypatch.setattr(census.os, "cpu_count", lambda: 2)
         sequential = {family: census_family(3, 10, family) for family in Family}
-        census._family_cache.clear()
+        census._memo.clear()
         pooled = {family: census_family(3, 10, family, jobs=2) for family in Family}
         assert forced_pool
         assert pooled == sequential
@@ -407,7 +407,7 @@ class TestDeterminism:
     def test_profile_pool_matches_direct(self, monkeypatch, fresh_memo, forced_pool):
         monkeypatch.setattr(census.os, "cpu_count", lambda: 2)
         sequential = _profile_counters(2, 15)
-        census._profile_cache.clear()
+        census._memo.clear()
         assert _profile_counters(2, 15, jobs=2) == sequential
         assert len(forced_pool) == 1
 
@@ -434,8 +434,7 @@ def _first_split_mismatch(monkeypatch, k, jobs):
         families, profiles = _naive_census(k, n)
         for split in range(n + 1):
             monkeypatch.setattr(census, "_split_length", lambda k, n, s=split: s)
-            census._family_cache.clear()
-            census._profile_cache.clear()
+            census._memo.clear()
             for family in Family:
                 if census_family(k, n, family, jobs=jobs) != families[family]:
                     return n, split, family
@@ -509,6 +508,23 @@ class TestComplementReuse:
         assert walked > 0
         assert census_family(2, 10, second) == 2 ** 10 - value
         assert len(calls) == walked
+
+
+def _borders_from_length_two(n):
+    # the unbordered patterns without the border of length 1
+    return [[(range(i), range(n - i, n))] for i in range(2, n // 2 + 1)]
+
+
+def test_a_planted_pattern_shows_only_after_the_memo_is_reset(monkeypatch, fresh_memo):
+    # one memo holds family counts and profile counters alike
+    honest = census_family(2, 8, Family.UNBORDERED), _profile_counters(2, 8)
+    monkeypatch.setitem(census._PATTERNS, Family.UNBORDERED, _borders_from_length_two)
+    assert (census_family(2, 8, Family.UNBORDERED), _profile_counters(2, 8)) == honest
+    census._memo.clear()
+    planted = census_family(2, 8, Family.UNBORDERED), _profile_counters(2, 8)
+    assert planted[0] != honest[0]
+    assert planted[1][0] != honest[1][0]
+    assert planted[1][1:] == honest[1][1:]
 
 
 class TestJobs:

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import palcensus
-from palcensus import cli, maps, verify
+from palcensus import census, cli, maps, verify
 from palcensus.cli import main
 from palcensus.constants import MAX_DIGITS
 
@@ -151,14 +151,14 @@ class TestCount:
         assert first == second
 
     def test_jobs_do_not_change_output(self, capsys):
-        from palcensus.census import Family, _family_cache
+        from palcensus.census import Family
 
         args = (
             "count", "--k", "2", "--n-min", "9", "--n-max", "9",
             "--family", "unbordered", "--method", "brute",
         )
         _, sequential, _ = run(capsys, *args)
-        _family_cache.pop((2, 9, Family.UNBORDERED), None)
+        census._memo.pop((2, 9, Family.UNBORDERED), None)
         _, parallel, _ = run(capsys, *args, "--jobs", "2")
         assert sequential == parallel
 
@@ -391,6 +391,15 @@ class TestConstants:
         assert outcome.value.code == 2
         assert "unrecognized arguments: --n 60" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("which", ["rho", "gamma", "alpha"])
+    def test_closed_form_for_another_constant_is_a_usage_error(self, capsys, which):
+        # only h has a functional-equation route; the flag must not be ignored
+        code, out, err = run(
+            capsys, "constants", "--k", "2", "--which", which, "--method", "closed-form"
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: --method closed-form applies to --which h only\n"
+
     def test_cache_environment_variable(self, capsys, monkeypatch, tmp_path):
         monkeypatch.setenv("PALCENSUS_CACHE", str(tmp_path))
         code, _, _ = run(
@@ -504,6 +513,22 @@ class TestVerify:
     def test_suite_names_match_the_verify_table(self):
         # the parser lists the suites without importing verify
         assert cli.SUITE_NAMES == tuple(verify.SUITES)
+
+    @pytest.mark.parametrize(
+        "argv,vacuous",
+        [
+            (["--k-max", "1"], ["counts", "recurrences", "lemmas"]),
+            (["--suite", "counts", "--budget", "1"], ["counts"]),
+            (["--n-max", "0"], ["counts"]),
+        ],
+        ids=["k-max-1", "budget-1", "n-max-0"],
+    )
+    def test_a_suite_that_ran_no_check_fails(self, capsys, argv, vacuous):
+        code, out, _ = run(capsys, "verify", *argv)
+        assert code == 1
+        for name in vacuous:
+            assert f"{name}: FAIL (0 checks)" in out.splitlines()
+        assert "PASS (0 checks)" not in out
 
     def test_unknown_suite_is_a_usage_error(self, capsys):
         with pytest.raises(SystemExit) as outcome:

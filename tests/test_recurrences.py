@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import palcensus
+from palcensus import census
 from palcensus.census import Family, census_family
 from palcensus.recurrences import (
     CacheMismatchError,
@@ -267,7 +268,7 @@ class TestCacheStore:
         assert store.get(2, 1) is None
 
     def test_cached_values_bypass_the_budget(self, tmp_path):
-        from palcensus.census import BudgetExceededError, _family_cache
+        from palcensus.census import BudgetExceededError
 
         path = tmp_path / "counts.tsv"
         min_square_counts(2, 10, cache=CacheStore(path))
@@ -276,7 +277,7 @@ class TestCacheStore:
         # without the persistent cache (and with the in-process memo cleared)
         # the same request must hit the budget wall
         for n in range(7, 11):
-            _family_cache.pop((2, n, Family.MIN_SQUARE), None)
+            census._memo.pop((2, n, Family.MIN_SQUARE), None)
         with pytest.raises(BudgetExceededError):
             min_square_counts(2, 10, budget=64)
 

@@ -21,10 +21,39 @@ def test_counts_suite_passes():
 def test_constants_suite_keeps_the_census_within_the_budget(monkeypatch):
     # the gamma checks read unbordered counts, whose census self-check must
     # stop at the suite's budget like every other census call
-    monkeypatch.setattr(census, "_family_cache", {})
+    monkeypatch.setattr(census, "_memo", {})
     [result] = run_suites(["constants"], k_max=3, n_max=9, budget=100)
     assert result.passed, result.failures
-    assert max(k ** n for k, n, _ in census._family_cache) <= 100
+    assert max(k ** n for k, n, *_ in census._memo) <= 100
+
+
+@pytest.mark.parametrize(
+    "name,options",
+    [
+        ("counts", {"k_max": 1}),
+        ("recurrences", {"k_max": 1}),
+        ("lemmas", {"k_max": 1}),
+        ("counts", {"budget": 1}),
+        ("counts", {"n_max": 0}),
+    ],
+)
+def test_a_suite_that_runs_no_check_fails(name, options):
+    [result] = run_suites([name], **options)
+    assert (result.checks, result.failures, result.passed) == (0, [], False)
+
+
+def test_bijection_lists_at_most_3_to_the_8_words(monkeypatch):
+    # a listed word takes about 250 bytes: 9**8 of them would need gigabytes
+    calls = []
+
+    def recorded(k, n, *args, **options):
+        calls.append((k, n))
+        return census.list_profile(k, n, *args, **options)
+
+    monkeypatch.setattr(verify, "list_profile", recorded)
+    result = verify.suite_bijection(5, 8, DEFAULT_BUDGET)
+    assert result.passed, result.failures
+    assert sorted(set(calls)) == [(2, 8), (3, 8)]
 
 
 @pytest.mark.parametrize(
@@ -46,7 +75,7 @@ def test_constants_suite_keeps_the_census_within_the_budget(monkeypatch):
     ],
 )
 def test_counts_suite_catches_an_off_by_one_prune(monkeypatch, family, planted):
-    monkeypatch.setattr(census, "_family_cache", {})
+    monkeypatch.setattr(census, "_memo", {})
     monkeypatch.setitem(census._PATTERNS, family, planted)
     result = suite_counts(3, 7, DEFAULT_BUDGET)
     assert not result.passed
@@ -185,8 +214,7 @@ def test_counts_suite_catches_a_planted_renaming_bug(
     # the naive route calls the class generator, not the census blocks,
     # walk or masks, so only the census sees the plant
     def run_fresh():
-        monkeypatch.setattr(census, "_family_cache", {})
-        monkeypatch.setattr(census, "_profile_cache", {})
+        monkeypatch.setattr(census, "_memo", {})
         return suite_counts(3, 7, DEFAULT_BUDGET)
 
     monkeypatch.setattr(census, name, unchanged)
@@ -247,6 +275,13 @@ def _no_pal_prefix_counts_without_even_subtraction(k, N):
     for m in range(3, N + 1):
         values[m] = k * values[m - 1] - (0 if m % 2 == 0 else values[(m + 1) // 2])
     return CountSeq(k, Family.NO_PAL_PREFIX, values)
+
+
+def _classes_without_a_third_letter(k, n):
+    # the class generator that never introduces letter 2: at k = 3 every
+    # class that uses all three letters goes missing, while each word it
+    # still yields passes every position check
+    return ((w, size) for w, size in census._words_up_to_renaming(k, n) if 2 not in w)
 
 
 def _old_pal_prefix_lemma(p, m):
@@ -385,6 +420,17 @@ def _case(module, name, planted, suite, failure, *, id, k=2):
         _case(
             verify, "_shuffle", _shuffle_reading_the_second_track_backwards,
             "lemmas", "shuffle reversal law failed at k=2", id="shuffle-reversal",
+        ),
+        _case(
+            verify, "_words_up_to_renaming", _classes_without_a_third_letter,
+            "bijection", "renaming classes cover 21 of the 27 words at k=3, n=3",
+            id="classes-without-a-third-letter-bijection", k=3,
+        ),
+        # the lemmas scan classes of even length first
+        _case(
+            verify, "_words_up_to_renaming", _classes_without_a_third_letter,
+            "lemmas", "renaming classes cover 45 of the 81 words at k=3, n=4",
+            id="classes-without-a-third-letter-lemmas", k=3,
         ),
         _case(
             recurrences, "no_pal_prefix_counts",
