@@ -462,4 +462,7 @@ def run_suites(
     n_max: int = 10,
     budget: int = DEFAULT_BUDGET,
 ) -> list[SuiteResult]:
+    if k_max < 2 or n_max < 1:  # no suite would scan a word
+        raise ValueError(
+            f"--k-max must be at least 2 and --n-max at least 1, got {k_max} and {n_max}")
     return [SUITES[name](k_max, n_max, budget) for name in names]

@@ -1,17 +1,15 @@
 """Alphabet and word primitives.
 
 Words are immutable sequences of integer symbols over {0, ..., k-1}.  The
-scans for borders, palindromic prefixes, and square prefixes are naive and
-quadratic on purpose: lengths stay small everywhere they are used, and
-obvious correctness matters more than speed for code that serves as the
-ground truth for everything built on top of it.
-
-The tuple-level helpers (underscore names) work on bare symbol tuples, so
-the verify suites can run them over many words of a length without building
-a ``Word`` per candidate.  They are the naive route that the census
-engine and ``word_profile`` are checked against; neither calls them.
-``word_profile`` finds all four profile sets in one pass over the positions
-that repeat the first letter.
+tuple-level scans (underscore names) for borders, palindromic prefixes and
+square prefixes are naive on purpose, one slice comparison per candidate:
+obvious correctness matters more than speed for the ground truth.  They work
+on bare symbol tuples, so the verify suites can run them over many words of
+a length without building a ``Word`` per candidate, and they are the route
+that the census engine and ``word_profile`` are checked against.
+``word_profile`` visits the positions that repeat the first letter, compares
+each candidate letter by letter up to its first mismatch (still quadratic in
+the worst case), and returns one shared record per distinct profile.
 """
 
 from __future__ import annotations
@@ -247,30 +245,48 @@ def has_nontrivial_pal_prefix(w: Word) -> bool:
     return _has_pal_prefix(w.symbols)
 
 
-# one frozenset per distinct entry tuple, shared by the profiles that have
-# it; the table keeps at most 4096 of them
-_entry_set = functools.lru_cache(maxsize=4096)(frozenset)
+# bit codes to shared values: one frozenset per distinct set and one record
+# per distinct profile, each table bounded at 4096 entries
+@functools.lru_cache(maxsize=4096)
+def _entries(code: int) -> frozenset[int]:
+    return frozenset(i for i in range(1, code.bit_length()) if code >> i & 1)
+
+
+@functools.lru_cache(maxsize=4096)
+def _profile(borders: int, evens: int, odds: int, squares: int) -> WordProfile:
+    return WordProfile(_entries(borders), _entries(evens), _entries(odds), _entries(squares))
 
 
 def word_profile(w: Word) -> WordProfile:
-    """The four profile sets of w in one pass: every border (starting at
-    p = n - i), palindromic prefix (of length p + 1) and square prefix (of
-    half-length p) has a witness p >= 1 with s[p] == s[0]."""
+    """The four profile sets of w in one pass over the witnesses p >= 1 with
+    s[p] == s[0] (a border of length i starts at p = n - i, a palindromic
+    prefix has length p + 1, a square prefix half-length p), each compared
+    letter by letter up to its first mismatch; equal profiles share a record."""
     s = w.symbols
     n = len(s)
-    borders, evens, odds, squares = [], [], [], []
+    first = s[0] if n else None
+    borders = evens = odds = squares = 0
     for p in range(1, n):
-        if s[p] == s[0]:
-            if 2 * p >= n and s[:n - p] == s[p:]:
-                borders.append(n - p)
-            if s[:p + 1] == s[p::-1]:
-                (evens if p % 2 else odds).append((p + 1) // 2)
-            if 2 * p <= n and s[:p] == s[p:2 * p]:
-                squares.append(p)
-    return WordProfile(
-        _entry_set(tuple(borders)), _entry_set(tuple(evens)),
-        _entry_set(tuple(odds)), _entry_set(tuple(squares)),
-    )
+        if s[p] == first:
+            i = 1  # is the prefix of length p + 1 a palindrome?
+            while i < p - i and s[i] == s[p - i]:
+                i += 1
+            if i >= p - i:
+                if p % 2:
+                    evens |= 1 << (p + 1) // 2
+                else:
+                    odds |= 1 << p // 2
+            # s[:m] == s[p:p + m] is a square (2p <= n) or a border (2p >= n)
+            m = p if p <= n - p else n - p  # min(p, n - p), inlined for speed
+            i = 1
+            while i < m and s[i] == s[p + i]:
+                i += 1
+            if i >= m:
+                if 2 * p <= n:
+                    squares |= 1 << p
+                if 2 * p >= n:
+                    borders |= 1 << n - p
+    return _profile(borders, evens, odds, squares)
 
 
 def perfect_shuffle(x: Word, y: Word) -> Word:

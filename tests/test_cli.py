@@ -516,12 +516,8 @@ class TestVerify:
 
     @pytest.mark.parametrize(
         "argv,vacuous",
-        [
-            (["--k-max", "1"], ["counts", "recurrences", "lemmas"]),
-            (["--suite", "counts", "--budget", "1"], ["counts"]),
-            (["--n-max", "0"], ["counts"]),
-        ],
-        ids=["k-max-1", "budget-1", "n-max-0"],
+        [(["--suite", "counts", "--budget", "1"], ["counts"])],
+        ids=["budget-1"],
     )
     def test_a_suite_that_ran_no_check_fails(self, capsys, argv, vacuous):
         code, out, _ = run(capsys, "verify", *argv)
@@ -529,6 +525,23 @@ class TestVerify:
         for name in vacuous:
             assert f"{name}: FAIL (0 checks)" in out.splitlines()
         assert "PASS (0 checks)" not in out
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--k-max", "1", "--n-max", "5"],
+            ["--suite", "bijection", "--k-max", "0"],
+            ["--n-max", "0"],
+            ["--suite", "g-map", "--k-max", "2", "--n-max", "-1"],
+        ],
+        ids=["k-max-1", "k-max-0", "n-max-0", "n-max-negative"],
+    )
+    def test_bounds_that_scan_no_word_are_refused(self, capsys, argv):
+        # before any suite runs, since bijection and g-map would pass on
+        # their checks that scan no word
+        code, out, err = run(capsys, "verify", *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: --k-max must be at least 2 and --n-max at least 1")
 
     def test_unknown_suite_is_a_usage_error(self, capsys):
         with pytest.raises(SystemExit) as outcome:

@@ -38,8 +38,22 @@ def test_constants_suite_keeps_the_census_within_the_budget(monkeypatch):
     ],
 )
 def test_a_suite_that_runs_no_check_fails(name, options):
-    [result] = run_suites([name], **options)
+    # the suite itself, since run_suites refuses bounds below k=2 or n=1
+    bounds = {"k_max": 3, "n_max": 10, "budget": DEFAULT_BUDGET} | options
+    result = verify.SUITES[name](bounds["k_max"], bounds["n_max"], bounds["budget"])
     assert (result.checks, result.failures, result.passed) == (0, [], False)
+
+
+@pytest.mark.parametrize(
+    "options", [{"k_max": 1}, {"k_max": 0}, {"n_max": 0}, {"n_max": -3}],
+)
+def test_run_suites_refuses_bounds_that_scan_no_word(monkeypatch, options):
+    def not_run(*args):
+        raise AssertionError("a suite ran")
+
+    monkeypatch.setattr(verify, "SUITES", dict.fromkeys(verify.SUITES, not_run))
+    with pytest.raises(ValueError, match="--k-max must be at least 2"):
+        run_suites(list(verify.SUITES), **options)
 
 
 def test_bijection_lists_at_most_3_to_the_8_words(monkeypatch):

@@ -3,6 +3,7 @@
 import inspect
 import itertools
 import pickle
+import random
 from fractions import Fraction
 
 import pytest
@@ -14,6 +15,7 @@ from palcensus.words import (
     Alphabet,
     Parity,
     Word,
+    WordProfile,
     _even_pp_set,
     _odd_pp_set,
     _short_border_set,
@@ -186,11 +188,47 @@ class TestProfile:
     def test_matches_the_naive_scans(self):
         assert _first_profile_mismatch(word_profile) is None
 
+    def test_matches_the_naive_scans_past_the_exhaustive_range(self):
+        # long words, where a match may run for many letters before the
+        # first mismatch, or to the end of the word
+        rng = random.Random(15)
+        cases = [
+            (k, tuple(rng.randrange(k) for _ in range(n)))
+            for k in (2, 3, 26)
+            for n in range(13, 65)
+            for _ in range(20)
+        ]
+        fibonacci = "0"
+        while len(fibonacci) < 64:
+            fibonacci = fibonacci.translate({48: "01", 49: "0"})  # 0 -> 01, 1 -> 0
+        for n in range(65):
+            for period in ("0", "01", "001", "0110", "0010", "0100110"):
+                cases.append((2, tuple(map(int, (period * n)[:n]))))
+            cases.append((2, tuple(map(int, fibonacci[:n]))))
+            half = tuple(map(int, fibonacci[:n // 2]))
+            cases.append((2, half + (1,) * (n % 2) + half[::-1]))
+            cases.append((3, tuple(i % 3 for i in range(n // 2)) * 2))
+        for k, w in cases:
+            got = word_profile(Word.of(w, k))
+            assert (
+                got.short_borders, got.even_pp_orders, got.odd_pp_orders,
+                got.square_half_lengths,
+            ) == (
+                _short_border_set(w), _even_pp_set(w), _odd_pp_set(w),
+                _square_half_set(w),
+            ), (k, w)
+
     @pytest.mark.parametrize(
         "old,new",
         [
             ("range(1, n)", "range(1, n - 1)"),  # stops at p = n - 2
             ("2 * p <= n", "2 * p < n"),  # misses the square of the whole word
+            # a palindrome check that stops one pair early
+            ("while i < p - i and", "while i < p - i - 1 and"),
+            # a square or border check that skips its last letter
+            ("while i < m and", "while i < m - 1 and"),
+            # a palindrome test that rejects every odd length
+            ("if i >= p - i:", "if i > p - i:"),
         ],
     )
     def test_naive_scans_see_a_planted_bug(self, old, new):
@@ -201,10 +239,16 @@ class TestProfile:
         assert _first_profile_mismatch(namespace["word_profile"]) is not None
 
     def test_equal_sets_are_shared(self):
+        # equal profiles are one record, and equal sets one frozenset, also
+        # across profiles that differ elsewhere; both tables are bounded
         first = word_profile(binary("0110110"))
-        second = word_profile(binary("1001001"))
-        assert first.square_half_lengths is second.square_half_lengths
-        assert words._entry_set.cache_info().maxsize == 4096
+        assert word_profile(binary("1001001")) is first
+        other = word_profile(binary("0110111"))
+        assert other != first
+        assert other.square_half_lengths is first.square_half_lengths
+        assert other.even_pp_orders is first.even_pp_orders
+        assert words._profile.cache_info().maxsize == 4096
+        assert words._entries.cache_info().maxsize == 4096
 
     def test_entries_in_range(self):
         for n in range(0, 11):
@@ -332,7 +376,7 @@ def test_unbordered_means_no_border_at_all(word):
 
 def _records():
     # one value of each record type, built twice so the pairs are equal
-    # but not identical
+    # but not identical (word_profile would return one shared record)
     from palcensus.census import Family
     from palcensus.constants import DecimalReport, Enclosure
     from palcensus.maps import Permutation
@@ -341,7 +385,9 @@ def _records():
     return [
         lambda: Alphabet(3),
         lambda: Word.of((0, 2, 1), 3),
-        lambda: word_profile(Word.of((0, 0, 1, 0, 0), 2)),
+        lambda: WordProfile(
+            frozenset({1, 2}), frozenset({1}), frozenset({2}), frozenset({1})
+        ),
         lambda: Permutation((2, 1, 3)),
         lambda: CountSeq(2, Family.UNBORDERED, {1: 2, 2: 2}),
         lambda: Enclosure(Fraction(1, 3), Fraction(1, 2)),
