@@ -22,7 +22,8 @@ from fractions import Fraction
 
 from .census import DEFAULT_BUDGET
 from .recurrences import (
-    CountSeq, no_pal_prefix_counts, no_pal_prefix_ratios, unbordered_counts
+    CountSeq, MissingCountError, _doubling, _no_pal_prefix_back, _unbordered_back,
+    _validate_unbordered, no_pal_prefix_ratios, unbordered_counts,
 )
 from .words import _Record
 
@@ -85,13 +86,15 @@ def decimal_string(x: Fraction, digits: int) -> str:
 # the prefix-density series
 
 
-def _series_enclosure(k: int, counts: CountSeq, N: int) -> Enclosure:
-    """Enclosure of the sum of counts[n] / k**(2n) over n >= 1, for counts
-    in [0, k**n]: N terms as one integer over k**(2N) by Horner's rule, and
-    the tail, at most k**(-N) / (k-1)."""
-    numerator = 0
-    for n in range(1, N + 1):
-        numerator = numerator * k * k + counts[n]
+def _series_enclosure(k: int, counts, N: int) -> Enclosure:
+    """Enclosure of the sum of c(n) / k**(2n) over n >= 1 from the stream
+    c(1), c(2), ... of counts in [0, k**n], which must hold N: N terms as one
+    integer over k**(2N) by Horner's rule, and the tail, at most k**(-N) / (k-1)."""
+    numerator = n = 0
+    for n, count in zip(range(1, N + 1), counts):
+        numerator = numerator * k * k + count
+    if n < N:
+        raise MissingCountError(f"the series needs {N} counts, the stream held {n}")
     lower = Fraction(numerator, k ** (2 * N))
     return Enclosure(lower, lower + Fraction(1, (k - 1) * k ** N))
 
@@ -117,7 +120,7 @@ def density_series(k: int, x, N: int) -> Enclosure:
 
 def density_series_enclosure(k: int, N: int) -> Enclosure:
     """Enclosure of D(1/k), the value the limiting density is built from."""
-    return _series_enclosure(k, no_pal_prefix_counts(k, N), N)
+    return _series_enclosure(k, _doubling(k, N, _no_pal_prefix_back), N)
 
 
 def _functional_enclosure(k: int, j: int) -> Enclosure:
@@ -218,10 +221,16 @@ def unbordered_density_enclosure(k: int, N: int, *, budget: int = DEFAULT_BUDGET
     A bordered word's shortest border is unbordered and at most half its
     length, so the length-n words with shortest border m number
     u(m) * k**(n-2m), and u(n) / k**n = 1 - sum over m <= n/2 of
-    u(m) / k**(2m).  Letting n grow gives the series.  budget bounds the
-    census that checks the counts.
+    u(m) / k**(2m).  Letting n grow gives the series, and u(n) / k**n - γ =
+    sum over m > n//2 of (u(m) / k**m) k**-m.  Each u(m) / k**m lies in
+    [γ, γ + k**-(m//2) / (k-1)], as its excess over γ is such a sum, of
+    terms in [0, k**-m'] since u(m') <= k**m'.  So, with q = k**-(n//2) / (k-1),
+        γq <= u(n) / k**n - γ <= γq + sum over m > n//2 of k**(-m - m//2) / (k-1).
+    The counts stream from the unbordered recurrence, checked first against
+    the census within budget.
     """
-    series = _series_enclosure(k, unbordered_counts(k, N, budget=budget), N)
+    _validate_unbordered(k, budget)
+    series = _series_enclosure(k, _doubling(k, N, _unbordered_back), N)
     return Enclosure(1 - series.upper, 1 - series.lower)
 
 
@@ -242,7 +251,7 @@ def square_prefix_densities(
     min_square(i) never exceeds k**i.  The square-free density is its
     complement in 1.  Requires min_square to hold 1..n.
     """
-    with_square = _series_enclosure(k, min_square, n)
+    with_square = _series_enclosure(k, (min_square[i] for i in range(1, n + 1)), n)
     square_free = Enclosure(1 - with_square.upper, 1 - with_square.lower)
     return with_square, square_free
 
@@ -251,5 +260,5 @@ def unbordered_density_estimate(k: int, n: int) -> DecimalReport:
     """u(n) / k**n truncated to 16 places: an uncertified approximation of
     γ, within k**-(n//2) / (k-1) above it.  Nothing in the package calls it;
     it stays only for the benchmark's gamma op until the benchmark revision
-    (ROADMAP item 2).  unbordered_density certifies γ."""
+    (ROADMAP item 3).  unbordered_density certifies γ."""
     return DecimalReport(decimal_string(Fraction(unbordered_counts(k, n)[n], k ** n), 16))

@@ -1,6 +1,8 @@
 """Count sequences from recurrences, their exact-ratio companions, and a
 persistent store for the brute-forced minimal-square counts.
 
+One kernel, _doubling, streams the unbordered, no-palindromic-prefix and
+square-prefix-free counts, which all double as c(m) = k * c(m-1) - back(m).
 Everything is arbitrary-precision: counts are Python ints, ratios are
 fractions.  No floating point enters this module.
 """
@@ -40,19 +42,35 @@ class CountSeq(_Record):
                 f"{self.family.value} count for k={self.k}, n={n} was not computed"
             ) from None
 
-    def __contains__(self, n: int) -> bool:
-        return n in self.values
-
-    @property
-    def max_n(self) -> int:
-        return max(self.values, default=0)
-
 
 def _require(k: int, N: int) -> None:
     if k < 2:
         raise ValueError(f"recurrences need an alphabet of size at least 2, got {k}")
     if N < 1:
         raise ValueError(f"sequence length must be at least 1, got {N}")
+
+
+def _doubling(k: int, N: int, back):
+    """Yield c(1..N) for c(1) = k and c(m) = k * c(m-1) - back(m, kept), where
+    kept[m] = c(m) for m <= ceil(N/2) is all that back may read of the stream
+    (it may read a sequence of its own), so half the counts are held."""
+    _require(k, N)
+    kept = [0]
+    count = k
+    for m in range(1, N + 1):
+        if m > 1:
+            count = k * count - back(m, kept)
+        if 2 * m <= N + 1:
+            kept.append(count)
+        yield count
+
+
+def _no_pal_prefix_back(m: int, kept: list[int]) -> int:
+    return kept[(m + 1) // 2]
+
+
+def _unbordered_back(m: int, kept: list[int]) -> int:
+    return 0 if m % 2 else kept[m // 2]
 
 
 def no_pal_prefix_counts(k: int, N: int) -> CountSeq:
@@ -68,11 +86,8 @@ def no_pal_prefix_counts(k: int, N: int) -> CountSeq:
     prefix-free words of half the (rounded-up) length, which is what the
     subtracted term removes.
     """
-    _require(k, N)
-    values = {1: k}
-    for m in range(2, N + 1):
-        values[m] = k * values[m - 1] - values[(m + 1) // 2]
-    return CountSeq(k, Family.NO_PAL_PREFIX, values)
+    values = enumerate(_doubling(k, N, _no_pal_prefix_back), 1)
+    return CountSeq(k, Family.NO_PAL_PREFIX, dict(values))
 
 
 # budget for the cross-check of the unbordered recurrence against the
@@ -82,25 +97,17 @@ def no_pal_prefix_counts(k: int, N: int) -> CountSeq:
 _VALIDATION_WORDS = 60_000
 
 
-def _unbordered_values(k: int, N: int) -> dict[int, int]:
-    values = {1: k}
-    for m in range(2, N + 1):
-        values[m] = k * values[m - 1] - (0 if m % 2 else values[m // 2])
-    return values
-
-
 def _validate_unbordered(k: int, budget: int) -> None:
-    values = _unbordered_values(k, 14)
     total = 0
-    for n in range(1, 15):
+    for n, value in enumerate(_doubling(k, 14, _unbordered_back), 1):
         total += k ** n
         if total > _VALIDATION_WORDS or k ** n > budget:
             break
         counted = census_family(k, n, Family.UNBORDERED, budget=budget)
-        if values[n] != counted:
+        if value != counted:
             raise RuntimeError(
                 f"unbordered recurrence disagrees with the census at "
-                f"k={k}, n={n}: {values[n]} != {counted}"
+                f"k={k}, n={n}: {value} != {counted}"
             )
 
 
@@ -111,30 +118,9 @@ def unbordered_counts(k: int, N: int, *, budget: int = DEFAULT_BUDGET) -> CountS
     u(2n) = k*u(2n-1) - u(n).  Each call cross-checks the recurrence
     against the enumeration census at the short lengths.
     """
-    _require(k, N)
     _validate_unbordered(k, budget)
-    return CountSeq(k, Family.UNBORDERED, _unbordered_values(k, N))
-
-
-def no_even_pp_counts(k: int, N: int, *, budget: int = DEFAULT_BUDGET) -> CountSeq:
-    """Counts of length-n words with no even palindromic prefix.
-
-    Equal to the unbordered counts at every length: the milk shuffle maps one
-    family onto the other.
-    """
-    u = unbordered_counts(k, N, budget=budget)
-    return CountSeq(k, Family.NO_EVEN_PP, dict(u.values))
-
-
-def no_odd_pp_counts(k: int, N: int, *, budget: int = DEFAULT_BUDGET) -> CountSeq:
-    """Counts of length-n words with no nontrivial odd palindromic prefix.
-
-    Equals the unbordered count for odd n and k times the length-(n-1)
-    unbordered count for even n.
-    """
-    u = unbordered_counts(k, N, budget=budget)
-    values = {n: u[n] if n % 2 else k * u[n - 1] for n in range(1, N + 1)}
-    return CountSeq(k, Family.NO_ODD_PP, values)
+    values = enumerate(_doubling(k, N, _unbordered_back), 1)
+    return CountSeq(k, Family.UNBORDERED, dict(values))
 
 
 def min_square_counts(
@@ -183,15 +169,15 @@ def square_prefix_counts(
 
     A word with a square prefix has a unique minimal one, so the counts with
     a square prefix convolve:  has(n) = sum over 2i <= n of min_square(i)
-    times k**(n-2i), and free(n) = k**n - has(n).  Requires min_square to
-    hold every half-length up to N // 2.
+    times k**(n-2i).  Hence has(n) = k * has(n-1) + min_square(n/2) at even
+    n, and the free counts free(n) = k**n - has(n) double like the others:
+    free(1) = k and free(n) = k * free(n-1) - [n even] * min_square(n/2).
+    Requires min_square to hold every half-length up to N // 2.
     """
-    _require(k, N)
-    free: dict[int, int] = {}
-    has: dict[int, int] = {}
-    for n in range(1, N + 1):
-        has[n] = sum(min_square[i] * k ** (n - 2 * i) for i in range(1, n // 2 + 1))
-        free[n] = k ** n - has[n]
+    free = dict(enumerate(
+        _doubling(k, N, lambda m, kept: 0 if m % 2 else min_square[m // 2]), 1
+    ))
+    has = {n: k ** n - count for n, count in free.items()}
     return (
         CountSeq(k, Family.NO_SQUARE_PREFIX, free),
         CountSeq(k, Family.HAS_SQUARE_PREFIX, has),
@@ -209,15 +195,17 @@ def family_counts(
     jobs: int = 1,
 ) -> CountSeq:
     """Counts of a census family for lengths 1..N (half-lengths for
-    MIN_SQUARE) from the unbordered or no-palindromic-prefix recurrence, or
-    from the minimal-square counts and their convolution.  The keywords are
-    those of min_square_counts; budget also bounds the unbordered check."""
-    if family is Family.UNBORDERED:
-        return unbordered_counts(k, N, budget=budget)
-    if family is Family.NO_EVEN_PP:
-        return no_even_pp_counts(k, N, budget=budget)
-    if family is Family.NO_ODD_PP:
-        return no_odd_pp_counts(k, N, budget=budget)
+    MIN_SQUARE), the one table from a family to its sequence.  The milk
+    shuffle maps no-even-pp onto the unbordered words; adjacent sums map
+    no-odd-pp k-to-1 onto no-even-pp one letter shorter, so it counts
+    k * u(n-1), which is u(n) at odd n.  The square-prefix families come from
+    the minimal-square counts.  The keywords are those of min_square_counts;
+    budget also bounds the unbordered check."""
+    if family in (Family.UNBORDERED, Family.NO_EVEN_PP, Family.NO_ODD_PP):
+        u = unbordered_counts(k, N, budget=budget).values
+        if family is Family.NO_ODD_PP:
+            u = {n: u[n] if n % 2 else k * u[n - 1] for n in u}
+        return CountSeq(k, family, u)
     if family is Family.NO_PAL_PREFIX:
         return no_pal_prefix_counts(k, N)
     min_square = min_square_counts(

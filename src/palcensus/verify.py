@@ -268,7 +268,8 @@ def suite_recurrences(k_max: int, n_max: int, budget: int) -> SuiteResult:
             if ratios[2 * n] != 2 - (k + 1) * partial:
                 result.fail(f"telescoped identity failed at k={k}, n={n}")
             result.checks += 1
-        # parity recurrence for square-prefix-free counts, census-backed
+        # square-prefix-free counts from the parity recurrence against the
+        # convolution over the census's minimal-square counts
         lengths = _lengths(k, min(n_max, 12), budget)
         if lengths:
             top = max(lengths)
@@ -277,15 +278,12 @@ def suite_recurrences(k_max: int, n_max: int, budget: int) -> SuiteResult:
             for n in lengths:
                 if n < 2:
                     continue
-                if n % 2 == 0:
-                    expected = k * free[n - 1] - min_square[n // 2]
-                else:
-                    expected = k * free[n - 1]
-                if free[n] != expected:
-                    result.fail(f"square parity recurrence failed at k={k}, n={n}")
+                has = sum(min_square[i] * k ** (n - 2 * i) for i in range(1, n // 2 + 1))
+                if free[n] != k ** n - has:
+                    result.fail(f"square-prefix convolution failed at k={k}, n={n}")
                 result.checks += 1
-            for i in range(1, min_square.max_n + 1):
-                if not 0 <= min_square[i] <= k ** i:
+            for i, count in min_square.values.items():
+                if not 0 <= count <= k ** i:
                     result.fail(f"min-square count out of range at k={k}, i={i}")
                 result.checks += 1
     return result
@@ -357,13 +355,16 @@ def suite_constants(k_max: int, n_max: int, budget: int) -> SuiteResult:
             if here < limit.lower - bound or here > limit.upper + bound:
                 result.fail(f"ratio strayed from the limiting density at k={k}, n={n}")
             result.checks += 1
-        # the paper's rate: 0 <= u(n)/k**n - γ <= k**-(n//2) / (k-1) for
-        # every γ in the certified enclosure
+        # the two-sided rate proved in unbordered_density_enclosure, for every
+        # γ in the enclosure; k**(-m - m//2) sums to (k+1) k**2 / (k**3 - 1)
         unbordered = family_counts(k, 64, Family.UNBORDERED, budget=budget)
         gamma = unbordered_density_enclosure(k, 256, budget=budget)
         for n in (4, 8, 16, 32, 64):
+            q = Fraction(1, (k - 1) * k ** (n // 2))
+            tail = Fraction((k + 1) * k * k, k ** 3 - 1) - sum(
+                Fraction(1, k ** (m + m // 2)) for m in range(n // 2 + 1))
             here = Fraction(unbordered[n], k ** n)
-            if here < gamma.upper or here - gamma.lower > Fraction(1, (k - 1) * k ** (n // 2)):
+            if not gamma.upper * (1 + q) <= here <= gamma.lower * (1 + q) + tail / (k - 1):
                 result.fail(f"unbordered ratio strayed from its limit at k={k}, n={n}")
             result.checks += 1
     return result

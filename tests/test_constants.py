@@ -2,6 +2,8 @@
 density reports."""
 
 import json
+import os
+import subprocess
 import sys
 import time
 from fractions import Fraction
@@ -9,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+import palcensus
 from palcensus import constants
 from palcensus.constants import (
     MAX_DIGITS,
@@ -117,6 +120,32 @@ class TestDensitySeries:
             assert previous.lower <= current.lower
             assert current.upper <= previous.upper
             previous = current
+
+    def test_a_short_stream_is_refused(self):
+        assert constants._series_enclosure(2, iter([2, 2]), 2) == (
+            density_series_enclosure(2, 2)
+        )
+        with pytest.raises(MissingCountError, match="needs 3 counts, the stream held 2"):
+            constants._series_enclosure(2, iter([2, 2]), 3)
+
+    def test_ten_thousand_digits_stream_the_counts(self):
+        # the series sums 2**15 counts of up to 2**16 bits; holding them all
+        # peaked at 154 MB, streaming them (the recurrence keeps the first
+        # half) at about 57 MB
+        script = (
+            "import resource\n"
+            "from palcensus import density_series_report\n"
+            "density_series_report(4, 10000)\n"
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
+        )
+        src = str(Path(palcensus.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, (src, os.environ.get("PYTHONPATH")))))
+        done = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True, text=True, env=env, timeout=120, check=True,
+        )
+        assert int(done.stdout) < 100 * 1024  # kilobytes
 
     def test_sixty_digits_at_third(self):
         enclosure = density_series_enclosure(3, 130)

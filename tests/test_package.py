@@ -33,8 +33,8 @@ EXPORTED = {
     "recurrences": (
         "CacheMismatchError", "CacheStore", "CountSeq", "MissingCountError",
         "default_cache_path", "family_counts", "min_square_counts",
-        "no_even_pp_counts", "no_odd_pp_counts", "no_pal_prefix_counts",
-        "no_pal_prefix_ratios", "square_prefix_counts", "unbordered_counts",
+        "no_pal_prefix_counts", "no_pal_prefix_ratios",
+        "square_prefix_counts", "unbordered_counts",
     ),
     "words": (
         "Alphabet", "Parity", "Word", "WordProfile", "border_lengths",

@@ -1,7 +1,9 @@
-"""Recurrence-backed sequences against frozen rows, the census, and the
-exact ratio identities; persistence of the minimal-square cache."""
+"""Recurrence-backed sequences against frozen rows, the census, the
+hand loops and convolution they replaced, and the exact ratio identities;
+persistence of the minimal-square cache."""
 
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -10,17 +12,16 @@ from pathlib import Path
 import pytest
 
 import palcensus
-from palcensus import census
+from palcensus import census, recurrences
 from palcensus.census import Family, census_family
 from palcensus.recurrences import (
     CacheMismatchError,
     CacheStore,
+    CountSeq,
     MissingCountError,
     default_cache_path,
     family_counts,
     min_square_counts,
-    no_even_pp_counts,
-    no_odd_pp_counts,
     no_pal_prefix_counts,
     no_pal_prefix_ratios,
     square_prefix_counts,
@@ -37,6 +38,64 @@ A3 = [3, 6, 12, 30, 78, 222, 636, 1878, 5556, 16590, 49548, 148422]
 
 def row(seq, n_max=12):
     return [seq[n] for n in range(1, n_max + 1)]
+
+
+# the hand loops and the convolution that the doubling kernel replaced,
+# kept as oracles
+def _no_pal_prefix_loop(k, N):
+    values = {1: k}
+    for m in range(2, N + 1):
+        values[m] = k * values[m - 1] - values[(m + 1) // 2]
+    return values
+
+
+def _unbordered_loop(k, N):
+    values = {1: k}
+    for m in range(2, N + 1):
+        values[m] = k * values[m - 1] - (0 if m % 2 else values[m // 2])
+    return values
+
+
+def _square_prefix_convolution(k, lengths, min_square):
+    """has(n) = sum over 2i <= n of min_square(i) * k**(n-2i)."""
+    return {
+        n: sum(min_square[i] * k ** (n - 2 * i) for i in range(1, n // 2 + 1))
+        for n in lengths
+    }
+
+
+class TestDoublingKernel:
+    @pytest.mark.parametrize("k", [2, 3, 4, 5])
+    def test_matches_the_hand_loops(self, k):
+        assert no_pal_prefix_counts(k, 2000).values == _no_pal_prefix_loop(k, 2000)
+        assert unbordered_counts(k, 2000).values == _unbordered_loop(k, 2000)
+
+    @pytest.mark.parametrize("k", [2, 3, 4, 5])
+    def test_square_prefix_counts_match_the_convolution(self, k):
+        # arbitrary counts in [0, k**i]; an error at one length carries into
+        # every later free(n) = k * free(n-1) - ..., so the long lengths are
+        # sampled at the end
+        rng = random.Random(k)
+        minimal = CountSeq(
+            k, Family.MIN_SQUARE, {i: rng.randrange(k ** i + 1) for i in range(1, 1001)}
+        )
+        free, has = square_prefix_counts(k, 2000, minimal)
+        lengths = [*range(1, 201), *range(1990, 2001)]
+        expected = _square_prefix_convolution(k, lengths, minimal)
+        assert {n: has[n] for n in lengths} == expected
+        assert all(free[n] == k ** n - has[n] for n in range(1, 2001))
+
+    def test_holds_half_the_counts(self):
+        # kept[m] = c(m) for m <= ceil(N/2), read by every back
+        for N in (1, 2, 7, 8):
+            seen = []
+
+            def back(m, kept):
+                seen.append(len(kept) - 1)
+                return 0
+
+            assert list(recurrences._doubling(3, N, back)) == [3 ** n for n in range(1, N + 1)]
+            assert seen == [min(m - 1, (N + 1) // 2) for m in range(2, N + 1)]
 
 
 class TestNoPalPrefix:
@@ -97,14 +156,16 @@ class TestUnbordered:
 
 class TestParityFamilies:
     def test_no_even_pp_equals_unbordered(self):
-        assert row(no_even_pp_counts(2, 12)) == U2
-        assert row(no_even_pp_counts(3, 10), 10) == row(unbordered_counts(3, 10), 10)
+        assert row(family_counts(2, 12, Family.NO_EVEN_PP)) == U2
+        assert row(family_counts(3, 10, Family.NO_EVEN_PP), 10) == row(
+            unbordered_counts(3, 10), 10
+        )
 
     def test_no_odd_pp_row(self):
-        assert row(no_odd_pp_counts(2, 12)) == T2
+        assert row(family_counts(2, 12, Family.NO_ODD_PP)) == T2
 
     def test_even_lengths_multiply(self):
-        t = no_odd_pp_counts(2, 12)
+        t = family_counts(2, 12, Family.NO_ODD_PP)
         u = unbordered_counts(2, 12)
         assert t[12] == 2 * u[11] == 1136
         assert t[9] == u[9] == 148
@@ -141,17 +202,16 @@ class TestSquareSplit:
         with pytest.raises(MissingCountError):
             square_prefix_counts(2, 12, short)
 
-    def test_parity_recurrence(self):
-        # square-prefix-free counts obey free(2m) = k*free(2m-1) - min(m)
-        # and free(2m+1) = k*free(2m); cross-checked against the frozen row
-        minimal = min_square_counts(2, 6)
-        free, _ = square_prefix_counts(2, 12, minimal)
-        for n in range(2, 13):
-            if n % 2 == 0:
-                assert free[n] == 2 * free[n - 1] - minimal[n // 2]
-            else:
-                assert free[n] == 2 * free[n - 1]
-        assert free[10] == 2 * 148 - 10 == 286
+    @pytest.mark.parametrize("k,N", [(2, 52), (3, 32), (4, 26)])
+    def test_matches_the_convolution_of_census_counts(self, k, N):
+        # the census min-square counts at every half-length the default
+        # budget reaches; the recurrence's subtraction is the convolution's
+        # new term
+        minimal = min_square_counts(k, N // 2)
+        free, has = square_prefix_counts(k, N, minimal)
+        lengths = range(1, N + 1)
+        assert has.values == _square_prefix_convolution(k, lengths, minimal)
+        assert free.values == {n: k ** n - has[n] for n in lengths}
 
 
 class TestCensusAgreement:

@@ -1,5 +1,6 @@
 """The cross-checking suites must fail on planted bugs, not only pass."""
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -315,35 +316,73 @@ def _series_with_a_wider_tail(k, counts, N):
 
 def _series_without_the_last_term(k, counts, N):
     numerator = 0
-    for n in range(1, N):
-        numerator = numerator * k * k + counts[n]
+    for count in itertools.islice(counts, N - 1):
+        numerator = numerator * k * k + count
     lower = Fraction(numerator, k ** (2 * N - 2))
     return Enclosure(lower, lower + Fraction(1, (k - 1) * k ** N))
 
 
-_honest_unbordered_counts = recurrences.unbordered_counts
+_honest_doubling = recurrences._doubling
 
 
-# the gamma plants change counts past n = 14, where the unbordered
-# recurrence's census self-check stops
-def _unbordered_counts_shifted(k, N, **options):
+def _unbordered_stream_changed(change):
+    # the kernel as constants calls it, with change(counts) applied to the
+    # unbordered stream, which in constants only gamma reads; the gamma
+    # plants change counts past n = 14, where the census self-check stops
+    def doubling(k, N, back):
+        counts = _honest_doubling(k, N, back)
+        return change(counts) if back is recurrences._unbordered_back else counts
+
+    return doubling
+
+
+def _counts_shifted(counts):
     # each count past n = 14 is read one index early
-    u = _honest_unbordered_counts(k, N, **options)
-    return CountSeq(k, Family.UNBORDERED, {n: u[n - (n > 14)] for n in u.values})
+    previous = None
+    for n, count in enumerate(counts, 1):
+        yield previous if n > 14 else count
+        previous = count
 
 
-def _unbordered_counts_one_scaled(k, N, **options):
-    # the count at n = 20 is k times too large
-    u = _honest_unbordered_counts(k, N, **options)
-    return CountSeq(
-        k, Family.UNBORDERED, {n: u[n] * (k if n == 20 else 1) for n in u.values}
-    )
+def _count_doubled_at_20(counts):
+    # the count at n = 20 is twice too large
+    for n, count in enumerate(counts, 1):
+        yield 2 * count if n == 20 else count
+
+
+_honest_unbordered_density_enclosure = constants.unbordered_density_enclosure
 
 
 def _unbordered_tail_on_the_wrong_side(k, N, **options):
     # gamma lies at most the tail below 1 minus the partial sum, not above
-    series = _honest_series_enclosure(k, _honest_unbordered_counts(k, N, **options), N)
-    return Enclosure(1 - series.lower, 1 - series.lower + series.width)
+    honest = _honest_unbordered_density_enclosure(k, N, **options)
+    return Enclosure(honest.upper, honest.upper + honest.width)
+
+
+_honest_family_counts = recurrences.family_counts
+
+
+def _unbordered_count_raised_at_32(k, N, family, **options):
+    # u(32) at k = 2 raised by 2**15, so u(32)/2**32 - gamma grows by
+    # 2**-17 to about 0.77 * 2**-16: inside the one-sided bound 2**-16, but
+    # far above the two-sided bound, about 0.27 * 2**-16
+    counts = _honest_family_counts(k, N, family, **options)
+    if family is not Family.UNBORDERED or k != 2:
+        return counts
+    raised = {n: count + (n == 32) * 2 ** 15 for n, count in counts.values.items()}
+    return CountSeq(k, family, raised)
+
+
+def _square_prefix_counts_without_one_subtraction(k, N, min_square):
+    # the parity recurrence with its subtraction dropped at n = 6
+    free = dict(enumerate(recurrences._doubling(
+        k, N, lambda m, kept: 0 if m % 2 or m == 6 else min_square[m // 2]
+    ), 1))
+    has = {n: k ** n - count for n, count in free.items()}
+    return (
+        CountSeq(k, Family.NO_SQUARE_PREFIX, free),
+        CountSeq(k, Family.HAS_SQUARE_PREFIX, has),
+    )
 
 
 def _functional_enclosure_planted(k, j, *, sign=-1, quadratic=True, tail_power=3):
@@ -488,16 +527,34 @@ def _case(module, name, planted, suite, failure, *, id, k=2):
             id="functional-tail-widened",
         ),
         _case(
-            constants, "unbordered_counts", _unbordered_counts_shifted,
+            constants, "_doubling", _unbordered_stream_changed(_counts_shifted),
             "constants",
             "unbordered ratio strayed from its limit at k=2, n=32",
             id="gamma-counts-shifted",
         ),
         _case(
-            constants, "unbordered_counts", _unbordered_counts_one_scaled,
+            constants, "_doubling", _unbordered_stream_changed(_count_doubled_at_20),
             "constants",
             "unbordered ratio strayed from its limit at k=2, n=64",
             id="gamma-count-scaled",
+        ),
+        _case(
+            verify, "family_counts", _unbordered_count_raised_at_32,
+            "constants",
+            "unbordered ratio strayed from its limit at k=2, n=32",
+            id="gamma-count-raised-at-32",
+        ),
+        _case(
+            recurrences, "square_prefix_counts",
+            _square_prefix_counts_without_one_subtraction,
+            "counts", "no-square-prefix mismatch at k=2, n=6",
+            id="square-subtraction-dropped-counts",
+        ),
+        _case(
+            recurrences, "square_prefix_counts",
+            _square_prefix_counts_without_one_subtraction,
+            "recurrences", "square-prefix convolution failed at k=2, n=6",
+            id="square-subtraction-dropped-recurrences",
         ),
         _case(
             verify, "unbordered_density_enclosure", _unbordered_tail_on_the_wrong_side,
