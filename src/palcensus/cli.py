@@ -17,7 +17,9 @@ import sys
 
 # the parser needs only these; each command imports what it runs, so a
 # fresh process loads no more of the package than its command needs
-from .census import DEFAULT_BUDGET, BudgetExceededError, Family, ProfileKind
+from .census import (
+    DEFAULT_BUDGET, MAX_LISTED_WORDS, BudgetExceededError, Family, ProfileKind,
+)
 
 # verify.SUITES in run order, spelled out so that the parser need not
 # import verify (a test keeps the two equal)
@@ -307,7 +309,10 @@ def _build_parser() -> argparse.ArgumentParser:
     profile.add_argument(
         "--set", default="", help="comma-separated indices; empty for the empty set"
     )
-    profile.add_argument("--list", action="store_true", help="list the words")
+    profile.add_argument(
+        "--list", action="store_true",
+        help=f"list the words; refused when more than {MAX_LISTED_WORDS} match",
+    )
     _add_budget_options(profile)
     profile.set_defaults(func=_cmd_profile)
 

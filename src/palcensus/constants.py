@@ -8,9 +8,9 @@ so a reported digit string is an initial segment of the true expansion.
 The key series is D(X) = sum over n >= 1 of r(n) * X**n, where r(n) is the
 fraction of length-n words with no nontrivial palindromic prefix.  Its value
 at X = 1/k gives the limiting density of that family; the minimal-square
-counts give the square-prefix densities, and the unbordered counts the
-unbordered density γ, through the same kernel.  D(1/k) has a second
-certified route, its functional equation iterated down from X = 1/k.
+counts give the square-prefix densities through the same kernel.  D(1/k)
+has a second certified route, its functional equation stepped down from
+X = 1/k; the same stepper certifies γ from Nielsen's equation, no count read.
 """
 
 from __future__ import annotations
@@ -20,10 +20,9 @@ import math
 from decimal import Decimal
 from fractions import Fraction
 
-from .census import DEFAULT_BUDGET
 from .recurrences import (
     CountSeq, MissingCountError, _doubling, _no_pal_prefix_back, _unbordered_back,
-    _validate_unbordered, no_pal_prefix_ratios, unbordered_counts,
+    no_pal_prefix_ratios, unbordered_counts,
 )
 from .words import _Record
 
@@ -123,28 +122,38 @@ def density_series_enclosure(k: int, N: int) -> Enclosure:
     return _series_enclosure(k, _doubling(k, N, _no_pal_prefix_back), N)
 
 
-def _functional_enclosure(k: int, j: int) -> Enclosure:
-    """Enclosure of D(1/k) from j steps of the functional equation
-        D(X) = 2X/(1-X) + ((X+k)/(X(X-1))) * D(X**2 / k).
-
-    At X_i = k**-e, e = 2**(i+1) - 1 (so X_0 = 1/k, X_(i+1) = X_i**2 / k), it
-    reads D(X_i) = (2 - (k**(e+1) + 1) * k**e * D(X_(i+1))) / (k**e - 1).
-    r(1) = 1, r(2) = 1 - 1/k and 0 <= r(n) <= 1 give the starting enclosure
-    D(X_j) in X_j + (1 - 1/k) * X_j**2 + [0, X_j**3 / (1 - X_j)].  Each step
-    back is a decreasing map, so it swaps the bounds, which stay integer
-    numerators over one shared denominator: no Fraction and no gcd.  The
-    width is about k**(1 - 2**(j+2)), so each step doubles the digits.
-    """
-    top = k ** (2 ** (j + 1) - 1)
-    denominator = k * top * top * (top - 1)
-    low = (k * top + k - 1) * (top - 1)
-    high = low + k
-    for i in range(j - 1, -1, -1):
-        power = k ** (2 ** (i + 1) - 1)
-        scale = (k * power + 1) * power
-        low, high = 2 * denominator - scale * high, 2 * denominator - scale * low
-        denominator *= power - 1
+def _stepped(k: int, j: int, start, step) -> Enclosure:
+    """Enclosure of A(Y_0) by j steps of A(Y_i) = (a - b * A(Y_(i+1))) / (p - 1),
+    p = k**(2**(i+1) - 1), (a, b) = step(p), b > 0, from A(Y_j) in [low, low + width]
+    / denominator, (low, width, denominator) = start(p).  Each step swaps the bounds,
+    integer numerators over one shared denominator: no Fraction and no gcd."""
+    if k < 2:
+        raise ValueError(f"the functional equations need k at least 2, got {k}")
+    low, width, denominator = start(k ** (2 ** (j + 1) - 1))
+    high = low + width
+    for p in (k ** (2 ** e - 1) for e in range(j, 0, -1)):
+        a, b = step(p)
+        low, high = a * denominator - b * high, a * denominator - b * low
+        denominator *= p - 1
     return Enclosure(Fraction(low, denominator), Fraction(high, denominator))
+
+
+def _functional_enclosure(k: int, j: int) -> Enclosure:
+    """Enclosure of D(1/k) from j steps of D(X) = 2X/(1-X) + ((X+k)/(X(X-1))) D(X**2/k),
+    at X_i = 1/p: D(X_i) = (2 - (kp + 1) p D(X_(i+1))) / (p - 1).  r(1) = 1, r(2) = 1 - 1/k
+    and 0 <= r(n) <= 1 give D(X_j) in X_j + (1 - 1/k) X_j**2 + [0, X_j**3 / (1 - X_j)].
+    The width is about k**(1 - 2**(j+2)), so each step doubles the digits."""
+    return _stepped(k, j, lambda p: ((k * p + k - 1) * (p - 1), k, k * p * p * (p - 1)),
+                    lambda p: (2, (k * p + 1) * p))
+
+
+def _nielsen_enclosure(k: int, j: int) -> Enclosure:
+    """Enclosure of γ = 2 - U(1/k**2), U(Y) = 1 + sum of u(m) * Y**m, from j steps of
+    Nielsen's equation U(Y)(1 - kY) = 2 - U(Y**2), at Y_i = 1/(kp): U(Y_i) =
+    (2p - p * U(Y_(i+1))) / (p - 1).  u(1) = k and 0 <= u(m) <= k**m give U(Y_j) in
+    1 + 1/p + [0, 1/(p(p - 1))]; the width is below k**(4 - 2**(j+2)).  No count is read."""
+    u = _stepped(k, j, lambda p: (p * p - 1, 1, p * (p - 1)), lambda p: (2 * p, p))
+    return Enclosure(2 - u.upper, 2 - u.lower)
 
 
 # the largest digit request: at k = 4 it sums 2**15 counts of up to 2**16 bits
@@ -214,9 +223,9 @@ def pal_free_density(k: int, digits: int) -> DecimalReport:
     return DecimalReport(_refine(lambda N: pal_free_density_enclosure(k, N), digits))
 
 
-def unbordered_density_enclosure(k: int, N: int, *, budget: int = DEFAULT_BUDGET) -> Enclosure:
+def unbordered_density_enclosure(k: int, N: int) -> Enclosure:
     """Enclosure of γ, the limiting fraction of unbordered words:
-    1 - sum over m >= 1 of u(m) / k**(2m).
+    1 - sum over m >= 1 of u(m) / k**(2m), the reference for unbordered_density.
 
     A bordered word's shortest border is unbordered and at most half its
     length, so the length-n words with shortest border m number
@@ -226,18 +235,17 @@ def unbordered_density_enclosure(k: int, N: int, *, budget: int = DEFAULT_BUDGET
     [γ, γ + k**-(m//2) / (k-1)], as its excess over γ is such a sum, of
     terms in [0, k**-m'] since u(m') <= k**m'.  So, with q = k**-(n//2) / (k-1),
         γq <= u(n) / k**n - γ <= γq + sum over m > n//2 of k**(-m - m//2) / (k-1).
-    The counts stream from the unbordered recurrence, checked first against
-    the census within budget.
     """
-    _validate_unbordered(k, budget)
     series = _series_enclosure(k, _doubling(k, N, _unbordered_back), N)
     return Enclosure(1 - series.upper, 1 - series.lower)
 
 
 def unbordered_density(k: int, digits: int) -> DecimalReport:
-    """The limiting unbordered density γ, certified to the requested number
-    of decimal places."""
-    return DecimalReport(_refine(lambda N: unbordered_density_enclosure(k, N), digits))
+    """The limiting unbordered density γ, certified to the requested number of
+    decimal places by Nielsen's equation alone.  Depth j has width below
+    10**-(MAX_DIGITS + 8) once 2**j > MAX_DIGITS + 8, so a broken step fails."""
+    depths = range(1, (MAX_DIGITS + 9).bit_length() + 1)
+    return DecimalReport(_refine(lambda j: _nielsen_enclosure(k, j), digits, depths))
 
 
 def square_prefix_densities(

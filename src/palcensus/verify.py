@@ -24,6 +24,7 @@ from .census import (
 )
 from .constants import (
     _functional_enclosure,
+    _nielsen_enclosure,
     density_series,
     density_series_enclosure,
     pal_free_density_enclosure,
@@ -301,7 +302,7 @@ def suite_constants(k_max: int, n_max: int, budget: int) -> SuiteResult:
                 result.fail(f"series kernel differs from the Fraction sum at k={k}, N={N}")
             for name, enclose in (
                 ("series", lambda M: density_series_enclosure(k, M)),
-                ("unbordered", lambda M: unbordered_density_enclosure(k, M, budget=budget)),
+                ("unbordered", lambda M: unbordered_density_enclosure(k, M)),
             ):
                 outer, inner = enclose(N), enclose(2 * N)
                 if not (outer.lower <= inner.lower and inner.upper <= outer.upper):
@@ -318,20 +319,21 @@ def suite_constants(k_max: int, n_max: int, budget: int) -> SuiteResult:
             if max(direct.lower, bounds[0]) > min(direct.upper, bounds[1]):
                 result.fail(f"functional equation enclosures disjoint at k={k}, x={x}")
             result.checks += 1
-    # the two certified routes to D(1/k), paired so that their widths are
-    # comparable: about k**-N for the series, k**(1 - 2**(j+2)) for depth j
+    # the two certified routes to D(1/k) and to γ, paired so that their widths
+    # are comparable: about k**-N for the series, k**(1 - 2**(j+2)) for depth j
     for k in range(2, max(k_max, 5) + 1):
         for N, j in ((16, 1), (16, 2), (64, 3), (64, 4), (256, 5), (256, 6)):
-            closed = _functional_enclosure(k, j)
-            series = density_series_enclosure(k, N)
-            if max(closed.lower, series.lower) > min(closed.upper, series.upper):
-                result.fail(
-                    f"functional-equation enclosure left the series enclosure "
-                    f"at k={k}, N={N}, j={j}"
-                )
-            if closed.width * k ** (2 ** (j + 2) - 3) > 1:
-                result.fail(f"functional-equation enclosure too wide at k={k}, j={j}")
-            result.checks += 2
+            for name, stepper, reference, slack in (
+                ("functional-equation", _functional_enclosure, density_series_enclosure, 3),
+                ("Nielsen-equation", _nielsen_enclosure, unbordered_density_enclosure, 4),
+            ):
+                closed, series = stepper(k, j), reference(k, N)
+                if max(closed.lower, series.lower) > min(closed.upper, series.upper):
+                    result.fail(
+                        f"{name} enclosure left the series enclosure at k={k}, N={N}, j={j}")
+                if closed.width * k ** (2 ** (j + 2) - slack) > 1:
+                    result.fail(f"{name} enclosure too wide at k={k}, j={j}")
+                result.checks += 2
     for k in range(2, max(k_max, 5) + 1):
         depths = _lengths(k, 7, budget)
         if not depths:
@@ -356,15 +358,22 @@ def suite_constants(k_max: int, n_max: int, budget: int) -> SuiteResult:
                 result.fail(f"ratio strayed from the limiting density at k={k}, n={n}")
             result.checks += 1
         # the two-sided rate proved in unbordered_density_enclosure, for every
-        # γ in the enclosure; k**(-m - m//2) sums to (k+1) k**2 / (k**3 - 1)
-        unbordered = family_counts(k, 64, Family.UNBORDERED, budget=budget)
-        gamma = unbordered_density_enclosure(k, 256, budget=budget)
-        for n in (4, 8, 16, 32, 64):
-            q = Fraction(1, (k - 1) * k ** (n // 2))
-            tail = Fraction((k + 1) * k * k, k ** 3 - 1) - sum(
-                Fraction(1, k ** (m + m // 2)) for m in range(n // 2 + 1))
-            here = Fraction(unbordered[n], k ** n)
-            if not gamma.upper * (1 + q) <= here <= gamma.lower * (1 + q) + tail / (k - 1):
+        # γ in the count-free enclosure, of width below k**-256.  With
+        # w = (k-1) k**(n//2), 1 + q = (w+1)/w; k**(-m - m//2) over m >= M sums
+        # to k**-(M + M//2) (k**3 + k**(2 - M%2)) / (k**3 - 1), so the tail
+        # times k**n K, K = (k**3 - 1)(k - 1), is the integer t.  Both sides are
+        # cleared of denominators, as Fractions at 253 lengths would cost more
+        # than the rest of the suite.
+        unbordered = family_counts(k, 256, Family.UNBORDERED, budget=budget)
+        gamma = _nielsen_enclosure(k, 7)
+        (a, b), (c, d) = gamma.lower.as_integer_ratio(), gamma.upper.as_integer_ratio()
+        K = (k ** 3 - 1) * (k - 1)
+        for n in range(4, 257):
+            M = n // 2 + 1
+            t = (k ** 3 + k ** (2 - M % 2)) * k ** (n - M - M // 2)
+            w = (k - 1) * k ** (n // 2)
+            u, top = unbordered[n], (w + 1) * k ** n
+            if not (c * top <= u * w * d and u * w * K * b <= a * top * K + t * w * b):
                 result.fail(f"unbordered ratio strayed from its limit at k={k}, n={n}")
             result.checks += 1
     return result

@@ -230,6 +230,25 @@ class TestProfileCensus:
         with pytest.raises(BudgetExceededError):
             list_profile(2, 30, ProfileKind.SHORT_BORDERS, {1}, budget=2 ** 10)
 
+    def test_a_long_list_is_refused_before_any_word(self, monkeypatch):
+        # 74 unbordered binary words of length 8 against a cap of 50: the
+        # census counts them (here from its memo), and no word is built
+        monkeypatch.setattr(census, "MAX_LISTED_WORDS", 50)
+        assert census_profile(2, 8, ProfileKind.SHORT_BORDERS, set()) == 74
+        for name in ("_walk", "_parts"):
+            monkeypatch.setattr(census, name, None)
+        with pytest.raises(BudgetExceededError, match="74 words match, more than the 50"):
+            list_profile(2, 8, ProfileKind.SHORT_BORDERS, set())
+
+    def test_a_list_under_the_cap_is_built(self, monkeypatch):
+        monkeypatch.setattr(census, "MAX_LISTED_WORDS", 50)
+        with_borders = list_profile(2, 8, ProfileKind.SHORT_BORDERS, {1, 3})
+        assert [format_word(w) for w in with_borders] == EXAMPLE_BORDER_WORDS
+        # at most the cap of words in all, nothing is counted first
+        monkeypatch.setattr(census, "census_profile", None)
+        words = list_profile(2, 5, ProfileKind.SHORT_BORDERS, set())
+        assert len(words) == census.census_family(2, 5, Family.UNBORDERED)
+
     def test_empty_word(self):
         for kind in ProfileKind:
             assert census_profile(3, 0, kind, set()) == 1

@@ -224,6 +224,15 @@ class TestProfile:
             "10100101", "10101101", "10110101", "10111101",
         ]
 
+    def test_list_above_the_cap_is_a_usage_error(self, capsys, monkeypatch):
+        monkeypatch.setattr(census, "MAX_LISTED_WORDS", 50)
+        code, out, err = run(
+            capsys, "profile", "--k", "2", "--n", "8", "--kind", "borders",
+            "--set", "", "--list",
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("error: 74 words match, more than the 50 that may be listed")
+
     def test_empty_set(self, capsys):
         code, out, _ = run(
             capsys, "profile", "--k", "2", "--n", "6", "--kind", "borders",
@@ -393,7 +402,7 @@ class TestConstants:
 
     @pytest.mark.parametrize("which", ["rho", "gamma", "alpha"])
     def test_closed_form_for_another_constant_is_a_usage_error(self, capsys, which):
-        # only h has a functional-equation route; the flag must not be ignored
+        # the two-route closed-form report is h's alone; the flag must not be ignored
         code, out, err = run(
             capsys, "constants", "--k", "2", "--which", which, "--method", "closed-form"
         )

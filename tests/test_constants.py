@@ -6,18 +6,20 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import palcensus
-from palcensus import constants
+from palcensus import census, constants, recurrences
 from palcensus.constants import (
     MAX_DIGITS,
     CertificationError,
     Enclosure,
     _functional_enclosure,
+    _nielsen_enclosure,
     _refine,
     closed_form_report,
     decimal_string,
@@ -172,6 +174,41 @@ class TestDensitySeries:
                     )
                 )
                 assert max(direct.lower, low) <= min(direct.upper, high)
+
+
+def _former_functional_enclosure(k, j):
+    # the D-only map that the shared stepper replaced, kept as its oracle
+    top = k ** (2 ** (j + 1) - 1)
+    denominator = k * top * top * (top - 1)
+    low = (k * top + k - 1) * (top - 1)
+    high = low + k
+    for i in range(j - 1, -1, -1):
+        power = k ** (2 ** (i + 1) - 1)
+        scale = (k * power + 1) * power
+        low, high = 2 * denominator - scale * high, 2 * denominator - scale * low
+        denominator *= power - 1
+    return Enclosure(Fraction(low, denominator), Fraction(high, denominator))
+
+
+class TestStepper:
+    @pytest.mark.parametrize("k", range(2, 8))
+    def test_h_is_the_former_map(self, k):
+        for j in range(1, 9):
+            assert _functional_enclosure(k, j) == _former_functional_enclosure(k, j)
+
+    @pytest.mark.parametrize("k", range(2, 8))
+    def test_gamma_meets_the_series(self, k):
+        series = unbordered_density_enclosure(k, 400)
+        for j in range(1, 9):
+            closed = _nielsen_enclosure(k, j)
+            assert max(closed.lower, series.lower) <= min(closed.upper, series.upper)
+            assert closed.width <= Fraction(k) ** (4 - 2 ** (j + 2))
+
+    @pytest.mark.parametrize("k", [2, 3, 5])
+    def test_depth_zero_is_nielsens_starting_enclosure(self, k):
+        # U(1/k**2) in 1 + 1/k + [0, 1/(k(k-1))], and γ = 2 - U(1/k**2)
+        start = 1 - Fraction(1, k)
+        assert _nielsen_enclosure(k, 0) == Enclosure(start - Fraction(1, k * (k - 1)), start)
 
 
 class TestClosedForm:
@@ -359,6 +396,29 @@ class TestUnborderedDensity:
         ratio = Fraction(unbordered_counts(2, 60)[60], 2 ** 60)
         assert decimal_string(ratio, 9) == unbordered_density(2, 9).value
         assert decimal_string(ratio, 10) != unbordered_density(2, 10).value
+
+    def test_ten_thousand_digits_hold_no_counts(self):
+        # summing the streamed counts allocated a peak of 37 MB (it keeps
+        # the first half of 2**15 counts of up to 2**16 bits); the stepper's
+        # few integers of about 2**17 bits peak near 0.15 MB
+        tracemalloc.start()
+        try:
+            unbordered_density(4, 10000)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2 ** 20
+
+    def test_reads_no_count_and_calls_no_census(self, monkeypatch):
+        def refused(*args, **options):
+            raise AssertionError("gamma's report read a count")
+
+        for module, name in (
+            (census, "census_family"), (recurrences, "census_family"),
+            (recurrences, "_doubling"), (constants, "_doubling"),
+        ):
+            monkeypatch.setattr(module, name, refused)
+        assert unbordered_density(3, 50).value.startswith(GAMMA3_PREFIX)
 
     def test_argument_validation(self):
         with pytest.raises(ValueError, match="at least 2"):

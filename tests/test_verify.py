@@ -20,8 +20,8 @@ def test_counts_suite_passes():
 
 
 def test_constants_suite_keeps_the_census_within_the_budget(monkeypatch):
-    # the gamma checks read unbordered counts, whose census self-check must
-    # stop at the suite's budget like every other census call
+    # the gamma rate check reads unbordered counts, whose census self-check
+    # must stop at the suite's budget like every other census call
     monkeypatch.setattr(census, "_memo", {})
     [result] = run_suites(["constants"], k_max=3, n_max=9, budget=100)
     assert result.passed, result.failures
@@ -327,8 +327,8 @@ _honest_doubling = recurrences._doubling
 
 def _unbordered_stream_changed(change):
     # the kernel as constants calls it, with change(counts) applied to the
-    # unbordered stream, which in constants only gamma reads; the gamma
-    # plants change counts past n = 14, where the census self-check stops
+    # unbordered stream, which in constants only gamma's series reference
+    # reads
     def doubling(k, N, back):
         counts = _honest_doubling(k, N, back)
         return change(counts) if back is recurrences._unbordered_back else counts
@@ -353,24 +353,25 @@ def _count_doubled_at_20(counts):
 _honest_unbordered_density_enclosure = constants.unbordered_density_enclosure
 
 
-def _unbordered_tail_on_the_wrong_side(k, N, **options):
+def _unbordered_tail_on_the_wrong_side(k, N):
     # gamma lies at most the tail below 1 minus the partial sum, not above
-    honest = _honest_unbordered_density_enclosure(k, N, **options)
+    honest = _honest_unbordered_density_enclosure(k, N)
     return Enclosure(honest.upper, honest.upper + honest.width)
 
 
 _honest_family_counts = recurrences.family_counts
 
 
-def _unbordered_count_raised_at_32(k, N, family, **options):
-    # u(32) at k = 2 raised by 2**15, so u(32)/2**32 - gamma grows by
-    # 2**-17 to about 0.77 * 2**-16: inside the one-sided bound 2**-16, but
-    # far above the two-sided bound, about 0.27 * 2**-16
-    counts = _honest_family_counts(k, N, family, **options)
-    if family is not Family.UNBORDERED or k != 2:
-        return counts
-    raised = {n: count + (n == 32) * 2 ** 15 for n, count in counts.values.items()}
-    return CountSeq(k, family, raised)
+def _unbordered_count_raised(at, by):
+    # family_counts with u(at) at k = 2 raised by `by`
+    def family_counts(k, N, family, **options):
+        counts = _honest_family_counts(k, N, family, **options)
+        if family is not Family.UNBORDERED or k != 2:
+            return counts
+        raised = {n: count + (n == at) * by for n, count in counts.values.items()}
+        return CountSeq(k, family, raised)
+
+    return family_counts
 
 
 def _square_prefix_counts_without_one_subtraction(k, N, min_square):
@@ -403,12 +404,28 @@ def _functional_enclosure_planted(k, j, *, sign=-1, quadratic=True, tail_power=3
     return Enclosure(Fraction(low, denominator), Fraction(high, denominator))
 
 
+def _nielsen_enclosure_planted(
+    k, j, *, reciprocal=True, wide_tail=False, offset=lambda p: 2 * p
+):
+    # Nielsen's stepper with one of its parts changed: reciprocal=False drops
+    # the 1/p term of the starting enclosure, wide_tail=True bounds its tail
+    # by 1/(p-1) in place of 1/(p(p-1)), offset=lambda p: 2 steps with 2 in
+    # place of 2p
+    u = constants._stepped(
+        k, j,
+        lambda p: (p * (p - 1) + reciprocal * (p - 1), p if wide_tail else 1, p * (p - 1)),
+        lambda p: (offset(p), p),
+    )
+    return Enclosure(2 - u.upper, 2 - u.lower)
+
+
 def test_planted_engine_without_a_change_is_the_engine():
     for k in (2, 3, 5):
         for j in (0, 1, 4):
             assert _functional_enclosure_planted(k, j) == constants._functional_enclosure(
                 k, j
             )
+            assert _nielsen_enclosure_planted(k, j) == constants._nielsen_enclosure(k, j)
 
 
 def _shuffle_order_planted(n, *, halve=True, strip_repeats=True):
@@ -526,23 +543,54 @@ def _case(module, name, planted, suite, failure, *, id, k=2):
             "constants", "functional-equation enclosure too wide at k=2, j=1",
             id="functional-tail-widened",
         ),
+        # the series reference reads the changed counts, the stepper none
         _case(
             constants, "_doubling", _unbordered_stream_changed(_counts_shifted),
             "constants",
-            "unbordered ratio strayed from its limit at k=2, n=32",
+            "Nielsen-equation enclosure left the series enclosure at k=2, N=64, j=3",
             id="gamma-counts-shifted",
         ),
         _case(
             constants, "_doubling", _unbordered_stream_changed(_count_doubled_at_20),
             "constants",
-            "unbordered ratio strayed from its limit at k=2, n=64",
+            "Nielsen-equation enclosure left the series enclosure at k=2, N=64, j=3",
             id="gamma-count-scaled",
         ),
+        # u(32)/2**32 - gamma grows by 2**-17 to about 0.77 * 2**-16: inside
+        # the one-sided bound 2**-16, far above the two-sided one, about
+        # 0.27 * 2**-16
         _case(
-            verify, "family_counts", _unbordered_count_raised_at_32,
+            verify, "family_counts", _unbordered_count_raised(32, 2 ** 15),
             "constants",
             "unbordered ratio strayed from its limit at k=2, n=32",
             id="gamma-count-raised-at-32",
+        ),
+        # n = 40 lies between the powers of two the rate check once read
+        _case(
+            verify, "family_counts", _unbordered_count_raised(40, 2 ** 20),
+            "constants",
+            "unbordered ratio strayed from its limit at k=2, n=40",
+            id="gamma-count-raised-at-40",
+        ),
+        _case(
+            verify, "_nielsen_enclosure",
+            lambda k, j: _nielsen_enclosure_planted(k, j, reciprocal=False),
+            "constants",
+            "Nielsen-equation enclosure left the series enclosure at k=2, N=16, j=1",
+            id="nielsen-reciprocal-term-dropped",
+        ),
+        _case(
+            verify, "_nielsen_enclosure",
+            lambda k, j: _nielsen_enclosure_planted(k, j, wide_tail=True),
+            "constants", "Nielsen-equation enclosure too wide at k=2, j=1",
+            id="nielsen-tail-widened",
+        ),
+        _case(
+            verify, "_nielsen_enclosure",
+            lambda k, j: _nielsen_enclosure_planted(k, j, offset=lambda p: 2),
+            "constants",
+            "Nielsen-equation enclosure left the series enclosure at k=2, N=16, j=1",
+            id="nielsen-step-offset-2-not-2p",
         ),
         _case(
             recurrences, "square_prefix_counts",
