@@ -30,7 +30,7 @@ from collections import Counter
 from enum import Enum
 from functools import lru_cache
 
-from .words import Word
+from .words import Word, _entries
 
 DEFAULT_BUDGET = 1 << 26
 # the k**L completions of one prefix are the bits of an integer of at most
@@ -406,16 +406,12 @@ def census_family(
     return k ** n - value if complement else value
 
 
-def _mask_set(mask: int) -> frozenset[int]:
-    return frozenset(i for i in range(1, mask.bit_length()) if mask >> i & 1)
-
-
 def _count_profiles(k: int, n: int, jobs: int) -> tuple[Counter, Counter, Counter]:
     result = (Counter(), Counter(), Counter())
     for size, part in _census(_profile_block, k, n, (), jobs, _PROFILE_COST):
         for counter, masks in zip(result, part):
             for mask, count in masks.items():
-                counter[_mask_set(mask)] += size * count
+                counter[_entries(mask)] += size * count
     return result
 
 

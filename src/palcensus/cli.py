@@ -64,6 +64,8 @@ def _cmd_count(args) -> int:
     family = Family(args.family)
     if args.n_min < 1:
         raise ValueError(f"--n-min must be at least 1, got {args.n_min}")
+    if args.n_max < args.n_min:
+        raise ValueError(f"--n-max must be at least --n-min {args.n_min}, got {args.n_max}")
     ns = range(args.n_min, args.n_max + 1)
     brute = {}
     if args.method in ("brute", "both"):
@@ -280,7 +282,10 @@ def _build_parser() -> argparse.ArgumentParser:
         "--family", required=True, choices=[f.value for f in Family]
     )
     count.add_argument(
-        "--method", choices=["brute", "recurrence", "both"], default="both"
+        "--method", choices=["brute", "recurrence", "both"], default="both",
+        help="both compares the census with the recurrence (default); for "
+        "min-square the recurrence reads the census, so both compares the census "
+        "with itself and verify --suite counts is its check",
     )
     count.add_argument(
         "--format", choices=["tsv", "bfile", "jsonl"], default="tsv"
@@ -331,9 +336,9 @@ def _build_parser() -> argparse.ArgumentParser:
         help="certified decimal places for h, rho and gamma (default %(default)s)",
     )
     constants.add_argument(
-        "--method", choices=["series", "closed-form"], default="series",
-        help="for h: series sums the counts; closed-form iterates the "
-        "functional equation and cross-checks it against the series",
+        "--method", choices=["closed-form"],
+        help="for h: cross-check the functional equation against the count series "
+        "(the former default, --method series, is removed)",
     )
     constants.add_argument(
         "--terms", type=int, default=7,

@@ -7,10 +7,10 @@ so a reported digit string is an initial segment of the true expansion.
 
 The key series is D(X) = sum over n >= 1 of r(n) * X**n, where r(n) is the
 fraction of length-n words with no nontrivial palindromic prefix.  Its value
-at X = 1/k gives the limiting density of that family; the minimal-square
-counts give the square-prefix densities through the same kernel.  D(1/k)
-has a second certified route, its functional equation stepped down from
-X = 1/k; the same stepper certifies γ from Nielsen's equation, no count read.
+at X = 1/k gives the limiting density of that family.  Every certified
+decimal report steps a functional equation down from X = 1/k, reading no
+count: D's for h and ρ, Nielsen's for γ.  The count series, summed by one
+integer kernel, are their references and give the square-prefix densities.
 """
 
 from __future__ import annotations
@@ -156,14 +156,16 @@ def _nielsen_enclosure(k: int, j: int) -> Enclosure:
     return Enclosure(2 - u.upper, 2 - u.lower)
 
 
-# the largest digit request: at k = 4 it sums 2**15 counts of up to 2**16 bits
+# the largest digit request (the series reference sums 2**15 counts for it at k = 4)
 MAX_DIGITS = 10_000
+# the depths of every decimal report: depth j has width below
+# 10**-(MAX_DIGITS + 8) once 2**j > MAX_DIGITS + 8, so a broken step fails
+_DEPTHS = range(1, (MAX_DIGITS + 9).bit_length() + 1)
 
 
-def _refine(make_enclosure, digits: int, sizes=None):
-    """Try the enclosure at each size in turn (by default the term counts
-    32, 64, 128, ...; the depths of the functional equation may run out)
-    until it certifies the digit request, which must lie in 1..MAX_DIGITS.
+def _refine(make_enclosure, digits: int, sizes):
+    """Try the enclosure at each size in turn (depths or term counts, which may
+    run out) until it certifies the digit request, which must lie in 1..MAX_DIGITS.
 
     Returns the digit string.  When the bounds pin the value against a
     decimal grid point without ever agreeing on a truncation (as happens
@@ -172,8 +174,6 @@ def _refine(make_enclosure, digits: int, sizes=None):
     """
     if not 1 <= digits <= MAX_DIGITS:
         raise ValueError(f"digits must lie in 1..{MAX_DIGITS}, got {digits}")
-    if sizes is None:
-        sizes = (32 << i for i in itertools.count())
     for size in sizes:
         enclosure = make_enclosure(size)
         if enclosure.width * 10 ** (digits + 2) <= 1:
@@ -186,20 +186,21 @@ def _refine(make_enclosure, digits: int, sizes=None):
 
 
 def density_series_report(k: int, digits: int) -> DecimalReport:
-    """D(1/k) as a certified decimal, from the series enclosure alone."""
-    return DecimalReport(_refine(lambda N: density_series_enclosure(k, N), digits))
+    """D(1/k) certified by its functional equation alone; the series is its reference."""
+    return DecimalReport(_refine(lambda j: _functional_enclosure(k, j), digits, _DEPTHS))
 
 
 def closed_form_report(k: int, terms: int, digits: int) -> DecimalReport:
     """D(1/k) certified by the functional equation, stepped to depths
     1, 2, ..., 2 * terms; fails rather than guessing if the depth runs out or
-    the series enclosure certifies different digits."""
+    the series enclosure at 32, 64, 128, ... terms certifies other digits."""
     if k < 2 or terms < 1:
         raise ValueError(f"closed form needs k >= 2 and terms >= 1, got {k}, {terms}")
     text = _refine(
         lambda j: _functional_enclosure(k, j), digits, range(1, 2 * terms + 1)
     )
-    if text != density_series_report(k, digits).value:
+    series_terms = (32 << i for i in itertools.count())
+    if text != _refine(lambda N: density_series_enclosure(k, N), digits, series_terms):
         raise CertificationError(
             f"the functional equation and the series disagree at {digits} digits"
         )
@@ -210,17 +211,23 @@ def closed_form_report(k: int, terms: int, digits: int) -> DecimalReport:
 # limiting densities
 
 
-def pal_free_density_enclosure(k: int, N: int) -> Enclosure:
-    """Enclosure of the limiting fraction of words with no nontrivial
-    palindromic prefix: 2 - (k+1) * D(1/k)."""
-    series = density_series_enclosure(k, N)
+def _pal_free(k: int, series: Enclosure) -> Enclosure:
+    """The no-palindromic-prefix density 2 - (k+1) * D(1/k) from D(1/k)."""
     return Enclosure(2 - (k + 1) * series.upper, 2 - (k + 1) * series.lower)
+
+
+def pal_free_density_enclosure(k: int, N: int) -> Enclosure:
+    """Enclosure of the limiting no-palindromic-prefix density from N terms
+    of the series, the reference for pal_free_density."""
+    return _pal_free(k, density_series_enclosure(k, N))
 
 
 def pal_free_density(k: int, digits: int) -> DecimalReport:
     """The limiting no-palindromic-prefix density, certified to the requested
-    number of decimal places."""
-    return DecimalReport(_refine(lambda N: pal_free_density_enclosure(k, N), digits))
+    number of decimal places by D's functional equation alone."""
+    return DecimalReport(
+        _refine(lambda j: _pal_free(k, _functional_enclosure(k, j)), digits, _DEPTHS)
+    )
 
 
 def unbordered_density_enclosure(k: int, N: int) -> Enclosure:
@@ -241,11 +248,8 @@ def unbordered_density_enclosure(k: int, N: int) -> Enclosure:
 
 
 def unbordered_density(k: int, digits: int) -> DecimalReport:
-    """The limiting unbordered density γ, certified to the requested number of
-    decimal places by Nielsen's equation alone.  Depth j has width below
-    10**-(MAX_DIGITS + 8) once 2**j > MAX_DIGITS + 8, so a broken step fails."""
-    depths = range(1, (MAX_DIGITS + 9).bit_length() + 1)
-    return DecimalReport(_refine(lambda j: _nielsen_enclosure(k, j), digits, depths))
+    """The limiting unbordered density γ, certified by Nielsen's equation alone."""
+    return DecimalReport(_refine(lambda j: _nielsen_enclosure(k, j), digits, _DEPTHS))
 
 
 def square_prefix_densities(

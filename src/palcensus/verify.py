@@ -335,8 +335,9 @@ def suite_constants(k_max: int, n_max: int, budget: int) -> SuiteResult:
                     result.fail(f"{name} enclosure too wide at k={k}, j={j}")
                 result.checks += 2
     for k in range(2, max(k_max, 5) + 1):
+        # at depth 1 the with-square enclosure's top is the bound 1/(k-1) itself
         depths = _lengths(k, 7, budget)
-        if not depths:
+        if len(depths) < 2:
             continue
         depth = max(depths)
         min_square = min_square_counts(k, depth, budget=budget)

@@ -89,6 +89,16 @@ class TestCount:
         assert code == 0
         assert json.loads(out) == {"n": 8, "value": 74}
 
+    @pytest.mark.parametrize("method", ["brute", "recurrence", "both"])
+    def test_empty_length_range_is_a_usage_error(self, capsys, method):
+        # an --n-max below --n-min printed nothing and exited 0
+        code, out, err = run(
+            capsys, "count", "--k", "2", "--n-min", "5", "--n-max", "3",
+            "--family", "unbordered", "--method", method,
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: --n-max must be at least --n-min 5, got 3\n"
+
     def test_budget_exceeded(self, capsys):
         code, out, err = run(
             capsys, "count", "--k", "3", "--n-min", "20", "--n-max", "20",
@@ -297,6 +307,37 @@ class TestConstants:
         )
         assert time.perf_counter() - start < 1
         assert (code, out) == (0, "0." + H3_DIGITS + "\n")
+
+    @pytest.mark.parametrize("route", ["_functional_enclosure", "density_series_enclosure"])
+    def test_closed_form_fails_when_either_route_is_shifted(self, capsys, monkeypatch, route):
+        from fractions import Fraction
+
+        from palcensus import constants
+        from palcensus.constants import Enclosure
+
+        # the series, not the stepper a second time, is the other route
+        honest = getattr(constants, route)
+
+        def shifted(k, size):
+            enclosure = honest(k, size)
+            shift = Fraction(1, 10 ** 55)
+            return Enclosure(enclosure.lower + shift, enclosure.upper + shift)
+
+        monkeypatch.setattr(constants, route, shifted)
+        code, out, err = run(
+            capsys, "constants", "--k", "3", "--which", "h", "--digits", "60",
+            "--method", "closed-form",
+        )
+        assert (code, out) == (1, "")
+        assert "disagree" in err
+
+    def test_series_method_is_refused(self, capsys):
+        # every decimal report steps the functional equation; the count
+        # series is the closed-form report's reference, not a method
+        with pytest.raises(SystemExit) as outcome:
+            main(["constants", "--k", "3", "--which", "h", "--method", "series"])
+        assert outcome.value.code == 2
+        assert "invalid choice: 'series'" in capsys.readouterr().err
 
     def test_closed_form_without_terms_is_a_usage_error(self, capsys):
         code, out, err = run(

@@ -1,9 +1,8 @@
 """Enclosures, certified digits, the functional-equation route, and the
 density reports."""
 
+import itertools
 import json
-import os
-import subprocess
 import sys
 import time
 import tracemalloc
@@ -12,7 +11,6 @@ from pathlib import Path
 
 import pytest
 
-import palcensus
 from palcensus import census, constants, recurrences
 from palcensus.constants import (
     MAX_DIGITS,
@@ -47,6 +45,21 @@ RHO3_DIGITS = "27848991988211514682647065951267812841780582980188451703816"
 # the first 38 places of the limiting unbordered densities at k = 2 and 3
 GAMMA2_PREFIX = "0.26778684021788911237667140358430255255"
 GAMMA3_PREFIX = "0.55697983976423029365294131902535625683"
+
+
+# bytes allocated at the peak of the 2**15-term series at k = 4: between
+# its streaming peak and the peak of holding every count
+STREAMED_PEAK_BOUND = 70 * 2 ** 20
+
+
+def traced_peak(call) -> int:
+    """The peak of the memory Python allocates while `call()` runs."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def agreed_digits(a, b, places=2000):
@@ -131,23 +144,17 @@ class TestDensitySeries:
             constants._series_enclosure(2, iter([2, 2]), 3)
 
     def test_ten_thousand_digits_stream_the_counts(self):
-        # the series sums 2**15 counts of up to 2**16 bits; holding them all
-        # peaked at 154 MB, streaming them (the recurrence keeps the first
-        # half) at about 57 MB
-        script = (
-            "import resource\n"
-            "from palcensus import density_series_report\n"
-            "density_series_report(4, 10000)\n"
-            "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
+        # the reference series at 10 000 digits, k = 4, sums 2**15 counts of
+        # up to 2**16 bits; streaming them (the recurrence keeps the first
+        # half) peaks at about 35 MB, holding them all at about 138 MB
+        assert traced_peak(lambda: density_series_enclosure(4, 32768)) < STREAMED_PEAK_BOUND
+
+    def test_holding_every_count_exceeds_the_streaming_bound(self, monkeypatch):
+        streamed = constants._doubling
+        monkeypatch.setattr(
+            constants, "_doubling", lambda k, N, back: iter(list(streamed(k, N, back)))
         )
-        src = str(Path(palcensus.__file__).resolve().parent.parent)
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, (src, os.environ.get("PYTHONPATH")))))
-        done = subprocess.run(
-            [sys.executable, "-c", script],
-            capture_output=True, text=True, env=env, timeout=120, check=True,
-        )
-        assert int(done.stdout) < 100 * 1024  # kilobytes
+        assert traced_peak(lambda: density_series_enclosure(4, 32768)) > STREAMED_PEAK_BOUND
 
     def test_sixty_digits_at_third(self):
         enclosure = density_series_enclosure(3, 130)
@@ -278,7 +285,10 @@ class TestClosedForm:
         # no term count certifies a negative value; the grid fallback refuses
         # it instead of doubling the terms forever
         with pytest.raises(ValueError, match="cannot render"):
-            _refine(lambda N: Enclosure(Fraction(-1), Fraction(1, 2 ** N) - 1), 5)
+            _refine(
+                lambda N: Enclosure(Fraction(-1), Fraction(1, 2 ** N) - 1), 5,
+                (32 << i for i in itertools.count()),
+            )
 
     @pytest.mark.parametrize("digits", [0, -1, MAX_DIGITS + 1])
     def test_digit_request_checked_up_front(self, digits):
@@ -401,24 +411,26 @@ class TestUnborderedDensity:
         # summing the streamed counts allocated a peak of 37 MB (it keeps
         # the first half of 2**15 counts of up to 2**16 bits); the stepper's
         # few integers of about 2**17 bits peak near 0.15 MB
-        tracemalloc.start()
-        try:
-            unbordered_density(4, 10000)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 4 * 2 ** 20
+        assert traced_peak(lambda: unbordered_density(4, 10000)) < 4 * 2 ** 20
+
+    @pytest.mark.parametrize("report", [density_series_report, pal_free_density])
+    def test_h_and_rho_at_ten_thousand_digits_hold_no_counts(self, report):
+        # like γ's: the series peaked at 35 MB (k = 4), the stepper near 0.2 MB
+        assert traced_peak(lambda: report(4, 10000)) < 4 * 2 ** 20
 
     def test_reads_no_count_and_calls_no_census(self, monkeypatch):
         def refused(*args, **options):
-            raise AssertionError("gamma's report read a count")
+            raise AssertionError("a decimal report read a count")
 
         for module, name in (
             (census, "census_family"), (recurrences, "census_family"),
             (recurrences, "_doubling"), (constants, "_doubling"),
+            (constants, "no_pal_prefix_ratios"),
         ):
             monkeypatch.setattr(module, name, refused)
         assert unbordered_density(3, 50).value.startswith(GAMMA3_PREFIX)
+        assert density_series_report(3, 60).value == "0." + H3_DIGITS
+        assert pal_free_density(3, 59).value == "0." + RHO3_DIGITS
 
     def test_argument_validation(self):
         with pytest.raises(ValueError, match="at least 2"):

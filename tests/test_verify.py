@@ -28,6 +28,14 @@ def test_constants_suite_keeps_the_census_within_the_budget(monkeypatch):
     assert max(k ** n for k, n, *_ in census._memo) <= 100
 
 
+@pytest.mark.parametrize("budget", [2, 4, 9, 16, 24])
+def test_constants_suite_passes_at_small_budgets(budget):
+    # a square-density bound needs counts past depth 1, where the with-square
+    # enclosure's top equals the bound 1/(k-1); below that it is skipped
+    [result] = run_suites(["constants"], k_max=3, n_max=9, budget=budget)
+    assert result.passed, result.failures
+
+
 @pytest.mark.parametrize(
     "name,options",
     [
@@ -374,6 +382,14 @@ def _unbordered_count_raised(at, by):
     return family_counts
 
 
+def _min_square_counts_doubled(k, n, **options):
+    # every minimal-square count at k = 2 doubled
+    counts = recurrences.min_square_counts(k, n, **options)
+    if k != 2:
+        return counts
+    return CountSeq(k, counts.family, {i: 2 * c for i, c in counts.values.items()})
+
+
 def _square_prefix_counts_without_one_subtraction(k, N, min_square):
     # the parity recurrence with its subtraction dropped at n = 6
     free = dict(enumerate(recurrences._doubling(
@@ -603,6 +619,11 @@ def _case(module, name, planted, suite, failure, *, id, k=2):
             _square_prefix_counts_without_one_subtraction,
             "recurrences", "square-prefix convolution failed at k=2, n=6",
             id="square-subtraction-dropped-recurrences",
+        ),
+        _case(
+            verify, "min_square_counts", _min_square_counts_doubled,
+            "constants", "with-square density bound failed at k=2",
+            id="min-square-counts-doubled",
         ),
         _case(
             verify, "unbordered_density_enclosure", _unbordered_tail_on_the_wrong_side,
