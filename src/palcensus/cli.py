@@ -337,8 +337,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     constants.add_argument(
         "--method", choices=["closed-form"],
-        help="for h: cross-check the functional equation against the count series "
-        "(the former default, --method series, is removed)",
+        help="for h: check the functional equation's digits against the count "
+        "series, summed once to a tail of at most 10**-(DIGITS+2)",
     )
     constants.add_argument(
         "--terms", type=int, default=7,

@@ -15,7 +15,6 @@ integer kernel, are their references and give the square-prefix densities.
 
 from __future__ import annotations
 
-import itertools
 import math
 from decimal import Decimal
 from fractions import Fraction
@@ -50,11 +49,12 @@ class Enclosure(_Record):
         return self.lower <= x <= self.upper
 
     def truncation_agreed(self, digits: int) -> str | None:
-        """The common digits-place truncation of both bounds, or None if the
-        bounds straddle a decimal grid point (or a negative value)."""
-        if self.lower < 0:
+        """The common digits-place truncation of max(lower, 0) and upper, or None
+        if they straddle a decimal grid point or upper is negative: every
+        constant enclosed here, a density or D(1/k), is nonnegative."""
+        if self.upper < 0:
             return None
-        low = _truncated(self.lower, digits)
+        low = _truncated(max(self.lower, 0), digits)
         return low if low == _truncated(self.upper, digits) else None
 
 
@@ -156,55 +156,53 @@ def _nielsen_enclosure(k: int, j: int) -> Enclosure:
     return Enclosure(2 - u.upper, 2 - u.lower)
 
 
-# the largest digit request (the series reference sums 2**15 counts for it at k = 4)
+# the largest digit request: it bounds the closed-form report's series
+# reference, about 3.32 (digits + 2) / log2(k) terms (33 226 at k = 2)
 MAX_DIGITS = 10_000
-# the depths of every decimal report: depth j has width below
-# 10**-(MAX_DIGITS + 8) once 2**j > MAX_DIGITS + 8, so a broken step fails
-_DEPTHS = range(1, (MAX_DIGITS + 9).bit_length() + 1)
+# every report's depth cap: depth j is narrower than k**(4 - 2**(j+2)), at most
+# 10**-(MAX_DIGITS + 2) once 2**(j+2) >= 4 * MAX_DIGITS + 12; a broken step fails
+_DEPTH_CAP = (4 * MAX_DIGITS + 11).bit_length() - 2
 
 
-def _refine(make_enclosure, digits: int, sizes):
-    """Try the enclosure at each size in turn (depths or term counts, which may
-    run out) until it certifies the digit request, which must lie in 1..MAX_DIGITS.
-
-    Returns the digit string.  When the bounds pin the value against a
-    decimal grid point without ever agreeing on a truncation (as happens
-    when the constant is exactly such a point), the grid point itself is
-    reported once the width is far below one trailing-digit unit.
-    """
+def _refine(make_enclosure, digits: int, depth_cap: int) -> DecimalReport:
+    """The truncation at the first depth 1, 2, ..., depth_cap whose enclosure is
+    at most 10**-(digits+2) wide and whose bounds, the lower read as max(lower,
+    0) (so ρ(2) = 0 is certified), truncate alike, else CertificationError.
+    The request must lie in 1..MAX_DIGITS."""
     if not 1 <= digits <= MAX_DIGITS:
         raise ValueError(f"digits must lie in 1..{MAX_DIGITS}, got {digits}")
-    for size in sizes:
-        enclosure = make_enclosure(size)
+    for depth in range(1, depth_cap + 1):
+        enclosure = make_enclosure(depth)
         if enclosure.width * 10 ** (digits + 2) <= 1:
             agreed = enclosure.truncation_agreed(digits)
             if agreed is not None:
-                return agreed
-            if enclosure.width * 10 ** (digits + 8) <= 1:
-                return _truncated(enclosure.upper, digits)
-    raise CertificationError(f"depth {size} does not certify {digits} digits")
+                return DecimalReport(agreed)
+    raise CertificationError(f"depth {depth_cap} does not certify {digits} digits")
 
 
 def density_series_report(k: int, digits: int) -> DecimalReport:
     """D(1/k) certified by its functional equation alone; the series is its reference."""
-    return DecimalReport(_refine(lambda j: _functional_enclosure(k, j), digits, _DEPTHS))
+    return _refine(lambda j: _functional_enclosure(k, j), digits, _DEPTH_CAP)
 
 
 def closed_form_report(k: int, terms: int, digits: int) -> DecimalReport:
-    """D(1/k) certified by the functional equation, stepped to depths
-    1, 2, ..., 2 * terms; fails rather than guessing if the depth runs out or
-    the series enclosure at 32, 64, 128, ... terms certifies other digits."""
+    """D(1/k) certified by the functional equation, stepped at most 2 * terms
+    deep, then checked against the series enclosure at the fewest terms N whose
+    tail 1/((k-1) k**N) is at most 10**-(digits+2): it fails rather than
+    guessing if the depth runs out or that enclosure misses the digits."""
     if k < 2 or terms < 1:
         raise ValueError(f"closed form needs k >= 2 and terms >= 1, got {k}, {terms}")
-    text = _refine(
-        lambda j: _functional_enclosure(k, j), digits, range(1, 2 * terms + 1)
-    )
-    series_terms = (32 << i for i in itertools.count())
-    if text != _refine(lambda N: density_series_enclosure(k, N), digits, series_terms):
+    report = _refine(lambda j: _functional_enclosure(k, j), digits, 2 * terms)
+    N = max(1, math.ceil((digits + 2) / math.log10(k)) - 1)
+    while (k - 1) * k ** N < 10 ** (digits + 2):
+        N += 1
+    series = density_series_enclosure(k, N)
+    # D(1/k) <= 1/(k-1) <= 1, so the equal-width strings compare as numbers
+    if not _truncated(series.lower, digits) <= report.value <= _truncated(series.upper, digits):
         raise CertificationError(
             f"the functional equation and the series disagree at {digits} digits"
         )
-    return DecimalReport(text)
+    return report
 
 
 # ---------------------------------------------------------------------------
@@ -225,9 +223,7 @@ def pal_free_density_enclosure(k: int, N: int) -> Enclosure:
 def pal_free_density(k: int, digits: int) -> DecimalReport:
     """The limiting no-palindromic-prefix density, certified to the requested
     number of decimal places by D's functional equation alone."""
-    return DecimalReport(
-        _refine(lambda j: _pal_free(k, _functional_enclosure(k, j)), digits, _DEPTHS)
-    )
+    return _refine(lambda j: _pal_free(k, _functional_enclosure(k, j)), digits, _DEPTH_CAP)
 
 
 def unbordered_density_enclosure(k: int, N: int) -> Enclosure:
@@ -249,7 +245,7 @@ def unbordered_density_enclosure(k: int, N: int) -> Enclosure:
 
 def unbordered_density(k: int, digits: int) -> DecimalReport:
     """The limiting unbordered density γ, certified by Nielsen's equation alone."""
-    return DecimalReport(_refine(lambda j: _nielsen_enclosure(k, j), digits, _DEPTHS))
+    return _refine(lambda j: _nielsen_enclosure(k, j), digits, _DEPTH_CAP)
 
 
 def square_prefix_densities(

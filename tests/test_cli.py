@@ -564,17 +564,31 @@ class TestVerify:
         # the parser lists the suites without importing verify
         assert cli.SUITE_NAMES == tuple(verify.SUITES)
 
-    @pytest.mark.parametrize(
-        "argv,vacuous",
-        [(["--suite", "counts", "--budget", "1"], ["counts"])],
-        ids=["budget-1"],
-    )
-    def test_a_suite_that_ran_no_check_fails(self, capsys, argv, vacuous):
-        code, out, _ = run(capsys, "verify", *argv)
+    def test_a_suite_that_ran_no_check_fails(self, capsys, monkeypatch):
+        # no bounds that run_suites accepts leave a suite without a check, so
+        # a counts suite that returns at once stands in for one that did
+        monkeypatch.setitem(
+            verify.SUITES, "counts", lambda *bounds: verify.SuiteResult("counts")
+        )
+        code, out, _ = run(capsys, "verify", "--suite", "all", "--k-max", "2", "--n-max", "4")
         assert code == 1
-        for name in vacuous:
-            assert f"{name}: FAIL (0 checks)" in out.splitlines()
+        assert "counts: FAIL (0 checks)" in out.splitlines()
         assert "PASS (0 checks)" not in out
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--suite", "counts", "--budget", "1"],
+            ["--suite", "all", "--budget", "0"],
+            ["--suite", "g-map", "--budget", "-5"],
+        ],
+        ids=["budget-1", "budget-0", "budget-negative"],
+    )
+    def test_a_budget_below_two_is_refused(self, capsys, argv):
+        # k = 2 at n = 1, the smallest length any suite scans, has two words
+        code, out, err = run(capsys, "verify", *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: --budget must be at least 2")
 
     @pytest.mark.parametrize(
         "argv",

@@ -1,7 +1,6 @@
 """Enclosures, certified digits, the functional-equation route, and the
 density reports."""
 
-import itertools
 import json
 import sys
 import time
@@ -50,6 +49,9 @@ GAMMA3_PREFIX = "0.55697983976423029365294131902535625683"
 # bytes allocated at the peak of the 2**15-term series at k = 4: between
 # its streaming peak and the peak of holding every count
 STREAMED_PEAK_BOUND = 70 * 2 ** 20
+# bytes allocated at the peak of the 10 000-digit closed-form report at
+# k = 4: between reading the series once and refining it by doubling
+CLOSED_FORM_PEAK_BOUND = 20 * 2 ** 20
 
 
 def traced_peak(call) -> int:
@@ -282,13 +284,80 @@ class TestClosedForm:
             closed_form_report(3, 6, 60)
 
     def test_refinement_stops_on_a_negative_enclosure(self):
-        # no term count certifies a negative value; the grid fallback refuses
-        # it instead of doubling the terms forever
-        with pytest.raises(ValueError, match="cannot render"):
-            _refine(
-                lambda N: Enclosure(Fraction(-1), Fraction(1, 2 ** N) - 1), 5,
-                (32 << i for i in itertools.count()),
-            )
+        # no depth certifies a negative value; the depth cap ends the search
+        depths = []
+
+        def negative(j):
+            depths.append(j)
+            return Enclosure(Fraction(-1), Fraction(1, 2 ** (64 * j)) - 1)
+
+        with pytest.raises(CertificationError, match="depth 14 does not certify 5 digits"):
+            _refine(negative, 5, 14)
+        assert depths == list(range(1, 15))
+
+    def test_depth_cap_zero_certifies_nothing(self):
+        def unreached(j):
+            raise AssertionError("a depth was stepped")
+
+        with pytest.raises(CertificationError, match="depth 0 does not certify 5 digits"):
+            _refine(unreached, 5, 0)
+
+    def test_a_value_just_below_a_grid_point_keeps_its_digits(self):
+        # depth 1 straddles g = 0.12346 with width 10**-14 around a value
+        # 10**-20 below it; depth 2 lies below g.  Certifying at depth 1 by
+        # g's digits would report a value the constant does not reach.
+        grid = Fraction(12346, 10 ** 5)
+        value = grid - Fraction(1, 10 ** 20)
+        halves = {1: Fraction(1, 2 * 10 ** 14), 2: Fraction(1, 10 ** 30)}
+
+        def stepped(j):
+            return Enclosure(value - halves[j], value + halves[j])
+
+        assert stepped(1).lower < grid < stepped(1).upper
+        assert _refine(stepped, 5, 2).value == "0.12345"
+
+    def test_the_width_gate_precedes_agreement(self):
+        # bounds that agree on 5 digits certify nothing while wider than 10**-7
+        wide = Enclosure(Fraction(123450, 10 ** 6), Fraction(123459, 10 ** 6))
+        assert wide.truncation_agreed(5) == "0.12345"
+        with pytest.raises(CertificationError):
+            _refine(lambda j: wide, 5, 3)
+
+    def test_closed_form_reads_the_series_once(self, monkeypatch):
+        # one series enclosure, at the fewest terms whose tail bound
+        # 1/((k-1) k**N) is at most 10**-(digits+2)
+        sizes = []
+        honest = constants.density_series_enclosure
+
+        def recorded(k, N):
+            sizes.append((k, N))
+            return honest(k, N)
+
+        monkeypatch.setattr(constants, "density_series_enclosure", recorded)
+        for k, digits in ((2, 1), (3, 60), (4, 1000), (10, 50)):
+            sizes.clear()
+            closed_form_report(k, 7, digits)
+            [(_, N)] = sizes
+            assert (k - 1) * k ** N >= 10 ** (digits + 2) > (k - 1) * k ** (N - 1)
+
+    def test_ten_thousand_closed_form_digits_read_the_series_once(self):
+        # one series at 16 613 terms (k = 4) peaks near 9 MB; refining it at
+        # 32, 64, ..., 32 768 terms peaked near 35 MB
+        report = lambda: closed_form_report(4, 7, 10000)
+        assert traced_peak(report) < CLOSED_FORM_PEAK_BOUND
+
+    def test_refining_the_series_by_doubling_exceeds_the_bound(self):
+        def doubling(k, terms, digits):
+            # the former cross-check: the series refined at 32, 64, 128, ...
+            # terms until it certified digits of its own
+            text = _refine(lambda j: _functional_enclosure(k, j), digits, 2 * terms)
+            series = _refine(lambda i: density_series_enclosure(k, 16 << i), digits, 16)
+            if series != text:
+                raise CertificationError("the series disagrees")
+            return text.value
+
+        assert doubling(4, 7, 60) == closed_form_report(4, 7, 60).value
+        assert traced_peak(lambda: doubling(4, 7, 10000)) > CLOSED_FORM_PEAK_BOUND
 
     @pytest.mark.parametrize("digits", [0, -1, MAX_DIGITS + 1])
     def test_digit_request_checked_up_front(self, digits):
@@ -321,11 +390,12 @@ class TestPalFreeDensity:
 
     def test_binary_density_vanishes(self):
         # two no-prefix words per length force the limiting density to zero;
-        # the enclosure straddles it and the report pins the grid point
+        # the enclosure straddles it, and the report certifies zeros because
+        # it reads the lower bound of a density as at least 0
         enclosure = pal_free_density_enclosure(2, 64)
         assert enclosure.lower < 0 < enclosure.upper
-        report = pal_free_density(2, 10)
-        assert report.value == "0.0000000000"
+        for digits in (1, 10, 60, 1000):
+            assert pal_free_density(2, digits).value == "0." + "0" * digits
 
     def test_ratios_approach_the_density(self):
         from palcensus.recurrences import no_pal_prefix_ratios

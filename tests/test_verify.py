@@ -65,6 +65,16 @@ def test_run_suites_refuses_bounds_that_scan_no_word(monkeypatch, options):
         run_suites(list(verify.SUITES), **options)
 
 
+@pytest.mark.parametrize("budget", [1, 0, -2])
+def test_run_suites_refuses_a_budget_below_two(monkeypatch, budget):
+    def not_run(*args):
+        raise AssertionError("a suite ran")
+
+    monkeypatch.setattr(verify, "SUITES", dict.fromkeys(verify.SUITES, not_run))
+    with pytest.raises(ValueError, match="--budget must be at least 2, got"):
+        run_suites(list(verify.SUITES), budget=budget)
+
+
 def test_bijection_lists_at_most_3_to_the_8_words(monkeypatch):
     # a listed word takes about 250 bytes: 9**8 of them would need gigabytes
     calls = []
