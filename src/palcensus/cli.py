@@ -70,15 +70,13 @@ def _cmd_count(args) -> int:
     brute = {}
     if args.method in ("brute", "both"):
         for n in ns:
-            brute[n] = census_family(
-                args.k, n, family, budget=args.budget, jobs=args.jobs
-            )
+            brute[n] = census_family(args.k, n, family, budget=args.budget, jobs=args.jobs)
     recurrence = {}
     if args.method in ("recurrence", "both"):
         recurrence = family_counts(
             args.k, args.n_max, family, cache=_cache_store(args),
             budget=args.budget, verify_cache=args.verify_cache, jobs=args.jobs,
-        ).values
+        )
 
     if args.method == "both":
         rows = [(n, brute[n], brute[n] == recurrence[n]) for n in ns]

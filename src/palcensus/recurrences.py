@@ -27,20 +27,22 @@ class CacheMismatchError(ValueError):
 
 
 class CountSeq(_Record):
-    """Nonnegative counts indexed by length (half-length for MIN_SQUARE)."""
+    """Counts at n = 1..N (half-lengths for MIN_SQUARE): seq[n] is values[n - 1]."""
 
     __slots__ = ("k", "family", "values")
     k: int
     family: Family
-    values: dict[int, int]
+    values: tuple[int, ...]
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.values, tuple):
+            raise TypeError(f"CountSeq values must be a tuple, not {type(self.values).__name__}")
 
     def __getitem__(self, n: int) -> int:
-        try:
-            return self.values[n]
-        except KeyError:
-            raise MissingCountError(
-                f"{self.family.value} count for k={self.k}, n={n} was not computed"
-            ) from None
+        if 1 <= n <= len(self.values):
+            return self.values[n - 1]
+        family = self.family.value
+        raise MissingCountError(f"{family} count for k={self.k}, n={n} was not computed")
 
 
 def _require(k: int, N: int) -> None:
@@ -53,13 +55,15 @@ def _require(k: int, N: int) -> None:
 def _doubling(k: int, N: int, back):
     """Yield c(1..N) for c(1) = k and c(m) = k * c(m-1) - back(m, kept), where
     kept[m] = c(m) for m <= ceil(N/2) is all that back may read of the stream
-    (it may read a sequence of its own), so half the counts are held."""
+    (it may read a sequence of its own), so half the counts are held.  A zero
+    back is not subtracted, as x - 0 would copy the big int x."""
     _require(k, N)
     kept = [0]
     count = k
     for m in range(1, N + 1):
         if m > 1:
-            count = k * count - back(m, kept)
+            subtracted = back(m, kept)
+            count = k * count - subtracted if subtracted else k * count
         if 2 * m <= N + 1:
             kept.append(count)
         yield count
@@ -86,8 +90,7 @@ def no_pal_prefix_counts(k: int, N: int) -> CountSeq:
     prefix-free words of half the (rounded-up) length, which is what the
     subtracted term removes.
     """
-    values = enumerate(_doubling(k, N, _no_pal_prefix_back), 1)
-    return CountSeq(k, Family.NO_PAL_PREFIX, dict(values))
+    return CountSeq(k, Family.NO_PAL_PREFIX, tuple(_doubling(k, N, _no_pal_prefix_back)))
 
 
 # budget for the cross-check of the unbordered recurrence against the
@@ -119,8 +122,7 @@ def unbordered_counts(k: int, N: int, *, budget: int = DEFAULT_BUDGET) -> CountS
     against the enumeration census at the short lengths.
     """
     _validate_unbordered(k, budget)
-    values = enumerate(_doubling(k, N, _unbordered_back), 1)
-    return CountSeq(k, Family.UNBORDERED, dict(values))
+    return CountSeq(k, Family.UNBORDERED, tuple(_doubling(k, N, _unbordered_back)))
 
 
 def min_square_counts(
@@ -140,26 +142,25 @@ def min_square_counts(
     With verify_cache, hits are recomputed and compared byte for byte.
     """
     _require(k, N)
-    values: dict[int, int] = {}
+    values: list[int] = []
     dirty = False
     for n in range(1, N + 1):
         stored = cache.get(k, n) if cache is not None else None
-        if stored is not None and not verify_cache:
-            values[n] = stored
-            continue
-        computed = census_family(k, n, Family.MIN_SQUARE, budget=budget, jobs=jobs)
-        if stored is not None and str(stored) != str(computed):
-            raise CacheMismatchError(
-                f"cached min-square count for k={k}, n={n} is {stored}; "
-                f"recomputation gives {computed}"
-            )
-        values[n] = computed
-        if cache is not None and stored is None:
-            cache.put(k, n, computed)
-            dirty = True
+        if stored is None or verify_cache:
+            computed = census_family(k, n, Family.MIN_SQUARE, budget=budget, jobs=jobs)
+            if stored is not None and str(stored) != str(computed):
+                raise CacheMismatchError(
+                    f"cached min-square count for k={k}, n={n} is {stored}; "
+                    f"recomputation gives {computed}"
+                )
+            if cache is not None and stored is None:
+                cache.put(k, n, computed)
+                dirty = True
+            stored = computed
+        values.append(stored)
     if dirty and cache is not None:
         cache.save()
-    return CountSeq(k, Family.MIN_SQUARE, values)
+    return CountSeq(k, Family.MIN_SQUARE, tuple(values))
 
 
 def square_prefix_counts(
@@ -174,10 +175,8 @@ def square_prefix_counts(
     free(1) = k and free(n) = k * free(n-1) - [n even] * min_square(n/2).
     Requires min_square to hold every half-length up to N // 2.
     """
-    free = dict(enumerate(
-        _doubling(k, N, lambda m, kept: 0 if m % 2 else min_square[m // 2]), 1
-    ))
-    has = {n: k ** n - count for n, count in free.items()}
+    free = tuple(_doubling(k, N, lambda m, kept: 0 if m % 2 else min_square[m // 2]))
+    has = tuple(k ** n - count for n, count in enumerate(free, 1))
     return (
         CountSeq(k, Family.NO_SQUARE_PREFIX, free),
         CountSeq(k, Family.HAS_SQUARE_PREFIX, has),
@@ -204,7 +203,7 @@ def family_counts(
     if family in (Family.UNBORDERED, Family.NO_EVEN_PP, Family.NO_ODD_PP):
         u = unbordered_counts(k, N, budget=budget).values
         if family is Family.NO_ODD_PP:
-            u = {n: u[n] if n % 2 else k * u[n - 1] for n in u}
+            u = tuple(count if n % 2 else k * u[n - 2] for n, count in enumerate(u, 1))
         return CountSeq(k, family, u)
     if family is Family.NO_PAL_PREFIX:
         return no_pal_prefix_counts(k, N)
@@ -222,7 +221,7 @@ def no_pal_prefix_ratios(k: int, N: int) -> dict[int, Fraction]:
     """The exact fractions count(n) / k**n for the no-palindromic-prefix
     counts; each lies in [0, 1]."""
     values = {}
-    for n, count in no_pal_prefix_counts(k, N).values.items():
+    for n, count in enumerate(no_pal_prefix_counts(k, N).values, 1):
         values[n] = Fraction(count, k ** n)
         if not 0 <= values[n] <= 1:
             raise RuntimeError(f"ratio out of range at k={k}, n={n}: {values[n]}")

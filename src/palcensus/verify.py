@@ -283,7 +283,7 @@ def suite_recurrences(k_max: int, n_max: int, budget: int) -> SuiteResult:
                 if free[n] != k ** n - has:
                     result.fail(f"square-prefix convolution failed at k={k}, n={n}")
                 result.checks += 1
-            for i, count in min_square.values.items():
+            for i, count in enumerate(min_square.values, 1):
                 if not 0 <= count <= k ** i:
                     result.fail(f"min-square count out of range at k={k}, i={i}")
                 result.checks += 1

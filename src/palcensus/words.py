@@ -88,6 +88,9 @@ class Alphabet(_Record):
             raise ValueError(f"alphabet size must be at least 1, got {self.k}")
 
 
+_alphabet = functools.lru_cache(maxsize=64)(Alphabet)  # shared by Word.of: one per size, bounded
+
+
 class Word(_Record):
     """A word over a fixed alphabet.
 
@@ -107,7 +110,7 @@ class Word(_Record):
     @classmethod
     def of(cls, symbols, k: int) -> "Word":
         """Build a word from any iterable of symbols over an alphabet of size k."""
-        return cls(Alphabet(k), tuple(symbols))
+        return cls(_alphabet(k), tuple(symbols))
 
     def __len__(self) -> int:
         return len(self.symbols)

@@ -6,6 +6,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -67,8 +68,9 @@ def _square_prefix_convolution(k, lengths, min_square):
 class TestDoublingKernel:
     @pytest.mark.parametrize("k", [2, 3, 4, 5])
     def test_matches_the_hand_loops(self, k):
-        assert no_pal_prefix_counts(k, 2000).values == _no_pal_prefix_loop(k, 2000)
-        assert unbordered_counts(k, 2000).values == _unbordered_loop(k, 2000)
+        loops = _no_pal_prefix_loop(k, 2000), _unbordered_loop(k, 2000)
+        assert no_pal_prefix_counts(k, 2000).values == tuple(loops[0].values())
+        assert unbordered_counts(k, 2000).values == tuple(loops[1].values())
 
     @pytest.mark.parametrize("k", [2, 3, 4, 5])
     def test_square_prefix_counts_match_the_convolution(self, k):
@@ -77,7 +79,7 @@ class TestDoublingKernel:
         # sampled at the end
         rng = random.Random(k)
         minimal = CountSeq(
-            k, Family.MIN_SQUARE, {i: rng.randrange(k ** i + 1) for i in range(1, 1001)}
+            k, Family.MIN_SQUARE, tuple(rng.randrange(k ** i + 1) for i in range(1, 1001))
         )
         free, has = square_prefix_counts(k, 2000, minimal)
         lengths = [*range(1, 201), *range(1990, 2001)]
@@ -96,6 +98,35 @@ class TestDoublingKernel:
 
             assert list(recurrences._doubling(3, N, back)) == [3 ** n for n in range(1, N + 1)]
             assert seen == [min(m - 1, (N + 1) // 2) for m in range(2, N + 1)]
+
+
+class TestCountSeq:
+    @pytest.mark.parametrize("n", [0, -1, 13])
+    def test_lengths_outside_one_to_n_are_missing(self, n):
+        # a bare values[n - 1] would read 0 and -1 as the last counts
+        seq = unbordered_counts(2, 12)
+        with pytest.raises(MissingCountError, match=f"unbordered count for k=2, n={n} was"):
+            seq[n]
+
+    def test_values_must_be_a_tuple(self):
+        # a dict keyed 1..N would be read one length off
+        with pytest.raises(TypeError, match="tuple, not dict"):
+            CountSeq(2, Family.UNBORDERED, {1: 2, 2: 2})
+        with pytest.raises(TypeError, match="tuple, not list"):
+            CountSeq(2, Family.UNBORDERED, [2, 2])
+
+    def test_holds_no_more_than_a_pointer_per_count(self):
+        # everything the call leaves alive but the counts themselves: a tuple
+        # costs 8 bytes per count, a dict keyed by length about 57
+        unbordered_counts(3, 20)  # the census memo answers the validation
+        tracemalloc.start()
+        try:
+            seq = unbordered_counts(3, 20000)
+            traced = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        container = traced - sum(sys.getsizeof(count) for count in seq.values)
+        assert container <= 16 * len(seq.values)
 
 
 class TestNoPalPrefix:
@@ -210,8 +241,8 @@ class TestSquareSplit:
         minimal = min_square_counts(k, N // 2)
         free, has = square_prefix_counts(k, N, minimal)
         lengths = range(1, N + 1)
-        assert has.values == _square_prefix_convolution(k, lengths, minimal)
-        assert free.values == {n: k ** n - has[n] for n in lengths}
+        assert has.values == tuple(_square_prefix_convolution(k, lengths, minimal).values())
+        assert free.values == tuple(k ** n - has[n] for n in lengths)
 
 
 class TestCensusAgreement:

@@ -307,7 +307,7 @@ def _no_pal_prefix_counts_without_even_subtraction(k, N):
     values = {1: k, 2: k * k - k}
     for m in range(3, N + 1):
         values[m] = k * values[m - 1] - (0 if m % 2 == 0 else values[(m + 1) // 2])
-    return CountSeq(k, Family.NO_PAL_PREFIX, values)
+    return CountSeq(k, Family.NO_PAL_PREFIX, tuple(values.values()))
 
 
 def _classes_without_a_third_letter(k, n):
@@ -386,7 +386,7 @@ def _unbordered_count_raised(at, by):
         counts = _honest_family_counts(k, N, family, **options)
         if family is not Family.UNBORDERED or k != 2:
             return counts
-        raised = {n: count + (n == at) * by for n, count in counts.values.items()}
+        raised = tuple(count + (n == at) * by for n, count in enumerate(counts.values, 1))
         return CountSeq(k, family, raised)
 
     return family_counts
@@ -397,15 +397,15 @@ def _min_square_counts_doubled(k, n, **options):
     counts = recurrences.min_square_counts(k, n, **options)
     if k != 2:
         return counts
-    return CountSeq(k, counts.family, {i: 2 * c for i, c in counts.values.items()})
+    return CountSeq(k, counts.family, tuple(2 * c for c in counts.values))
 
 
 def _square_prefix_counts_without_one_subtraction(k, N, min_square):
     # the parity recurrence with its subtraction dropped at n = 6
-    free = dict(enumerate(recurrences._doubling(
+    free = tuple(recurrences._doubling(
         k, N, lambda m, kept: 0 if m % 2 or m == 6 else min_square[m // 2]
-    ), 1))
-    has = {n: k ** n - count for n, count in free.items()}
+    ))
+    has = tuple(k ** n - count for n, count in enumerate(free, 1))
     return (
         CountSeq(k, Family.NO_SQUARE_PREFIX, free),
         CountSeq(k, Family.HAS_SQUARE_PREFIX, has),
