@@ -13,6 +13,7 @@ Identical invocations produce byte-identical output.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 # the parser needs only these; each command imports what it runs, so a
@@ -66,6 +67,11 @@ def _cmd_count(args) -> int:
         raise ValueError(f"--n-min must be at least 1, got {args.n_min}")
     if args.n_max < args.n_min:
         raise ValueError(f"--n-max must be at least --n-min {args.n_min}, got {args.n_max}")
+    # every count is at most k**n: refuse up front any that Python could not print
+    digits = sys.int_info.default_max_str_digits
+    if args.k > 1 and args.n_max * math.log10(args.k) >= digits:
+        raise ValueError(
+            f"--n-max must keep k**n below 10**{digits}, got {args.n_max} at k={args.k}")
     ns = range(args.n_min, args.n_max + 1)
     brute = {}
     if args.method in ("brute", "both"):
@@ -167,14 +173,14 @@ def _cmd_constants(args) -> int:
     elif args.which in reports:
         print(reports[args.which](args.k, args.digits).value)
     else:
-        cache = _cache_store(args)
+        c_max = args.c_max
+        if c_max is None:  # the largest c <= 20 the budget admits
+            c_max = next((c for c in range(20, 1, -1) if args.k ** c <= args.budget), 1)
         min_square = min_square_counts(
-            args.k, args.c_max, cache=cache, budget=args.budget,
+            args.k, c_max, cache=_cache_store(args), budget=args.budget,
             verify_cache=args.verify_cache, jobs=args.jobs,
         )
-        with_square, square_free = square_prefix_densities(
-            args.k, args.c_max, min_square
-        )
+        with_square, square_free = square_prefix_densities(args.k, c_max, min_square)
         enclosure = with_square if args.which == "beta" else square_free
         print(f"{enclosure.lower} {enclosure.upper}")
     return 0
@@ -345,8 +351,9 @@ def _build_parser() -> argparse.ArgumentParser:
         "--digits (default %(default)s, deep enough for any --digits)",
     )
     constants.add_argument(
-        "--c-max", type=int, default=20,
-        help="minimal-square counts used for beta/alpha",
+        "--c-max", type=int, default=None,
+        help="minimal-square counts used for beta/alpha (default: the largest "
+        "c <= 20 with k**c <= --budget)",
     )
     _add_budget_options(constants, cache=True)
     constants.set_defaults(func=_cmd_constants)

@@ -1,9 +1,10 @@
 """Certified evaluation of the limiting densities.
 
 All arithmetic is exact-rational; a real constant is only ever handled as an
-enclosure, a pair of rationals bracketing it.  Decimal digits appear at the
-reporting boundary, produced by long division and truncated, never rounded,
-so a reported digit string is an initial segment of the true expansion.
+enclosure, two integers over one denominator bracketing it.  Decimal digits
+appear at the reporting boundary, produced by integer division and truncated,
+never rounded, so a reported digit string is an initial segment of the true
+expansion.
 
 The key series is D(X) = sum over n >= 1 of r(n) * X**n, where r(n) is the
 fraction of length-n words with no nontrivial palindromic prefix.  Its value
@@ -31,31 +32,51 @@ class CertificationError(ValueError):
 
 
 class Enclosure(_Record):
-    """Exact rational bracket: lower <= constant <= upper."""
+    """Exact rational bracket low / denominator <= constant <= high / denominator,
+    all three integers, denominator > 0: the certified routes build no Fraction."""
 
-    __slots__ = ("lower", "upper")
-    lower: Fraction
-    upper: Fraction
+    __slots__ = ("low", "high", "denominator")
+    low: int
+    high: int
+    denominator: int
 
     def __post_init__(self) -> None:
-        if self.lower > self.upper:
-            raise ValueError(f"inverted enclosure: {self.lower} > {self.upper}")
+        if self.denominator <= 0 or self.low > self.high:
+            raise ValueError(f"inverted enclosure: {self.low}, {self.high} / {self.denominator}")
+
+    @staticmethod
+    def _key(e: Enclosure) -> tuple[int, int, int]:
+        # records with the same bounds compare and hash as their least triple
+        common = math.gcd(e.low, e.high, e.denominator)
+        return e.low // common, e.high // common, e.denominator // common
+
+    # the Fraction readers, for the reference routes and the enclosure prints
+    @property
+    def lower(self) -> Fraction:
+        return Fraction(self.low, self.denominator)
+
+    @property
+    def upper(self) -> Fraction:
+        return Fraction(self.high, self.denominator)
 
     @property
     def width(self) -> Fraction:
-        return self.upper - self.lower
+        return Fraction(self.high - self.low, self.denominator)
 
     def __contains__(self, x) -> bool:
-        return self.lower <= x <= self.upper
+        return self.low <= x * self.denominator <= self.high
 
-    def truncation_agreed(self, digits: int) -> str | None:
-        """The common digits-place truncation of max(lower, 0) and upper, or None
-        if they straddle a decimal grid point or upper is negative: every
-        constant enclosed here, a density or D(1/k), is nonnegative."""
-        if self.upper < 0:
-            return None
-        low = _truncated(max(self.lower, 0), digits)
-        return low if low == _truncated(self.upper, digits) else None
+    def complement(self, a: int, b: int = 1) -> Enclosure:
+        """The enclosure of a - b * x for x in this one, b >= 0."""
+        scaled = a * self.denominator
+        return Enclosure(scaled - b * self.high, scaled - b * self.low, self.denominator)
+
+    def truncation_agreed(self, digits: int) -> int | None:
+        """floor(10**digits * max(lower, 0)) if it equals floor(10**digits * upper),
+        else None: every constant enclosed here, a density or D(1/k), is nonnegative."""
+        scale = 10 ** digits
+        low = max(self.low, 0) * scale // self.denominator
+        return low if low == self.high * scale // self.denominator else None
 
 
 class DecimalReport(_Record):
@@ -65,20 +86,21 @@ class DecimalReport(_Record):
     value: str
 
 
-def _truncated(x: Fraction, digits: int) -> str:
-    """x >= 0 truncated to `digits` places as `whole.frac`, at any length:
-    Decimal renders the integers, as int -> str stops at 4300 digits."""
-    if x < 0 or digits < 0:
-        raise ValueError(f"cannot render {x} to {digits} decimal places")
-    whole, frac = divmod(math.floor(x * 10 ** digits), 10 ** digits)
-    return f"{Decimal(whole)}.{str(Decimal(frac)).zfill(digits)}"
+def _rendered(scaled: int, digits: int) -> str:
+    """x >= 0 truncated to `digits` places, from scaled = floor(x * 10**digits),
+    as `whole.frac`, or `whole` at 0 places, at any length: Decimal renders the
+    integers, as int -> str stops at 4300 digits."""
+    whole, frac = divmod(scaled, 10 ** digits)
+    text = str(Decimal(whole))
+    return f"{text}.{str(Decimal(frac)).zfill(digits)}" if digits else text
 
 
 def decimal_string(x: Fraction, digits: int) -> str:
     """Truncated decimal expansion of a nonnegative rational; the integer
     part alone when digits <= 0."""
-    text = _truncated(x, max(digits, 0))
-    return text if digits > 0 else text[:-2]
+    if x < 0:
+        raise ValueError(f"cannot render {x} to {digits} decimal places")
+    return _rendered(math.floor(x * 10 ** max(digits, 0)), max(digits, 0))
 
 
 # ---------------------------------------------------------------------------
@@ -94,8 +116,8 @@ def _series_enclosure(k: int, counts, N: int) -> Enclosure:
         numerator = numerator * k * k + count
     if n < N:
         raise MissingCountError(f"the series needs {N} counts, the stream held {n}")
-    lower = Fraction(numerator, k ** (2 * N))
-    return Enclosure(lower, lower + Fraction(1, (k - 1) * k ** N))
+    low = numerator * (k - 1)
+    return Enclosure(low, low + k ** N, (k - 1) * k ** (2 * N))
 
 
 def density_series(k: int, x, N: int) -> Enclosure:
@@ -114,7 +136,8 @@ def density_series(k: int, x, N: int) -> Enclosure:
     for n in range(1, N + 1):
         power *= x
         lower += ratios[n] * power
-    return Enclosure(lower, lower + power * x / (1 - x))
+    (a, b), (c, d) = lower.as_integer_ratio(), (lower + power * x / (1 - x)).as_integer_ratio()
+    return Enclosure(a * d, c * b, b * d)
 
 
 def density_series_enclosure(k: int, N: int) -> Enclosure:
@@ -135,7 +158,7 @@ def _stepped(k: int, j: int, start, step) -> Enclosure:
         a, b = step(p)
         low, high = a * denominator - b * high, a * denominator - b * low
         denominator *= p - 1
-    return Enclosure(Fraction(low, denominator), Fraction(high, denominator))
+    return Enclosure(low, high, denominator)
 
 
 def _functional_enclosure(k: int, j: int) -> Enclosure:
@@ -153,7 +176,7 @@ def _nielsen_enclosure(k: int, j: int) -> Enclosure:
     (2p - p * U(Y_(i+1))) / (p - 1).  u(1) = k and 0 <= u(m) <= k**m give U(Y_j) in
     1 + 1/p + [0, 1/(p(p - 1))]; the width is below k**(4 - 2**(j+2)).  No count is read."""
     u = _stepped(k, j, lambda p: (p * p - 1, 1, p * (p - 1)), lambda p: (2 * p, p))
-    return Enclosure(2 - u.upper, 2 - u.lower)
+    return u.complement(2)
 
 
 # the largest digit request: it bounds the closed-form report's series
@@ -164,25 +187,26 @@ MAX_DIGITS = 10_000
 _DEPTH_CAP = (4 * MAX_DIGITS + 11).bit_length() - 2
 
 
-def _refine(make_enclosure, digits: int, depth_cap: int) -> DecimalReport:
-    """The truncation at the first depth 1, 2, ..., depth_cap whose enclosure is
-    at most 10**-(digits+2) wide and whose bounds, the lower read as max(lower,
-    0) (so ρ(2) = 0 is certified), truncate alike, else CertificationError.
-    The request must lie in 1..MAX_DIGITS."""
+def _refine(make_enclosure, digits: int, depth_cap: int = _DEPTH_CAP) -> int:
+    """floor(10**digits * c) at the first depth 1, 2, ..., depth_cap whose
+    enclosure of c is at most 10**-(digits+2) wide and whose bounds, the lower
+    read as max(lower, 0) (so ρ(2) = 0 is certified), truncate alike, else
+    CertificationError.  The request must lie in 1..MAX_DIGITS."""
     if not 1 <= digits <= MAX_DIGITS:
         raise ValueError(f"digits must lie in 1..{MAX_DIGITS}, got {digits}")
     for depth in range(1, depth_cap + 1):
         enclosure = make_enclosure(depth)
-        if enclosure.width * 10 ** (digits + 2) <= 1:
+        if (enclosure.high - enclosure.low) * 10 ** (digits + 2) <= enclosure.denominator:
             agreed = enclosure.truncation_agreed(digits)
             if agreed is not None:
-                return DecimalReport(agreed)
+                return agreed
     raise CertificationError(f"depth {depth_cap} does not certify {digits} digits")
 
 
 def density_series_report(k: int, digits: int) -> DecimalReport:
     """D(1/k) certified by its functional equation alone; the series is its reference."""
-    return _refine(lambda j: _functional_enclosure(k, j), digits, _DEPTH_CAP)
+    truncation = _refine(lambda j: _functional_enclosure(k, j), digits)
+    return DecimalReport(_rendered(truncation, digits))
 
 
 def closed_form_report(k: int, terms: int, digits: int) -> DecimalReport:
@@ -192,38 +216,35 @@ def closed_form_report(k: int, terms: int, digits: int) -> DecimalReport:
     guessing if the depth runs out or that enclosure misses the digits."""
     if k < 2 or terms < 1:
         raise ValueError(f"closed form needs k >= 2 and terms >= 1, got {k}, {terms}")
-    report = _refine(lambda j: _functional_enclosure(k, j), digits, 2 * terms)
+    truncation = _refine(lambda j: _functional_enclosure(k, j), digits, 2 * terms)
     N = max(1, math.ceil((digits + 2) / math.log10(k)) - 1)
     while (k - 1) * k ** N < 10 ** (digits + 2):
         N += 1
-    series = density_series_enclosure(k, N)
-    # D(1/k) <= 1/(k-1) <= 1, so the equal-width strings compare as numbers
-    if not _truncated(series.lower, digits) <= report.value <= _truncated(series.upper, digits):
+    # D(1/k) > 0, so the series bounds truncate without a clamp
+    series, scale = density_series_enclosure(k, N), 10 ** digits
+    if not series.low * scale // series.denominator <= truncation <= (
+            series.high * scale // series.denominator):
         raise CertificationError(
             f"the functional equation and the series disagree at {digits} digits"
         )
-    return report
+    return DecimalReport(_rendered(truncation, digits))
 
 
 # ---------------------------------------------------------------------------
 # limiting densities
 
 
-def _pal_free(k: int, series: Enclosure) -> Enclosure:
-    """The no-palindromic-prefix density 2 - (k+1) * D(1/k) from D(1/k)."""
-    return Enclosure(2 - (k + 1) * series.upper, 2 - (k + 1) * series.lower)
-
-
 def pal_free_density_enclosure(k: int, N: int) -> Enclosure:
     """Enclosure of the limiting no-palindromic-prefix density from N terms
-    of the series, the reference for pal_free_density."""
-    return _pal_free(k, density_series_enclosure(k, N))
+    of the series, the reference for pal_free_density: 2 - (k+1) * D(1/k)."""
+    return density_series_enclosure(k, N).complement(2, k + 1)
 
 
 def pal_free_density(k: int, digits: int) -> DecimalReport:
     """The limiting no-palindromic-prefix density, certified to the requested
     number of decimal places by D's functional equation alone."""
-    return _refine(lambda j: _pal_free(k, _functional_enclosure(k, j)), digits, _DEPTH_CAP)
+    truncation = _refine(lambda j: _functional_enclosure(k, j).complement(2, k + 1), digits)
+    return DecimalReport(_rendered(truncation, digits))
 
 
 def unbordered_density_enclosure(k: int, N: int) -> Enclosure:
@@ -239,13 +260,13 @@ def unbordered_density_enclosure(k: int, N: int) -> Enclosure:
     terms in [0, k**-m'] since u(m') <= k**m'.  So, with q = k**-(n//2) / (k-1),
         γq <= u(n) / k**n - γ <= γq + sum over m > n//2 of k**(-m - m//2) / (k-1).
     """
-    series = _series_enclosure(k, _doubling(k, N, _unbordered_back), N)
-    return Enclosure(1 - series.upper, 1 - series.lower)
+    return _series_enclosure(k, _doubling(k, N, _unbordered_back), N).complement(1)
 
 
 def unbordered_density(k: int, digits: int) -> DecimalReport:
     """The limiting unbordered density γ, certified by Nielsen's equation alone."""
-    return _refine(lambda j: _nielsen_enclosure(k, j), digits, _DEPTH_CAP)
+    truncation = _refine(lambda j: _nielsen_enclosure(k, j), digits)
+    return DecimalReport(_rendered(truncation, digits))
 
 
 def square_prefix_densities(
@@ -260,8 +281,7 @@ def square_prefix_densities(
     complement in 1.  Requires min_square to hold 1..n.
     """
     with_square = _series_enclosure(k, (min_square[i] for i in range(1, n + 1)), n)
-    square_free = Enclosure(1 - with_square.upper, 1 - with_square.lower)
-    return with_square, square_free
+    return with_square, with_square.complement(1)
 
 
 def unbordered_density_estimate(k: int, n: int) -> DecimalReport:

@@ -301,11 +301,9 @@ def suite_constants(k_max: int, n_max: int, budget: int) -> SuiteResult:
         for N in (10, 40, 64):
             if density_series_enclosure(k, N) != density_series(k, Fraction(1, k), N):
                 result.fail(f"series kernel differs from the Fraction sum at k={k}, N={N}")
-            for name, enclose in (
-                ("series", lambda M: density_series_enclosure(k, M)),
-                ("unbordered", lambda M: unbordered_density_enclosure(k, M)),
-            ):
-                outer, inner = enclose(N), enclose(2 * N)
+            for name, enclose in (("series", density_series_enclosure),
+                                  ("unbordered", unbordered_density_enclosure)):
+                outer, inner = enclose(k, N), enclose(k, 2 * N)
                 if not (outer.lower <= inner.lower and inner.upper <= outer.upper):
                     result.fail(f"{name} enclosures failed to nest at k={k}, N={N}")
             result.checks += 3
@@ -313,11 +311,9 @@ def suite_constants(k_max: int, n_max: int, budget: int) -> SuiteResult:
             direct = density_series(k, x, 40)
             inner = density_series(k, x * x / k, 40)
             offset = 2 * x / (1 - x)
-            coefficient = (x + k) / (x * (x - 1))
-            bounds = sorted(
-                (offset + coefficient * inner.lower, offset + coefficient * inner.upper)
-            )
-            if max(direct.lower, bounds[0]) > min(direct.upper, bounds[1]):
+            coefficient = (x + k) / (x * (x - 1))  # negative: the bounds swap
+            low, high = offset + coefficient * inner.upper, offset + coefficient * inner.lower
+            if max(direct.lower, low) > min(direct.upper, high):
                 result.fail(f"functional equation enclosures disjoint at k={k}, x={x}")
             result.checks += 1
     # the two certified routes to D(1/k) and to γ, paired so that their widths
@@ -368,14 +364,14 @@ def suite_constants(k_max: int, n_max: int, budget: int) -> SuiteResult:
         # than the rest of the suite.
         unbordered = family_counts(k, 256, Family.UNBORDERED, budget=budget)
         gamma = _nielsen_enclosure(k, 7)
-        (a, b), (c, d) = gamma.lower.as_integer_ratio(), gamma.upper.as_integer_ratio()
+        low, high, den = gamma.low, gamma.high, gamma.denominator
         K = (k ** 3 - 1) * (k - 1)
         for n in range(4, 257):
             M = n // 2 + 1
             t = (k ** 3 + k ** (2 - M % 2)) * k ** (n - M - M // 2)
             w = (k - 1) * k ** (n // 2)
             u, top = unbordered[n], (w + 1) * k ** n
-            if not (c * top <= u * w * d and u * w * K * b <= a * top * K + t * w * b):
+            if not (high * top <= u * w * den and u * w * K * den <= low * top * K + t * w * den):
                 result.fail(f"unbordered ratio strayed from its limit at k={k}, n={n}")
             result.checks += 1
     return result

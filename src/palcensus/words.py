@@ -28,8 +28,8 @@ class _Record:
 
     The fields are the names in ``__slots__``, given by position or keyword
     and set once, past the raising ``__setattr__``; ``__post_init__`` then
-    checks them.  Instances compare equal, hash and print as the tuple of
-    their fields.
+    checks them.  Instances print as the tuple of their fields, and compare
+    equal and hash by it too, unless the class defines its own ``_key``.
     """
 
     __slots__ = ()
@@ -48,9 +48,10 @@ class _Record:
         exec(source, namespace)
         cls.__init__ = namespace["__init__"]
         cls.__init__.__qualname__ = f"{cls.__qualname__}.__init__"
-        # C-level field access for __eq__ and __hash__; with one field it
-        # returns the value itself rather than a 1-tuple
-        cls._key = operator.attrgetter(*names)
+        # C-level field access for __eq__ and __hash__, unless the class
+        # defines its own key; with one field it returns the value itself
+        if "_key" not in vars(cls):
+            cls._key = operator.attrgetter(*names)
 
     def __post_init__(self) -> None:
         pass

@@ -124,7 +124,7 @@ def test_criterion_3_parity_laws():
 def test_criterion_4_constants():
     failures = []
     series = density_series_enclosure(3, 130)
-    if series.truncation_agreed(60) != "0." + H3_DIGITS:
+    if series.truncation_agreed(60) != int(H3_DIGITS):
         failures.append("series enclosure does not certify the 60 digits")
     closed = _functional_enclosure(3, 6)
     if not (closed.lower in series and closed.upper in series):

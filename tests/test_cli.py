@@ -125,6 +125,32 @@ class TestCount:
         assert out == ""
         assert "2**27" in err
 
+    def test_counts_python_cannot_print_are_refused_before_any_row(self, capsys):
+        # 2**14285 has 4301 digits, past Python's default int -> str limit;
+        # the rows for 14280..14286 once printed before the first such count
+        code, out, err = run(
+            capsys, "count", "--k", "2", "--family", "unbordered", "--method", "recurrence",
+            "--n-min", "14280", "--n-max", "14300", "--format", "bfile",
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: --n-max must keep k**n below 10**4300, got 14300 at k=2\n"
+        code, out, _ = run(
+            capsys, "count", "--k", "2", "--family", "unbordered", "--method", "recurrence",
+            "--n-min", "14284", "--n-max", "14284", "--format", "bfile",
+        )
+        assert code == 0 and len(out) == len("14284 ") + 4300 + 1
+
+    @pytest.mark.parametrize("family", ["unbordered", "no-pal-prefix", "min-square"])
+    def test_a_huge_length_is_refused_at_once(self, capsys, family):
+        start = time.perf_counter()
+        code, out, err = run(
+            capsys, "count", "--k", "3", "--family", family, "--method", "recurrence",
+            "--n-max", str(10 ** 18),
+        )
+        assert time.perf_counter() - start < 1
+        assert (code, out) == (2, "")
+        assert err.startswith("error: --n-max must keep k**n below 10**4300")
+
     def test_unary_length_past_the_recursion_limit(self, capsys):
         # one word per length, walked without recursion: 1000 letters are
         # past what a walk recursing once per letter reaches under Python's
@@ -310,8 +336,6 @@ class TestConstants:
 
     @pytest.mark.parametrize("route", ["_functional_enclosure", "density_series_enclosure"])
     def test_closed_form_fails_when_either_route_is_shifted(self, capsys, monkeypatch, route):
-        from fractions import Fraction
-
         from palcensus import constants
         from palcensus.constants import Enclosure
 
@@ -319,9 +343,11 @@ class TestConstants:
         honest = getattr(constants, route)
 
         def shifted(k, size):
+            # both bounds 10**-55 higher
             enclosure = honest(k, size)
-            shift = Fraction(1, 10 ** 55)
-            return Enclosure(enclosure.lower + shift, enclosure.upper + shift)
+            return Enclosure(enclosure.low * 10 ** 55 + enclosure.denominator,
+                             enclosure.high * 10 ** 55 + enclosure.denominator,
+                             enclosure.denominator * 10 ** 55)
 
         monkeypatch.setattr(constants, route, shifted)
         code, out, err = run(
@@ -413,6 +439,19 @@ class TestConstants:
         alpha_low, alpha_high = (Fraction(part) for part in alpha_out.split())
         assert beta_low < beta_high
         assert (alpha_low, alpha_high) == (1 - beta_high, 1 - beta_low)
+
+    def test_alpha_at_the_default_budget_for_any_k(self, capsys, tmp_path):
+        # --c-max defaults to the largest c <= 20 with k**c <= --budget:
+        # 20 at k = 2, 16 at k = 3
+        cache = ["--cache-dir", str(tmp_path)]
+        default = run(capsys, "constants", "--k", "2", "--which", "alpha", *cache)
+        assert default == run(
+            capsys, "constants", "--k", "2", "--which", "alpha", "--c-max", "20", *cache)
+        code, out, err = run(capsys, "constants", "--k", "3", "--which", "alpha", *cache)
+        assert (code, err) == (0, "")
+        assert run(
+            capsys, "constants", "--k", "3", "--which", "alpha", "--c-max", "16", *cache
+        ) == (code, out, err)
 
     def test_alpha_at_twenty_terms_inside_the_reference_interval(self, capsys, tmp_path):
         from fractions import Fraction

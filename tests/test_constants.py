@@ -86,33 +86,37 @@ class TestDecimalRendering:
         limit = sys.get_int_max_str_digits()
         third = Fraction(1, 3)
         assert decimal_string(third, 4400) == "0." + "3" * 4400
-        assert Enclosure(third, third).truncation_agreed(4400) == "0." + "3" * 4400
+        assert Enclosure(1, 1, 3).truncation_agreed(4400) == 10 ** 4400 // 3
         assert sys.get_int_max_str_digits() == limit
 
 
 class TestEnclosure:
     def test_orientation_enforced(self):
         with pytest.raises(ValueError, match="inverted"):
-            Enclosure(Fraction(1), Fraction(0))
+            Enclosure(1, 0, 1)
+        with pytest.raises(ValueError, match="inverted"):
+            Enclosure(0, 1, 0)
+
+    def test_equal_bounds_are_equal_records_whatever_the_denominator(self):
+        assert Enclosure(1, 2, 4) == Enclosure(2, 4, 8)
+        assert hash(Enclosure(1, 2, 4)) == hash(Enclosure(2, 4, 8))
+        assert Enclosure(1, 2, 4) != Enclosure(1, 3, 4)
+        assert Enclosure(-3, 0, 6) == Enclosure(-1, 0, 2)
 
     def test_contains(self):
-        enclosure = Enclosure(Fraction(1, 3), Fraction(1, 2))
+        enclosure = Enclosure(2, 3, 6)
         assert Fraction(2, 5) in enclosure
         assert Fraction(3, 5) not in enclosure
 
     def test_truncation_agreement(self):
-        assert Enclosure(Fraction(123, 1000), Fraction(124, 1000)).truncation_agreed(
-            2
-        ) == "0.12"
-        straddling = Enclosure(Fraction(199, 1000), Fraction(201, 1000))
+        assert Enclosure(123, 124, 1000).truncation_agreed(2) == 12
+        straddling = Enclosure(199, 201, 1000)
         assert straddling.truncation_agreed(1) is None
 
 
 class TestDensitySeries:
     def test_single_term(self):
-        assert density_series_enclosure(2, 1) == Enclosure(
-            Fraction(1, 2), Fraction(1, 1)
-        )
+        assert density_series_enclosure(2, 1) == Enclosure(1, 2, 2)
 
     def test_two_terms_at_quarter(self):
         enclosure = density_series(2, Fraction(1, 4), 2)
@@ -160,7 +164,7 @@ class TestDensitySeries:
 
     def test_sixty_digits_at_third(self):
         enclosure = density_series_enclosure(3, 130)
-        assert enclosure.truncation_agreed(60) == "0." + H3_DIGITS
+        assert enclosure.truncation_agreed(60) == int(H3_DIGITS)
 
     def test_report(self):
         report = density_series_report(3, 60)
@@ -196,7 +200,7 @@ def _former_functional_enclosure(k, j):
         scale = (k * power + 1) * power
         low, high = 2 * denominator - scale * high, 2 * denominator - scale * low
         denominator *= power - 1
-    return Enclosure(Fraction(low, denominator), Fraction(high, denominator))
+    return Enclosure(low, high, denominator)
 
 
 class TestStepper:
@@ -216,8 +220,8 @@ class TestStepper:
     @pytest.mark.parametrize("k", [2, 3, 5])
     def test_depth_zero_is_nielsens_starting_enclosure(self, k):
         # U(1/k**2) in 1 + 1/k + [0, 1/(k(k-1))], and γ = 2 - U(1/k**2)
-        start = 1 - Fraction(1, k)
-        assert _nielsen_enclosure(k, 0) == Enclosure(start - Fraction(1, k * (k - 1)), start)
+        start = (k - 1) ** 2  # 1 - 1/k over k(k-1)
+        assert _nielsen_enclosure(k, 0) == Enclosure(start - 1, start, k * (k - 1))
 
 
 class TestClosedForm:
@@ -234,7 +238,7 @@ class TestClosedForm:
 
     def test_six_terms_give_sixty_digits(self):
         # six steps of the functional equation certify them on their own
-        assert _functional_enclosure(3, 6).truncation_agreed(60) == "0." + H3_DIGITS
+        assert _functional_enclosure(3, 6).truncation_agreed(60) == int(H3_DIGITS)
 
     def test_convergence_is_strict(self):
         # each step squares the width (and then some) and at least doubles
@@ -250,10 +254,8 @@ class TestClosedForm:
     @pytest.mark.parametrize("k", [2, 3, 4, 5])
     def test_depth_zero_is_the_starting_enclosure(self, k):
         # D(1/k) in 1/k + (1 - 1/k)/k**2 + [0, 1/(k**2 (k-1))]
-        start = Fraction(1, k) + Fraction(k - 1, k ** 3)
-        assert _functional_enclosure(k, 0) == Enclosure(
-            start, start + Fraction(1, k * k * (k - 1))
-        )
+        start = (k * k + k - 1) * (k - 1)  # 1/k + (k-1)/k**3 over k**3 (k-1)
+        assert _functional_enclosure(k, 0) == Enclosure(start, start + k, k ** 3 * (k - 1))
 
     def test_report_certifies_against_series(self):
         report = closed_form_report(3, 6, 60)
@@ -275,9 +277,11 @@ class TestClosedForm:
         honest = constants._functional_enclosure
 
         def shifted(k, j):
+            # both bounds 10**-55 higher
             enclosure = honest(k, j)
-            shift = Fraction(1, 10 ** 55)
-            return Enclosure(enclosure.lower + shift, enclosure.upper + shift)
+            return Enclosure(enclosure.low * 10 ** 55 + enclosure.denominator,
+                             enclosure.high * 10 ** 55 + enclosure.denominator,
+                             enclosure.denominator * 10 ** 55)
 
         monkeypatch.setattr(constants, "_functional_enclosure", shifted)
         with pytest.raises(CertificationError, match="disagree"):
@@ -289,7 +293,7 @@ class TestClosedForm:
 
         def negative(j):
             depths.append(j)
-            return Enclosure(Fraction(-1), Fraction(1, 2 ** (64 * j)) - 1)
+            return Enclosure(-2 ** (64 * j), 1 - 2 ** (64 * j), 2 ** (64 * j))
 
         with pytest.raises(CertificationError, match="depth 14 does not certify 5 digits"):
             _refine(negative, 5, 14)
@@ -307,21 +311,29 @@ class TestClosedForm:
         # 10**-20 below it; depth 2 lies below g.  Certifying at depth 1 by
         # g's digits would report a value the constant does not reach.
         grid = Fraction(12346, 10 ** 5)
-        value = grid - Fraction(1, 10 ** 20)
-        halves = {1: Fraction(1, 2 * 10 ** 14), 2: Fraction(1, 10 ** 30)}
+        # over 2 * 10**30: the value, and the half-widths 1/(2 * 10**14), 10**-30
+        value = 12346 * 2 * 10 ** 25 - 2 * 10 ** 10
+        halves = {1: 10 ** 16, 2: 2}
 
         def stepped(j):
-            return Enclosure(value - halves[j], value + halves[j])
+            return Enclosure(value - halves[j], value + halves[j], 2 * 10 ** 30)
 
         assert stepped(1).lower < grid < stepped(1).upper
-        assert _refine(stepped, 5, 2).value == "0.12345"
+        assert _refine(stepped, 5, 2) == 12345
 
     def test_the_width_gate_precedes_agreement(self):
         # bounds that agree on 5 digits certify nothing while wider than 10**-7
-        wide = Enclosure(Fraction(123450, 10 ** 6), Fraction(123459, 10 ** 6))
-        assert wide.truncation_agreed(5) == "0.12345"
+        wide = Enclosure(123450, 123459, 10 ** 6)
+        assert wide.truncation_agreed(5) == 12345
         with pytest.raises(CertificationError):
             _refine(lambda j: wide, 5, 3)
+
+    def test_the_width_gate_is_ten_to_the_minus_digits_plus_two(self):
+        # both enclosures truncate to 0.12345; only the narrower one, exactly
+        # 10**-7 wide, passes the gate
+        assert _refine(lambda j: Enclosure(12345000, 12345001, 10 ** 8), 5, 1) == 12345
+        with pytest.raises(CertificationError):
+            _refine(lambda j: Enclosure(1234500, 1234510, 10 ** 7), 5, 1)
 
     def test_closed_form_reads_the_series_once(self, monkeypatch):
         # one series enclosure, at the fewest terms whose tail bound
@@ -354,9 +366,9 @@ class TestClosedForm:
             series = _refine(lambda i: density_series_enclosure(k, 16 << i), digits, 16)
             if series != text:
                 raise CertificationError("the series disagrees")
-            return text.value
+            return text
 
-        assert doubling(4, 7, 60) == closed_form_report(4, 7, 60).value
+        assert doubling(4, 7, 60) == int(closed_form_report(4, 7, 60).value[2:])
         assert traced_peak(lambda: doubling(4, 7, 10000)) > CLOSED_FORM_PEAK_BOUND
 
     @pytest.mark.parametrize("digits", [0, -1, MAX_DIGITS + 1])
@@ -412,8 +424,8 @@ class TestSquareDensities:
     def test_single_term(self):
         minimal = min_square_counts(2, 1)
         with_square, square_free = square_prefix_densities(2, 1, minimal)
-        assert with_square == Enclosure(Fraction(1, 2), Fraction(1))
-        assert square_free == Enclosure(Fraction(0), Fraction(1, 2))
+        assert with_square == Enclosure(1, 2, 2)
+        assert square_free == Enclosure(0, 1, 2)
 
     def test_complement(self):
         minimal = min_square_counts(2, 10)
@@ -487,6 +499,17 @@ class TestUnborderedDensity:
     def test_h_and_rho_at_ten_thousand_digits_hold_no_counts(self, report):
         # like γ's: the series peaked at 35 MB (k = 4), the stepper near 0.2 MB
         assert traced_peak(lambda: report(4, 10000)) < 4 * 2 ** 20
+
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_ten_thousand_digits_build_no_fraction(self, monkeypatch, k):
+        # the stepper, the gate, the truncation and the rendering are integers
+        def refused(*args):
+            raise AssertionError("a certified report built a Fraction")
+
+        monkeypatch.setattr(constants, "Fraction", refused)
+        for report in (density_series_report, pal_free_density, unbordered_density):
+            value = report(k, 10000).value
+            assert len(value) == 10002 and value.startswith(report(k, 60).value)
 
     def test_reads_no_count_and_calls_no_census(self, monkeypatch):
         def refused(*args, **options):

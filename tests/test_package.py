@@ -2,6 +2,7 @@
 from the module that defines it, and is the same object as there."""
 
 import importlib
+import json
 import os
 import subprocess
 import sys
@@ -78,6 +79,21 @@ def test_no_module_calls_the_benchmark_shim():
         and not line.startswith("def unbordered_density_estimate(")
     ]
     assert callers == []
+
+
+def test_the_benchmark_sequences_ops_pass_their_checks(tmp_path):
+    # one pass of the benchmark's sequences workload, checked against
+    # bench/reference.json: a change to Enclosure or to a report that would
+    # fail its closed:*, square_density, gamma:* or min_square ops fails here.
+    # It reads bench/ and writes only to tmp_path.
+    root = Path(__file__).resolve().parents[1]
+    done = subprocess.run(
+        [sys.executable, str(root / "bench" / "worker.py"), "sequences", "7", "main", "0",
+         str(tmp_path)],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=str(root / "src")),
+        timeout=120, check=True,
+    )
+    assert json.loads(done.stdout.splitlines()[-1])["errors"] == {}
 
 
 def test_unknown_name_is_an_attribute_error():

@@ -2,7 +2,6 @@
 
 import itertools
 import math
-from fractions import Fraction
 
 import pytest
 
@@ -329,15 +328,16 @@ def _series_with_a_wider_tail(k, counts, N):
     # a valid but k times looser enclosure: it still nests and still holds
     # the closed form, so only the comparison with the reference sees it
     honest = _honest_series_enclosure(k, counts, N)
-    return Enclosure(honest.lower, honest.lower + k * honest.width)
+    return Enclosure(honest.low, honest.low + k * (honest.high - honest.low), honest.denominator)
 
 
 def _series_without_the_last_term(k, counts, N):
     numerator = 0
     for count in itertools.islice(counts, N - 1):
         numerator = numerator * k * k + count
-    lower = Fraction(numerator, k ** (2 * N - 2))
-    return Enclosure(lower, lower + Fraction(1, (k - 1) * k ** N))
+    # numerator / k**(2N - 2) plus the tail 1 / ((k-1) k**N), over (k-1) k**(2N)
+    low = numerator * (k - 1) * k * k
+    return Enclosure(low, low + k ** N, (k - 1) * k ** (2 * N))
 
 
 _honest_doubling = recurrences._doubling
@@ -374,7 +374,7 @@ _honest_unbordered_density_enclosure = constants.unbordered_density_enclosure
 def _unbordered_tail_on_the_wrong_side(k, N):
     # gamma lies at most the tail below 1 minus the partial sum, not above
     honest = _honest_unbordered_density_enclosure(k, N)
-    return Enclosure(honest.upper, honest.upper + honest.width)
+    return Enclosure(honest.high, 2 * honest.high - honest.low, honest.denominator)
 
 
 _honest_family_counts = recurrences.family_counts
@@ -427,7 +427,7 @@ def _functional_enclosure_planted(k, j, *, sign=-1, quadratic=True, tail_power=3
             (2 * denominator + sign * scale * low, 2 * denominator + sign * scale * high)
         )
         denominator *= power - 1
-    return Enclosure(Fraction(low, denominator), Fraction(high, denominator))
+    return Enclosure(low, high, denominator)
 
 
 def _nielsen_enclosure_planted(
@@ -442,7 +442,7 @@ def _nielsen_enclosure_planted(
         lambda p: (p * (p - 1) + reciprocal * (p - 1), p if wide_tail else 1, p * (p - 1)),
         lambda p: (offset(p), p),
     )
-    return Enclosure(2 - u.upper, 2 - u.lower)
+    return u.complement(2)
 
 
 def test_planted_engine_without_a_change_is_the_engine():

@@ -411,7 +411,7 @@ def _records():
         ),
         lambda: Permutation((2, 1, 3)),
         lambda: CountSeq(2, Family.UNBORDERED, (2, 2)),
-        lambda: Enclosure(Fraction(1, 3), Fraction(1, 2)),
+        lambda: Enclosure(2, 3, 6),
         lambda: DecimalReport("0.66"),
     ]
 
