@@ -41,14 +41,14 @@ _MASK_BITS = 1 << 12
 _MIN_WALK = 4
 # a census runs in-process, whatever jobs is, while its work is below this:
 # its canonical prefixes of length n - L times the k**L completions each
-# decides, times _PROFILE_COST for a profile, whose prefixes cost about 8
-# times as much.  On a 2-CPU box the pool, its start included, broke even
-# at work 2**26 (binary n = 27, ternary n = 18) for unbordered and lost for
-# the pruned no-square-prefix; it paid from binary n = 28 for families and
-# n = 25 for profiles.  A family the default budget admits has work at most
-# k**n / k <= 2**25.
+# decides, times _PROFILE_COST for a profile of one kind (binary n = 25:
+# borders took 5.5 times unbordered).  On a 2-CPU box the pool, its start
+# included, broke even at work 2**26 (binary n = 27, ternary n = 18) for
+# unbordered and lost for the pruned no-square-prefix; it paid from binary
+# n = 28 for families and at n = 26 for borders and even-pp profiles.  A
+# family the default budget admits has work at most k**n / k <= 2**25.
 _POOL_MIN_WORK = 1 << 27
-_PROFILE_COST = 8
+_PROFILE_COST = 5
 # the fewest canonical blocks of an in-process census, so that verify checks
 # the blocks a pool counts; a pool gets _BLOCKS_PER_WORKER per worker, each
 # handed to the next worker that frees up, so pruning leaves none the larger
@@ -85,7 +85,6 @@ class Family(Enum):
 
 
 class ProfileKind(Enum):
-    # in the order of the profile masks and counters
     SHORT_BORDERS = "borders"
     EVEN_PP_ORDERS = "even-pp"
     ODD_PP_ORDERS = "odd-pp"
@@ -199,7 +198,11 @@ _PATTERNS = {
     Family.MIN_SQUARE: lambda n: [_square(n, j) for j in range(1, n)],
 }
 # per profile kind, the family whose i-th pattern puts i in the kind's set
-_KIND_FAMILIES = (Family.UNBORDERED, Family.NO_EVEN_PP, Family.NO_ODD_PP)
+_KIND_FAMILY = {
+    ProfileKind.SHORT_BORDERS: Family.UNBORDERED,
+    ProfileKind.EVEN_PP_ORDERS: Family.NO_EVEN_PP,
+    ProfileKind.ODD_PP_ORDERS: Family.NO_ODD_PP,
+}
 
 
 @lru_cache(maxsize=8)
@@ -331,17 +334,16 @@ def _family_block(k: int, n: int, family: Family, split: int, prefix: tuple) -> 
     return total
 
 
-def _profile_block(k: int, n: int, split: int, prefix: tuple[int, ...]) -> tuple:
-    """Per profile kind, a Counter of set masks (bit i for i) over the
+def _profile_block(k: int, n: int, family: Family, split: int, prefix: tuple) -> Counter:
+    """A Counter of set masks (bit i for the family's i-th pattern) over the
     length-n words starting with the canonical prefix."""
     letter, _, full = _masks(k, split)
-    kinds = [_compile(k, n, split, _PATTERNS[family]) for family in _KIND_FAMILIES]
-    counts = tuple(Counter() for _ in kinds)
+    compiled = _compile(k, n, split, _PATTERNS[family])
+    counter = Counter()
     for w, _, weight in _walk(k, n - split, prefix):
-        for counter, compiled in zip(counts, kinds):
-            for mask, part in _parts(w, compiled, letter, full).items():
-                counter[mask] += weight * part.bit_count()
-    return counts
+        for mask, part in _parts(w, compiled, letter, full).items():
+            counter[mask] += weight * part.bit_count()
+    return counter
 
 
 def _census(
@@ -370,7 +372,7 @@ def _census(
     return [(size, part) for (_, size), part in zip(blocks, parts)]
 
 
-# (k, n, family) -> count, (k, n) -> profile counters
+# (k, n, family) -> count, (k, n, kind) -> profile counter
 _memo: dict = {}
 
 
@@ -406,20 +408,20 @@ def census_family(
     return k ** n - value if complement else value
 
 
-def _count_profiles(k: int, n: int, jobs: int) -> tuple[Counter, Counter, Counter]:
-    result = (Counter(), Counter(), Counter())
-    for size, part in _census(_profile_block, k, n, (), jobs, _PROFILE_COST):
-        for counter, masks in zip(result, part):
-            for mask, count in masks.items():
-                counter[_entries(mask)] += size * count
-    return result
+def _count_profile(k: int, n: int, kind: ProfileKind, jobs: int) -> Counter:
+    counter = Counter()
+    for size, part in _census(_profile_block, k, n, (_KIND_FAMILY[kind],), jobs, _PROFILE_COST):
+        for mask, count in part.items():
+            counter[_entries(mask)] += size * count
+    return counter
 
 
-def _profile_counters(
-    k: int, n: int, *, budget: int = DEFAULT_BUDGET, jobs: int = 1
-) -> tuple[Counter, Counter, Counter]:
+def _profile_counter(
+    k: int, n: int, kind: ProfileKind, *, budget: int = DEFAULT_BUDGET, jobs: int = 1
+) -> Counter:
+    """{profile set of the kind: number of length-n words with it}."""
     _check_jobs(jobs)
-    return _memoised((k, n), budget, _count_profiles, k, n, jobs)
+    return _memoised((k, n, kind), budget, _count_profile, k, n, kind, jobs)
 
 
 def _validate_profile_set(n: int, profile_set) -> frozenset[int]:
@@ -448,8 +450,7 @@ def census_profile(
     """Number of length-n words whose profile set of the given kind equals
     profile_set exactly (the empty set asks for words with no such structure)."""
     wanted = _validate_profile_set(n, profile_set)
-    counters = _profile_counters(k, n, budget=budget, jobs=jobs)
-    return counters[list(ProfileKind).index(kind)][wanted]
+    return _profile_counter(k, n, kind, budget=budget, jobs=jobs)[wanted]
 
 
 def list_profile(
@@ -471,8 +472,7 @@ def list_profile(
             )
     split = _split_length(k, n)
     letter, _, full = _masks(k, split)
-    family = _KIND_FAMILIES[list(ProfileKind).index(kind)]
-    compiled = _compile(k, n, split, _PATTERNS[family])
+    compiled = _compile(k, n, split, _PATTERNS[_KIND_FAMILY[kind]])
     mask = sum(1 << i for i in wanted)
     completions = list(itertools.product(range(k), repeat=split))
     kept = []

@@ -6,7 +6,8 @@ Subcommands reproduce the count tables (count), apply the maps to words
 cross-checking suites (verify).
 
 Exit codes: 0 on success, 1 on a verification or certification failure,
-2 on a usage error (including exceeding the enumeration budget).
+2 on a usage error (including exceeding the enumeration budget), 141 when
+the reader closes stdout early (as a shell reports a tool SIGPIPE ends).
 Identical invocations produce byte-identical output.
 """
 
@@ -14,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 
 # the parser needs only these; each command imports what it runs, so a
@@ -392,7 +394,14 @@ def main(argv=None) -> int:
     try:
         if getattr(args, "jobs", 1) < 1:
             raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
-        return args.func(args)
+        status = args.func(args)
+        sys.stdout.flush()
+        return status
+    except BrokenPipeError:
+        # the reader is gone (say, `| head`): stop without a traceback, and
+        # point stdout at devnull so that the flush at exit raises nothing
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except BudgetExceededError as error:
         print(f"error: {error}", file=sys.stderr)
         return 2

@@ -211,12 +211,13 @@ def density_series_report(k: int, digits: int) -> DecimalReport:
 
 def closed_form_report(k: int, terms: int, digits: int) -> DecimalReport:
     """D(1/k) certified by the functional equation, stepped at most 2 * terms
-    deep, then checked against the series enclosure at the fewest terms N whose
-    tail 1/((k-1) k**N) is at most 10**-(digits+2): it fails rather than
-    guessing if the depth runs out or that enclosure misses the digits."""
+    (and _DEPTH_CAP) deep, then checked against the series enclosure at the
+    fewest terms N whose tail 1/((k-1) k**N) is at most 10**-(digits+2): it
+    fails rather than guessing if the depth runs out or that enclosure misses the digits."""
     if k < 2 or terms < 1:
         raise ValueError(f"closed form needs k >= 2 and terms >= 1, got {k}, {terms}")
-    truncation = _refine(lambda j: _functional_enclosure(k, j), digits, 2 * terms)
+    depth_cap = min(2 * terms, _DEPTH_CAP)
+    truncation = _refine(lambda j: _functional_enclosure(k, j), digits, depth_cap)
     N = max(1, math.ceil((digits + 2) / math.log10(k)) - 1)
     while (k - 1) * k ** N < 10 ** (digits + 2):
         N += 1

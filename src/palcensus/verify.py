@@ -17,7 +17,7 @@ from .census import (
     DEFAULT_BUDGET,
     Family,
     ProfileKind,
-    _profile_counters,
+    _profile_counter,
     _words_up_to_renaming,
     census_family,
     list_profile,
@@ -49,6 +49,7 @@ from .words import (
     _short_border_set,
     _shuffle,
     _square_half_set,
+    _unshuffle,
 )
 
 _MAX_REPORTED_FAILURES = 5
@@ -104,15 +105,15 @@ def suite_bijection(k_max: int, n_max: int, budget: int) -> SuiteResult:
                         f"border set != even-order set of image at k={k}, w={w}"
                     )
                 result.checks += 2
-            borders, evens, _ = _profile_counters(k, n, budget=budget)
-            if borders != evens:
+            borders = _profile_counter(k, n, ProfileKind.SHORT_BORDERS, budget=budget)
+            if borders != _profile_counter(k, n, ProfileKind.EVEN_PP_ORDERS, budget=budget):
                 result.fail(f"profile censuses disagree at k={k}, n={n}")
             result.checks += 1
         # image lists coincide set-wise, not just in count; a listed word
         # takes about 250 bytes, so at most 3**8 words are listed
         n = min(8, n_max)
         if n >= 1 and k ** n <= min(budget, 3 ** 8):
-            borders, _, _ = _profile_counters(k, n, budget=budget)
+            borders = _profile_counter(k, n, ProfileKind.SHORT_BORDERS, budget=budget)
             for wanted in sorted(borders, key=sorted):
                 with_borders = list_profile(
                     k, n, ProfileKind.SHORT_BORDERS, wanted, budget=budget
@@ -177,7 +178,7 @@ def _naive_census(k: int, n: int):
         profile = _short_border_set(w), _even_pp_set(w), _odd_pp_set(w)
         classes[profile, bool(squares), minimal] += size
     families: Counter = Counter()
-    profiles = (Counter(), Counter(), Counter())
+    profiles = {kind: Counter() for kind in ProfileKind}
     for ((borders, evens, odds), squared, minimal), count in classes.items():
         families[Family.UNBORDERED] += count * (not borders)
         families[Family.NO_EVEN_PP] += count * (not evens)
@@ -186,8 +187,9 @@ def _naive_census(k: int, n: int):
         families[Family.NO_SQUARE_PREFIX] += count * (not squared)
         families[Family.HAS_SQUARE_PREFIX] += count * squared
         families[Family.MIN_SQUARE] += count * minimal
-        for counter, key in zip(profiles, (borders, evens, odds)):
-            counter[key] += count
+        profiles[ProfileKind.SHORT_BORDERS][borders] += count
+        profiles[ProfileKind.EVEN_PP_ORDERS][evens] += count
+        profiles[ProfileKind.ODD_PP_ORDERS][odds] += count
     return families, profiles
 
 
@@ -200,6 +202,7 @@ def suite_counts(k_max: int, n_max: int, budget: int) -> SuiteResult:
     sequence; its profile counters equal the naive ones and obey the parity
     laws."""
     result = SuiteResult("counts")
+    even, odd = ProfileKind.EVEN_PP_ORDERS, ProfileKind.ODD_PP_ORDERS
     for k in range(2, k_max + 1):
         lengths = _lengths(k, n_max, budget)
         if not lengths:
@@ -223,26 +226,22 @@ def suite_counts(k_max: int, n_max: int, budget: int) -> SuiteResult:
                             f"census {got}, {route} {other}"
                         )
                     result.checks += 1
-            counters[n] = _profile_counters(k, n, budget=budget)
-            for kind, got, expected in zip(ProfileKind, counters[n], profiles):
-                if got != expected:
-                    result.fail(
-                        f"{kind.value} profile census mismatch at k={k}, n={n}"
-                    )
+            for kind in ProfileKind:
+                counters[n, kind] = _profile_counter(k, n, kind, budget=budget)
+                if counters[n, kind] != profiles[kind]:
+                    result.fail(f"{kind.value} profile census mismatch at k={k}, n={n}")
                 result.checks += 1
             # a letter appended to an even (odd) length cannot close an even
             # (odd) palindromic prefix, so that profile grows k-fold; at odd
             # lengths the odd profile equals the even one
-            _, evens, odds = counters[n]
-            laws = [odds == evens] if n % 2 else []
+            laws = [counters[n, odd] == counters[n, even]] if n % 2 else []
             if n > 1:
-                _, shorter_evens, shorter_odds = counters[n - 1]
                 if n % 2:
-                    laws.append(evens == _times(k, shorter_evens))
+                    laws.append(counters[n, even] == _times(k, counters[n - 1, even]))
                 else:
                     laws += [
-                        odds == _times(k, shorter_odds),
-                        odds == _times(k, shorter_evens),
+                        counters[n, odd] == _times(k, counters[n - 1, odd]),
+                        counters[n, odd] == _times(k, counters[n - 1, even]),
                     ]
             for holds in laws:
                 if not holds:
@@ -397,7 +396,7 @@ def suite_lemmas(k_max: int, n_max: int, budget: int) -> SuiteResult:
             if n % 2:
                 continue
             for x in _classes(result, k, n):
-                y, z = x[0::2], x[1::2]
+                y, z = _unshuffle(x)
                 if (x == x[::-1]) != (z == y[::-1]):
                     result.fail(f"shuffle-palindrome splitting failed at k={k}, x={x}")
                 result.checks += 1

@@ -26,7 +26,7 @@ from palcensus.census import (
     _family_block,
     _plan,
     _profile_block,
-    _profile_counters,
+    _profile_counter,
     _words_up_to_renaming,
     census_family,
     census_profile,
@@ -240,6 +240,31 @@ class TestProfileCensus:
         with pytest.raises(BudgetExceededError, match="74 words match, more than the 50"):
             list_profile(2, 8, ProfileKind.SHORT_BORDERS, set())
 
+    def test_a_kind_compiles_and_walks_its_family_alone(self, monkeypatch, fresh_memo):
+        # with the cap below 2**12, list_profile counts the list first: the
+        # census and the listing both decide the even-pp patterns only
+        monkeypatch.setattr(census, "MAX_LISTED_WORDS", 2 ** 11)
+        asked, compiled, walked = [], [], []
+        compile_, parts = census._compile, census._parts
+
+        def compile_recorded(k, n, split, patterns):
+            asked.append(patterns)
+            compiled.append(compile_(k, n, split, patterns))
+            return compiled[-1]
+
+        def parts_recorded(w, patterns, letter, full):
+            walked.append(patterns)
+            return parts(w, patterns, letter, full)
+
+        monkeypatch.setattr(census, "_compile", compile_recorded)
+        monkeypatch.setattr(census, "_parts", parts_recorded)
+        count = census_profile(2, 12, ProfileKind.EVEN_PP_ORDERS, {1})
+        census._memo.clear()
+        words = list_profile(2, 12, ProfileKind.EVEN_PP_ORDERS, {1})
+        assert len(words) == count == 1250
+        assert set(asked) == {census._PATTERNS[Family.NO_EVEN_PP]}
+        assert walked and {id(p) for p in walked} <= {id(p) for p in compiled}
+
     def test_a_list_under_the_cap_is_built(self, monkeypatch):
         monkeypatch.setattr(census, "MAX_LISTED_WORDS", 50)
         with_borders = list_profile(2, 8, ProfileKind.SHORT_BORDERS, {1, 3})
@@ -324,13 +349,10 @@ class TestAgainstTheNaiveFilter:
             assert census_family(k, n, family) == expected, (k, n)
 
     def test_profile_counters(self, fresh_memo):
-        scans = (_short_border_set, _even_pp_set, _odd_pp_set)
         for k, n in SMALL_SIZES:
-            expected = (Counter(), Counter(), Counter())
-            for w in itertools.product(range(k), repeat=n):
-                for counter, scan in zip(expected, scans):
-                    counter[scan(w)] += 1
-            assert _profile_counters(k, n) == expected, (k, n)
+            for kind, scan in PROFILE_SCANS.items():
+                expected = Counter(scan(w) for w in itertools.product(range(k), repeat=n))
+                assert _profile_counter(k, n, kind) == expected, (k, n, kind)
 
 
 def _canonical(w):
@@ -403,15 +425,16 @@ class TestDeterminism:
                 ) == direct
 
     def test_profile_partitions_sum_to_the_direct_counters(self):
-        for k, n, split in ((2, 9, 3), (3, 5, 1), (2, 3, 0)):
-            direct = _profile_block(k, n, split, ())
+        for family, (k, n, split) in itertools.product(
+            census._KIND_FAMILY.values(), ((2, 9, 3), (3, 5, 1), (2, 3, 0))
+        ):
+            direct = _profile_block(k, n, family, split, ())
             for prefix_length in (1, 2, 3):
-                total = (Counter(), Counter(), Counter())
+                total = Counter()
                 for b, size in _words_up_to_renaming(k, prefix_length):
-                    for counter, part in zip(total, _profile_block(k, n, split, b)):
-                        for mask, count in part.items():
-                            counter[mask] += size * count
-                assert total == direct
+                    for mask, count in _profile_block(k, n, family, split, b).items():
+                        total[mask] += size * count
+                assert total == direct, family
 
     def test_worker_pool_matches_direct(self, monkeypatch, fresh_memo, forced_pool):
         # (3, 10) decides the last 6 letters at once below the canonical
@@ -425,10 +448,12 @@ class TestDeterminism:
 
     def test_profile_pool_matches_direct(self, monkeypatch, fresh_memo, forced_pool):
         monkeypatch.setattr(census.os, "cpu_count", lambda: 2)
-        sequential = _profile_counters(2, 15)
+        sequential = {kind: _profile_counter(2, 15, kind) for kind in ProfileKind}
         census._memo.clear()
-        assert _profile_counters(2, 15, jobs=2) == sequential
-        assert len(forced_pool) == 1
+        assert {kind: _profile_counter(2, 15, kind, jobs=2) for kind in ProfileKind} == (
+            sequential
+        )
+        assert len(forced_pool) == 3
 
     def test_repeat_calls_are_stable(self):
         first = census_family(3, 7, Family.NO_ODD_PP)
@@ -446,7 +471,7 @@ def _naive_lists(k, n):
 
 
 def _first_split_mismatch(monkeypatch, k, jobs):
-    """The first (n, split, family or "profile") up to n = 8 whose census
+    """The first (n, split, family or profile kind) up to n = 8 whose census
     with the last split letters decided at once differs from the naive
     scans, or None."""
     for n in range(1, 9):
@@ -457,8 +482,9 @@ def _first_split_mismatch(monkeypatch, k, jobs):
             for family in Family:
                 if census_family(k, n, family, jobs=jobs) != families[family]:
                     return n, split, family
-            if _profile_counters(k, n, jobs=jobs) != profiles:
-                return n, split, "profile"
+            for kind in ProfileKind:
+                if _profile_counter(k, n, kind, jobs=jobs) != profiles[kind]:
+                    return n, split, kind
     return None
 
 
@@ -534,16 +560,23 @@ def _borders_from_length_two(n):
     return [[(range(i), range(n - i, n))] for i in range(2, n // 2 + 1)]
 
 
+def _counts_at_2_8():
+    return census_family(2, 8, Family.UNBORDERED), {
+        kind: _profile_counter(2, 8, kind) for kind in ProfileKind
+    }
+
+
 def test_a_planted_pattern_shows_only_after_the_memo_is_reset(monkeypatch, fresh_memo):
     # one memo holds family counts and profile counters alike
-    honest = census_family(2, 8, Family.UNBORDERED), _profile_counters(2, 8)
+    honest_count, honest = _counts_at_2_8()
     monkeypatch.setitem(census._PATTERNS, Family.UNBORDERED, _borders_from_length_two)
-    assert (census_family(2, 8, Family.UNBORDERED), _profile_counters(2, 8)) == honest
+    assert _counts_at_2_8() == (honest_count, honest)
     census._memo.clear()
-    planted = census_family(2, 8, Family.UNBORDERED), _profile_counters(2, 8)
-    assert planted[0] != honest[0]
-    assert planted[1][0] != honest[1][0]
-    assert planted[1][1:] == honest[1][1:]
+    planted_count, planted = _counts_at_2_8()
+    assert planted_count != honest_count
+    assert [kind for kind in ProfileKind if planted[kind] != honest[kind]] == [
+        ProfileKind.SHORT_BORDERS
+    ]
 
 
 class TestJobs:
@@ -592,7 +625,7 @@ class TestJobs:
         # the census returns
         monkeypatch.setattr(census.os, "cpu_count", lambda: 2)
         census_family(3, 10, Family.UNBORDERED, jobs=2)
-        _profile_counters(3, 10, jobs=2)
+        _profile_counter(3, 10, ProfileKind.SHORT_BORDERS, jobs=2)
         assert len(forced_pool) == 2
         assert multiprocessing.active_children() == []
 
@@ -606,7 +639,8 @@ class TestRoute:
         monkeypatch.setattr(census.os, "cpu_count", lambda: 2)
         census_family(2, 19, Family.UNBORDERED, jobs=2)
         census_family(2, 19, Family.NO_SQUARE_PREFIX, jobs=2)
-        _profile_counters(2, 16, jobs=2)
+        for kind in ProfileKind:
+            _profile_counter(2, 16, kind, jobs=2)
         assert started == []
         assert _plan(2, 19, 2) == (12, _canonical_blocks(2, 7, 4), 1)
 
@@ -618,13 +652,13 @@ class TestRoute:
                 assert _plan(k, n, 64)[2] == 1, (k, n)
                 n += 1
 
-    def test_profiles_fan_out_from_binary_length_25(self):
+    def test_profiles_fan_out_from_binary_length_26(self):
         cost = census._PROFILE_COST
-        assert _plan(2, 24, 2, cost)[2] == 1
-        _, blocks, processes = _plan(2, 25, 2, cost)
+        assert _plan(2, 25, 2, cost)[2] == 1
+        _, blocks, processes = _plan(2, 26, 2, cost)
         assert (len(blocks), processes) == (128, 2)
-        assert _plan(3, 16, 2, cost)[2] == 1
-        assert _plan(3, 17, 2, cost)[2] == 2
+        assert _plan(3, 17, 2, cost)[2] == 1
+        assert _plan(3, 18, 2, cost)[2] == 2
 
     @pytest.mark.parametrize("workers,blocks", [(1, 4), (2, 128), (3, 256), (8, 512)])
     def test_large_censuses_get_64_blocks_per_worker(self, workers, blocks):

@@ -35,6 +35,13 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def _child_env():
+    # a child process imports this checkout's palcensus
+    src = str(Path(palcensus.__file__).resolve().parent.parent)
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+
+
 class TestCount:
     def test_brute_tsv(self, capsys):
         code, out, _ = run(
@@ -283,6 +290,19 @@ class TestProfile:
         )
         assert code == 2
         assert "must lie in" in err
+
+    def test_a_reader_that_closes_stdout_ends_the_list_quietly(self):
+        # 35 000 words of 18 bytes fill the pipe long before the list ends
+        listing = subprocess.Popen(
+            [sys.executable, "-m", "palcensus", "profile", "--k", "2", "--n", "17",
+             "--kind", "borders", "--set", "", "--list"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_child_env(),
+        )
+        assert listing.stdout.readline() == b"00000000000000001\n"
+        listing.stdout.close()
+        err = listing.stderr.read()
+        listing.stderr.close()
+        assert (listing.wait(timeout=60), err) == (141, b"")
 
     @pytest.mark.parametrize(
         "k,n", [("0", "8"), ("-1", "8"), ("-2", "3")], ids=["zero", "minus-1", "minus-2"]
@@ -689,12 +709,9 @@ def test_start_up_imports_only_what_the_command_runs(argv, absent):
         "code = main(sys.argv[1:])\n"
         "print(code, *sorted(sys.modules))\n"
     )
-    src = str(Path(palcensus.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, (src, os.environ.get("PYTHONPATH")))))
     done = subprocess.run(
         [sys.executable, "-c", script, *argv],
-        capture_output=True, text=True, env=env, timeout=60, check=True,
+        capture_output=True, text=True, env=_child_env(), timeout=60, check=True,
     )
     code, *loaded = done.stdout.splitlines()[-1].split()
     assert code == "0"

@@ -271,6 +271,20 @@ class TestClosedForm:
         assert time.perf_counter() - start < 1
         assert report.value == "0." + H3_DIGITS
 
+    def test_terms_never_step_past_the_depth_cap(self, monkeypatch):
+        # a stepper whose bounds never agree: without the cap, a million
+        # terms would step two million depths, each squaring its integers
+        depths = []
+
+        def never_agreeing(k, j):
+            depths.append(j)
+            return Enclosure(0, 1, 1)
+
+        monkeypatch.setattr(constants, "_functional_enclosure", never_agreeing)
+        with pytest.raises(CertificationError, match="depth 14 does not certify 50 digits"):
+            closed_form_report(2, 10 ** 6, 50)
+        assert depths == list(range(1, 15))
+
     def test_report_fails_when_the_series_disagrees(self, monkeypatch):
         # a functional-equation enclosure shifted by 10**-55 certifies
         # digits of its own, which the series cross-check refuses

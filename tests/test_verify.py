@@ -2,11 +2,12 @@
 
 import itertools
 import math
+from fractions import Fraction
 
 import pytest
 
-from palcensus import census, constants, maps, recurrences, verify
-from palcensus.census import DEFAULT_BUDGET, Family
+from palcensus import census, constants, maps, recurrences, verify, words
+from palcensus.census import DEFAULT_BUDGET, Family, ProfileKind
 from palcensus.constants import Enclosure
 from palcensus.recurrences import CountSeq
 from palcensus.verify import run_suites, suite_counts
@@ -309,6 +310,45 @@ def _no_pal_prefix_counts_without_even_subtraction(k, N):
     return CountSeq(k, Family.NO_PAL_PREFIX, tuple(values.values()))
 
 
+def _no_pal_prefix_counts_from_a_wrong_start(k, N):
+    # the doubling recurrence started from count(1) = k - 1: every identity
+    # between lengths still holds, only the telescoped sum reads count(1)
+    values = [k - 1]
+    for m in range(2, N + 1):
+        values.append(k * values[-1] - values[(m + 1) // 2 - 1])
+    return CountSeq(k, Family.NO_PAL_PREFIX, tuple(values))
+
+
+def _differences(w, k):
+    # each next letter minus the one before, where the map adds them; at
+    # k = 2 the two agree
+    return tuple((w[i + 1] - w[i]) % k for i in range(len(w) - 1))
+
+
+def _preimages_without_the_first(x, k):
+    # each listed preimage maps back, but the one starting with 0 is dropped
+    return maps._adjacent_sum_preimages(x, k)[1:]
+
+
+def _density_series_at_one_over_k(k, x, N):
+    # the series summed at 1/k whatever x is asked for: right at 1/k only
+    return constants.density_series(k, Fraction(1, k), N)
+
+
+def _pal_free_limit_off_by_one(k, N):
+    # 2 - k * D(1/k) in place of 2 - (k + 1) * D(1/k)
+    return constants.density_series_enclosure(k, N).complement(2, k)
+
+
+def _unshuffle_reading_the_second_track_backwards(x):
+    return x[0::2], x[1::2][::-1]
+
+
+def _has_pal_prefix_from_length_three(w):
+    # palindromic prefixes should be looked for from length 2
+    return any(w[:m] == w[m - 1::-1] for m in range(3, len(w) + 1))
+
+
 def _classes_without_a_third_letter(k, n):
     # the class generator that never introduces letter 2: at k = 3 every
     # class that uses all three letters goes missing, while each word it
@@ -380,11 +420,11 @@ def _unbordered_tail_on_the_wrong_side(k, N):
 _honest_family_counts = recurrences.family_counts
 
 
-def _unbordered_count_raised(at, by):
-    # family_counts with u(at) at k = 2 raised by `by`
+def _count_raised(raised_family, at, by):
+    # family_counts with the count at `at` of one family at k = 2 raised by `by`
     def family_counts(k, N, family, **options):
         counts = _honest_family_counts(k, N, family, **options)
-        if family is not Family.UNBORDERED or k != 2:
+        if family is not raised_family or k != 2:
             return counts
         raised = tuple(count + (n == at) * by for n, count in enumerate(counts.values, 1))
         return CountSeq(k, family, raised)
@@ -586,14 +626,14 @@ def _case(module, name, planted, suite, failure, *, id, k=2):
         # the one-sided bound 2**-16, far above the two-sided one, about
         # 0.27 * 2**-16
         _case(
-            verify, "family_counts", _unbordered_count_raised(32, 2 ** 15),
+            verify, "family_counts", _count_raised(Family.UNBORDERED, 32, 2 ** 15),
             "constants",
             "unbordered ratio strayed from its limit at k=2, n=32",
             id="gamma-count-raised-at-32",
         ),
         # n = 40 lies between the powers of two the rate check once read
         _case(
-            verify, "family_counts", _unbordered_count_raised(40, 2 ** 20),
+            verify, "family_counts", _count_raised(Family.UNBORDERED, 40, 2 ** 20),
             "constants",
             "unbordered ratio strayed from its limit at k=2, n=40",
             id="gamma-count-raised-at-40",
@@ -640,6 +680,57 @@ def _case(module, name, planted, suite, failure, *, id, k=2):
             "constants", "unbordered enclosures failed to nest at k=2, N=10",
             id="gamma-tail-on-the-wrong-side",
         ),
+        # the borders profile counted from the odd palindromic prefixes
+        _case(
+            census, "_KIND_FAMILY",
+            {**census._KIND_FAMILY, ProfileKind.SHORT_BORDERS: Family.NO_ODD_PP},
+            "bijection", "profile censuses disagree at k=2, n=2",
+            id="borders-profile-from-odd-patterns",
+        ),
+        _case(
+            verify, "_adjacent_sums", _differences,
+            "g-map", "order correspondence failed at k=3", id="adjacent-differences", k=3,
+        ),
+        _case(
+            verify, "_adjacent_sum_preimages", _preimages_without_the_first,
+            "g-map", "expected 2 distinct preimages at k=2", id="preimage-dropped",
+        ),
+        _case(
+            recurrences, "no_pal_prefix_counts",
+            _no_pal_prefix_counts_without_even_subtraction,
+            "recurrences", "halving ratio identity failed at k=2, n=2",
+            id="no-pal-prefix-halving",
+        ),
+        _case(
+            recurrences, "no_pal_prefix_counts", _no_pal_prefix_counts_from_a_wrong_start,
+            "recurrences", "telescoped identity failed at k=2, n=1",
+            id="no-pal-prefix-telescoped",
+        ),
+        # c(3) = 6 raised past 2**3; the convolution fails at n = 6 only
+        _case(
+            verify, "family_counts", _count_raised(Family.MIN_SQUARE, 3, 2 ** 3),
+            "recurrences", "min-square count out of range at k=2, i=3",
+            id="min-square-count-out-of-range",
+        ),
+        _case(
+            verify, "density_series", _density_series_at_one_over_k,
+            "constants", "functional equation enclosures disjoint at k=2",
+            id="series-argument-ignored",
+        ),
+        _case(
+            verify, "pal_free_density_enclosure", _pal_free_limit_off_by_one,
+            "constants", "ratio strayed from the limiting density at k=2, n=4",
+            id="pal-free-limit-off-by-one",
+        ),
+        _case(
+            verify, "_unshuffle", _unshuffle_reading_the_second_track_backwards,
+            "lemmas", "shuffle-palindrome splitting failed at k=2, x=(0, 1, 1, 0)",
+            id="unshuffle-reversed",
+        ),
+        _case(
+            verify, "_has_pal_prefix", _has_pal_prefix_from_length_three,
+            "lemmas", "reflection equivalence failed at k=2", id="pal-prefix-from-three",
+        ),
     ],
 )
 def test_suite_catches_a_planted_bug(
@@ -648,6 +739,22 @@ def test_suite_catches_a_planted_bug(
     [honest] = run_suites([suite], k_max=k, n_max=6)
     assert honest.passed, honest.failures
     monkeypatch.setattr(module, name, planted)
+    # the census memo would still answer with the honest counts
+    monkeypatch.setattr(census, "_memo", {})
     [result] = run_suites([suite], k_max=k, n_max=6)
     assert not result.passed
     assert any(message.startswith(failure) for message in result.failures)
+
+
+def test_g_map_catches_swapped_parity_scans(monkeypatch):
+    # the even-to-odd analogue then holds on every word; at n = 2 the order
+    # correspondence fails only at 00 and 11, so its failures do not fill
+    # the five reported before the analogue's
+    monkeypatch.setattr(verify, "_even_pp_set", words._odd_pp_set)
+    monkeypatch.setattr(verify, "_odd_pp_set", words._even_pp_set)
+    [result] = run_suites(["g-map"], k_max=2, n_max=2)
+    assert result.failures == [
+        "order correspondence failed at k=2, w=(0, 0)",
+        "order correspondence failed at k=2, w=(1, 1)",
+        "even-to-odd analogue unexpectedly held on all short binary words",
+    ]
