@@ -34,11 +34,7 @@ _EXPORTS = {
         "square_prefix_counts", "unbordered_counts",
     ),
     "words": (
-        "Alphabet", "Parity", "Word", "WordProfile", "border_lengths",
-        "format_word", "has_nontrivial_pal_prefix", "is_palindrome",
-        "is_unbordered", "pal_prefix_orders", "parse_word", "perfect_shuffle",
-        "reverse", "short_border_lengths", "square_half_lengths", "unshuffle",
-        "word_profile",
+        "Word", "WordProfile", "format_word", "parse_word", "word_profile",
     ),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}

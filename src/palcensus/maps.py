@@ -41,12 +41,12 @@ def milk_shuffle(w: Word) -> Word:
     Sends "preserve" to "perverse" and "cider" to "cried".  Bijective on the
     words of each fixed length; the output length equals the input length.
     """
-    return Word(w.alphabet, _milk_shuffle(w.symbols))
+    return Word(w.k, _milk_shuffle(w.symbols))
 
 
 def milk_unshuffle(w: Word) -> Word:
     """The inverse of milk_shuffle."""
-    return Word(w.alphabet, _milk_unshuffle(w.symbols))
+    return Word(w.k, _milk_unshuffle(w.symbols))
 
 
 class Permutation(_Record):
@@ -157,7 +157,7 @@ def adjacent_sum_map(w: Word) -> Word:
     """
     if len(w) == 0:
         raise ValueError("adjacent-sum map needs a nonempty word")
-    return Word(w.alphabet, _adjacent_sums(w.symbols, w.alphabet.k))
+    return Word(w.k, _adjacent_sums(w.symbols, w.k))
 
 
 def _adjacent_sum_preimages(x: tuple[int, ...], k: int) -> list[tuple[int, ...]]:
@@ -176,5 +176,5 @@ def adjacent_sum_preimages(x: Word) -> list[Word]:
     Fixing the first symbol determines the rest: each next symbol is the
     current target symbol minus the previous one, mod k.
     """
-    preimages = _adjacent_sum_preimages(x.symbols, x.alphabet.k)
-    return [Word(x.alphabet, w) for w in preimages]
+    preimages = _adjacent_sum_preimages(x.symbols, x.k)
+    return [Word(x.k, w) for w in preimages]

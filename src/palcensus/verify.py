@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .census import (
@@ -55,22 +54,40 @@ from .words import (
 _MAX_REPORTED_FAILURES = 5
 
 
-@dataclass
 class SuiteResult:
-    name: str
-    checks: int = 0
-    failures: list[str] = field(default_factory=list)
+    """One suite's check count and failures: at most five, in the order they
+    happened, each check's first (a check is its message up to " at ") and
+    then as many others as fit."""
+
+    __slots__ = ("name", "checks", "_count", "_firsts", "_repeats")
+
+    def __init__(self, name: str) -> None:
+        self.name, self.checks, self._count = name, 0, 0  # _count: every failure
+        # (index, message) of each check's first failure, and of the others
+        self._firsts: dict[str, tuple[int, str]] = {}
+        self._repeats: list[tuple[int, str]] = []
+
+    @property
+    def failures(self) -> list[str]:
+        room = _MAX_REPORTED_FAILURES - len(self._firsts)
+        shown = sorted([*self._firsts.values(), *self._repeats[:room]])
+        messages = [message for _, message in shown]
+        if len(messages) < self._count:
+            messages.append("... further failures suppressed")
+        return messages
 
     @property
     def passed(self) -> bool:
         # a suite that ran no check proves nothing
-        return self.checks > 0 and not self.failures
+        return self.checks > 0 and not self._count
 
     def fail(self, message: str) -> None:
-        if len(self.failures) < _MAX_REPORTED_FAILURES:
-            self.failures.append(message)
-        elif len(self.failures) == _MAX_REPORTED_FAILURES:
-            self.failures.append("... further failures suppressed")
+        check = message.split(" at ", 1)[0]
+        if check not in self._firsts and len(self._firsts) < _MAX_REPORTED_FAILURES:
+            self._firsts[check] = (self._count, message)
+        elif len(self._repeats) < _MAX_REPORTED_FAILURES:
+            self._repeats.append((self._count, message))
+        self._count += 1
 
 
 def _lengths(k: int, n_max: int, budget: int):

@@ -1,22 +1,20 @@
-"""Alphabet and word primitives.
+"""Word primitives.
 
-Words are immutable sequences of integer symbols over {0, ..., k-1}.  The
-tuple-level scans (underscore names) for borders, palindromic prefixes and
-square prefixes are naive on purpose, one slice comparison per candidate:
-obvious correctness matters more than speed for the ground truth.  They work
-on bare symbol tuples, so the verify suites can run them over many words of
-a length without building a ``Word`` per candidate, and they are the route
-that the census engine and ``word_profile`` are checked against.
-``word_profile`` visits the positions that repeat the first letter, compares
-each candidate letter by letter up to its first mismatch (still quadratic in
-the worst case), and returns one shared record per distinct profile.
+Words are immutable sequences of integer symbols over {0, ..., k-1}, and
+``word_profile`` is the one public per-word query.  The tuple-level scans
+(underscore names) for borders, palindromic prefixes and square prefixes are
+naive on purpose, one slice comparison per candidate: obvious correctness
+matters more than speed for the ground truth.  They, and the perfect shuffle
+and its inverse, work on bare symbol tuples, so the verify suites can run
+them over many words of a length without building a ``Word`` per candidate;
+the scans are the oracle that the census engine and ``word_profile`` are
+checked against.
 """
 
 from __future__ import annotations
 
 import functools
 import operator
-from enum import Enum
 
 _TABLE36 = "0123456789abcdefghijklmnopqrstuvwxyz"
 
@@ -78,32 +76,20 @@ class _Record:
         return type(self), tuple(getattr(self, name) for name in self.__slots__)
 
 
-class Alphabet(_Record):
-    """The symbol set {0, ..., k-1}."""
-
-    __slots__ = ("k",)
-    k: int
-
-    def __post_init__(self) -> None:
-        if self.k < 1:
-            raise ValueError(f"alphabet size must be at least 1, got {self.k}")
-
-
-_alphabet = functools.lru_cache(maxsize=64)(Alphabet)  # shared by Word.of: one per size, bounded
-
-
 class Word(_Record):
-    """A word over a fixed alphabet.
+    """A word over the alphabet {0, ..., k-1}.
 
     Positions are 1-based in prose and documentation, 0-based in storage.
     """
 
-    __slots__ = ("alphabet", "symbols")
-    alphabet: Alphabet
+    __slots__ = ("k", "symbols")
+    k: int
     symbols: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        k = self.alphabet.k
+        k = self.k
+        if k < 1:
+            raise ValueError(f"alphabet size must be at least 1, got {k}")
         for s in self.symbols:
             if not 0 <= s < k:
                 raise ValueError(f"symbol {s!r} out of range for alphabet of size {k}")
@@ -111,18 +97,13 @@ class Word(_Record):
     @classmethod
     def of(cls, symbols, k: int) -> "Word":
         """Build a word from any iterable of symbols over an alphabet of size k."""
-        return cls(_alphabet(k), tuple(symbols))
+        return cls(k, tuple(symbols))
 
     def __len__(self) -> int:
         return len(self.symbols)
 
     def __str__(self) -> str:
         return format_word(self)
-
-
-class Parity(Enum):
-    EVEN = "even"
-    ODD = "odd"
 
 
 class WordProfile(_Record):
@@ -195,60 +176,6 @@ def _unshuffle(x: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
     return x[0::2], x[1::2]
 
 
-# ---------------------------------------------------------------------------
-# word-level operations
-
-
-def reverse(w: Word) -> Word:
-    """Reverse a word: "drawer" becomes "reward"."""
-    return Word(w.alphabet, w.symbols[::-1])
-
-
-def is_palindrome(w: Word) -> bool:
-    """True iff w reads the same in both directions ("radar"); the empty word counts."""
-    return w.symbols == w.symbols[::-1]
-
-
-def pal_prefix_orders(w: Word, parity: Parity) -> frozenset[int]:
-    """Orders i >= 1 such that the prefix of length 2i (EVEN) or 2i+1 (ODD)
-    is a palindrome.
-
-    Trivial palindromic prefixes (length <= 1) never appear: the shortest
-    reported prefix has length 2 (order 1, EVEN) or 3 (order 1, ODD).
-    """
-    if parity is Parity.EVEN:
-        return _even_pp_set(w.symbols)
-    return _odd_pp_set(w.symbols)
-
-
-def border_lengths(w: Word) -> frozenset[int]:
-    """Lengths 0 < i < len(w) of prefixes that are also suffixes.
-
-    "alfalfa" has borders of lengths 1 and 4; "chickpea" has none.
-    """
-    return _border_set(w.symbols)
-
-
-def short_border_lengths(w: Word) -> frozenset[int]:
-    """The border lengths not exceeding half the word length."""
-    return _short_border_set(w.symbols)
-
-
-def is_unbordered(w: Word) -> bool:
-    # a long border overlaps itself and forces a short one
-    return not _short_border_set(w.symbols)
-
-
-def square_half_lengths(w: Word) -> frozenset[int]:
-    """Half-lengths j >= 1 with w[1..j] = w[j+1..2j]; empty means no square prefix."""
-    return _square_half_set(w.symbols)
-
-
-def has_nontrivial_pal_prefix(w: Word) -> bool:
-    """True iff some prefix of length >= 2 is a palindrome, either parity."""
-    return _has_pal_prefix(w.symbols)
-
-
 # bit codes to shared values: one frozenset per distinct set and one record
 # per distinct profile, each table bounded at 4096 entries
 @functools.lru_cache(maxsize=4096)
@@ -293,28 +220,6 @@ def word_profile(w: Word) -> WordProfile:
     return _profile(borders, evens, odds, squares)
 
 
-def perfect_shuffle(x: Word, y: Word) -> Word:
-    """Interleave two equal-length words symbol by symbol.
-
-    "clip" shuffled with "aloe" gives "calliope".
-    """
-    if x.alphabet != y.alphabet:
-        raise ValueError("perfect shuffle needs both words over the same alphabet")
-    if len(x) != len(y):
-        raise ValueError(
-            f"perfect shuffle needs equal lengths, got {len(x)} and {len(y)}"
-        )
-    return Word(x.alphabet, _shuffle(x.symbols, y.symbols))
-
-
-def unshuffle(x: Word) -> tuple[Word, Word]:
-    """Split an even-length word into the unique pair whose perfect shuffle it is."""
-    if len(x) % 2:
-        raise ValueError(f"cannot unshuffle a word of odd length {len(x)}")
-    y, z = _unshuffle(x.symbols)
-    return Word(x.alphabet, y), Word(x.alphabet, z)
-
-
 # ---------------------------------------------------------------------------
 # text form
 
@@ -352,7 +257,7 @@ def parse_word(text: str, k: int) -> Word:
 
 def format_word(w: Word) -> str:
     """Canonical text form of a word; inverse of parse_word for each k."""
-    k = w.alphabet.k
+    k = w.k
     if 10 < k <= 26:
         return "".join(chr(ord("a") + s) for s in w.symbols)
     if k <= 36:

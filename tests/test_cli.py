@@ -699,8 +699,13 @@ NO_SEQUENCES = NO_POOL + ("palcensus.constants", "palcensus.recurrences")
             ["constants", "--k", "3", "--which", "h", "--method", "closed-form"],
             NO_POOL,
         ),
+        # every suite, at bounds small enough to run in process
+        (
+            ["verify", "--suite", "all", "--k-max", "2", "--n-max", "6"],
+            ("concurrent.futures", "dataclasses", "inspect"),
+        ),
     ],
-    ids=["map", "shuffle-order", "count", "count-jobs-2", "constants"],
+    ids=["map", "shuffle-order", "count", "count-jobs-2", "constants", "verify"],
 )
 def test_start_up_imports_only_what_the_command_runs(argv, absent):
     script = (

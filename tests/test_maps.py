@@ -19,12 +19,12 @@ from palcensus.maps import (
     permutation_order,
 )
 from palcensus.words import (
-    Parity,
     Word,
+    _even_pp_set,
+    _odd_pp_set,
+    _short_border_set,
     format_word,
-    pal_prefix_orders,
     parse_word,
-    short_border_lengths,
 )
 
 
@@ -58,7 +58,7 @@ class TestMilkShuffle:
                 word = Word.of(w, 2)
                 image = milk_shuffle(word)
                 assert len(image) == n
-                assert image.alphabet == word.alphabet
+                assert image.k == word.k
 
     def test_inverse_examples(self):
         assert format_word(milk_unshuffle(letters("perverse"))) == "preserve"
@@ -80,9 +80,7 @@ class TestMilkShuffle:
             for n in range(1, 11 if k == 2 else 9):
                 for w in itertools.product(range(k), repeat=n):
                     word = Word.of(w, k)
-                    assert short_border_lengths(word) == pal_prefix_orders(
-                        milk_shuffle(word), Parity.EVEN
-                    )
+                    assert _short_border_set(w) == _even_pp_set(milk_shuffle(word).symbols)
 
 
 class TestPermutation:
@@ -272,9 +270,7 @@ class TestAdjacentSums:
             for n in range(1, 11 if k == 2 else 9):
                 for w in itertools.product(range(k), repeat=n):
                     word = Word.of(w, k)
-                    assert pal_prefix_orders(word, Parity.ODD) == pal_prefix_orders(
-                        adjacent_sum_map(word), Parity.EVEN
-                    )
+                    assert _odd_pp_set(w) == _even_pp_set(adjacent_sum_map(word).symbols)
 
     def test_even_to_odd_analogue_fails(self):
         # the analogous claim with parities swapped is false; the middle
@@ -283,9 +279,7 @@ class TestAdjacentSums:
         for n in range(1, 9):
             for w in itertools.product(range(2), repeat=n):
                 word = Word.of(w, 2)
-                if pal_prefix_orders(word, Parity.EVEN) != pal_prefix_orders(
-                    adjacent_sum_map(word), Parity.ODD
-                ):
+                if _even_pp_set(w) != _odd_pp_set(adjacent_sum_map(word).symbols):
                     counterexamples.append(word)
         assert counterexamples
 

@@ -1,6 +1,7 @@
 """The package namespace: every public name loads lazily, on first access,
 from the module that defines it, and is the same object as there."""
 
+import ast
 import importlib
 import json
 import os
@@ -37,15 +38,17 @@ EXPORTED = {
         "no_pal_prefix_counts", "no_pal_prefix_ratios",
         "square_prefix_counts", "unbordered_counts",
     ),
-    "words": (
-        "Alphabet", "Parity", "Word", "WordProfile", "border_lengths",
-        "format_word", "has_nontrivial_pal_prefix", "is_palindrome",
-        "is_unbordered", "pal_prefix_orders", "parse_word", "perfect_shuffle",
-        "reverse", "short_border_lengths", "square_half_lengths", "unshuffle",
-        "word_profile",
-    ),
+    "words": ("Word", "WordProfile", "format_word", "parse_word", "word_profile"),
 }
 NAMES = [name for names in EXPORTED.values() for name in names]
+
+# the per-word wrappers that only tests called, and their record types;
+# word_profile and the tuple-level scans in words replace them
+REMOVED = (
+    "Alphabet", "Parity", "border_lengths", "has_nontrivial_pal_prefix",
+    "is_palindrome", "is_unbordered", "pal_prefix_orders", "perfect_shuffle",
+    "reverse", "short_border_lengths", "square_half_lengths", "unshuffle",
+)
 
 
 def test_all_lists_every_export():
@@ -66,6 +69,29 @@ def test_star_import_and_dir_list_every_export():
     exec("from palcensus import *", namespace)
     assert set(NAMES + ["__version__"]) <= set(namespace)
     assert set(NAMES + ["__version__"]) <= set(dir(palcensus))
+
+
+def test_every_export_is_used_by_the_package_or_the_benchmark():
+    # a name that only tests call is to be deleted, not maintained; a use is
+    # a Name or Attribute node, so a definition or import alone is none
+    root = Path(__file__).resolve().parents[1]
+    package = root / "src" / "palcensus"
+    used = set()
+    for path in [*package.glob("*.py"), *(root / "bench").glob("*.py")]:
+        if path != package / "__init__.py":
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Name):
+                    used.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    used.add(node.attr)
+    assert sorted(set(palcensus.__all__) - used - {"__version__"}) == []
+
+
+@pytest.mark.parametrize("name", REMOVED)
+def test_removed_names_are_gone(name):
+    assert name not in palcensus.__all__
+    with pytest.raises(AttributeError, match=name):
+        getattr(palcensus, name)
 
 
 def test_no_module_calls_the_benchmark_shim():

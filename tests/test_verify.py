@@ -748,8 +748,7 @@ def test_suite_catches_a_planted_bug(
 
 def test_g_map_catches_swapped_parity_scans(monkeypatch):
     # the even-to-odd analogue then holds on every word; at n = 2 the order
-    # correspondence fails only at 00 and 11, so its failures do not fill
-    # the five reported before the analogue's
+    # correspondence fails only at 00 and 11
     monkeypatch.setattr(verify, "_even_pp_set", words._odd_pp_set)
     monkeypatch.setattr(verify, "_odd_pp_set", words._even_pp_set)
     [result] = run_suites(["g-map"], k_max=2, n_max=2)
@@ -757,4 +756,38 @@ def test_g_map_catches_swapped_parity_scans(monkeypatch):
         "order correspondence failed at k=2, w=(0, 0)",
         "order correspondence failed at k=2, w=(1, 1)",
         "even-to-odd analogue unexpectedly held on all short binary words",
+    ]
+
+
+def test_each_failed_check_reports_its_first_failure(monkeypatch):
+    # up to n = 6 the order correspondence fails at many words before the
+    # analogue is tried; the analogue's line must still show, in its place
+    monkeypatch.setattr(verify, "_even_pp_set", words._odd_pp_set)
+    monkeypatch.setattr(verify, "_odd_pp_set", words._even_pp_set)
+    [result] = run_suites(["g-map"], k_max=2, n_max=6)
+    assert result.failures == [
+        "order correspondence failed at k=2, w=(0, 0)",
+        "order correspondence failed at k=2, w=(1, 1)",
+        "order correspondence failed at k=2, w=(0, 0, 0)",
+        "order correspondence failed at k=2, w=(0, 0, 1)",
+        "even-to-odd analogue unexpectedly held on all short binary words",
+        "... further failures suppressed",
+    ]
+
+
+def test_reported_failures_keep_their_order_and_the_cap():
+    result = verify.SuiteResult("demo")
+    result.checks = 9
+    for n in range(7):
+        result.fail(f"first check failed at n={n}")
+    for name in ("second", "third", "fourth", "fifth", "sixth"):
+        result.fail(f"{name} check failed at n=0")
+    assert not result.passed
+    assert result.failures == [
+        "first check failed at n=0",
+        "second check failed at n=0",
+        "third check failed at n=0",
+        "fourth check failed at n=0",
+        "fifth check failed at n=0",
+        "... further failures suppressed",
     ]

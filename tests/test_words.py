@@ -12,174 +12,136 @@ from hypothesis import strategies as st
 
 from palcensus import words
 from palcensus.words import (
-    Alphabet,
-    Parity,
     Word,
     WordProfile,
+    _border_set,
     _even_pp_set,
+    _has_pal_prefix,
     _odd_pp_set,
     _short_border_set,
+    _shuffle,
     _square_half_set,
-    border_lengths,
+    _unshuffle,
     format_word,
-    has_nontrivial_pal_prefix,
-    is_palindrome,
-    is_unbordered,
-    pal_prefix_orders,
     parse_word,
-    perfect_shuffle,
-    reverse,
-    short_border_lengths,
-    square_half_lengths,
-    unshuffle,
     word_profile,
 )
 
 
 def letters(text):
-    return parse_word(text, 26)
+    """The symbols of an English word over k = 26, for the tuple-level scans."""
+    return parse_word(text, 26).symbols
 
 
 def binary(text):
-    return parse_word(text, 2)
-
-
-class TestReverse:
-    def test_english(self):
-        assert format_word(reverse(letters("drawer"))) == "reward"
-
-    def test_empty(self):
-        assert reverse(Word.of((), 2)) == Word.of((), 2)
-
-    def test_ternary(self):
-        assert reverse(parse_word("012", 3)) == parse_word("210", 3)
+    return parse_word(text, 2).symbols
 
 
 class TestPalindrome:
+    # a whole word that is a palindrome is its longest palindromic prefix
     def test_radar(self):
-        assert is_palindrome(letters("radar"))
+        assert _odd_pp_set(letters("radar")) == {2}
 
     def test_empty(self):
-        assert is_palindrome(Word.of((), 3))
+        assert _even_pp_set(()) == _odd_pp_set(()) == frozenset()
 
     def test_not(self):
-        assert not is_palindrome(binary("01"))
+        assert _even_pp_set(binary("01")) == frozenset()
 
 
 class TestPalPrefixOrders:
     def test_even_english(self):
-        assert pal_prefix_orders(letters("diffident"), Parity.EVEN) == {3}
+        assert _even_pp_set(letters("diffident")) == {3}
 
     def test_odd_english(self):
-        assert pal_prefix_orders(letters("selfless"), Parity.ODD) == {3}
+        assert _odd_pp_set(letters("selfless")) == {3}
 
     def test_even_binary(self):
-        assert pal_prefix_orders(binary("00110000"), Parity.EVEN) == {1, 3}
+        assert _even_pp_set(binary("00110000")) == {1, 3}
 
     def test_trivial_prefixes_never_reported(self):
         # every nonempty word has palindromic prefixes of lengths 0 and 1;
         # neither may surface as an order
         for n in range(0, 8):
             for w in itertools.product(range(2), repeat=n):
-                word = Word.of(w, 2)
-                assert 0 not in pal_prefix_orders(word, Parity.ODD)
-                assert 0 not in pal_prefix_orders(word, Parity.EVEN)
+                assert 0 not in _odd_pp_set(w)
+                assert 0 not in _even_pp_set(w)
 
 
 class TestBorders:
     def test_alfalfa(self):
         w = letters("alfalfa")
-        assert border_lengths(w) == {1, 4}
-        assert short_border_lengths(w) == {1}
+        assert _border_set(w) == {1, 4}
+        assert _short_border_set(w) == {1}
 
     def test_chickpea(self):
-        assert border_lengths(letters("chickpea")) == frozenset()
-        assert is_unbordered(letters("chickpea"))
+        assert _border_set(letters("chickpea")) == frozenset()
+        assert not _short_border_set(letters("chickpea"))
 
     def test_binary(self):
-        assert short_border_lengths(binary("01000010")) == {1, 3}
+        assert _short_border_set(binary("01000010")) == {1, 3}
 
     def test_bordered(self):
-        assert not is_unbordered(letters("alfalfa"))
+        assert _short_border_set(letters("alfalfa"))
 
     def test_even_pal_prefix_but_unbordered(self):
         w = binary("0011")
-        assert pal_prefix_orders(w, Parity.EVEN) == {1}
-        assert is_unbordered(w)
+        assert _even_pp_set(w) == {1}
+        assert not _short_border_set(w)
 
     def test_long_border_implies_short(self):
         for n in range(1, 13):
             for w in itertools.product(range(2), repeat=n):
-                word = Word.of(w, 2)
-                full = border_lengths(word)
-                if any(2 * i > n for i in full):
-                    assert short_border_lengths(word)
+                if any(2 * i > n for i in _border_set(w)):
+                    assert _short_border_set(w)
 
 
 class TestSquares:
     def test_square_prefix(self):
-        assert square_half_lengths(binary("0011")) == {1}
+        assert _square_half_set(binary("0011")) == {1}
 
     def test_none(self):
-        assert square_half_lengths(binary("01")) == frozenset()
+        assert _square_half_set(binary("01")) == frozenset()
 
     def test_whole_word(self):
-        assert square_half_lengths(binary("0101")) == {2}
+        assert _square_half_set(binary("0101")) == {2}
 
 
 class TestShuffle:
     def test_calliope(self):
-        shuffled = perfect_shuffle(letters("clip"), letters("aloe"))
-        assert format_word(shuffled) == "calliope"
+        shuffled = _shuffle(letters("clip"), letters("aloe"))
+        assert shuffled == letters("calliope")
 
     def test_empty(self):
-        e = Word.of((), 4)
-        assert perfect_shuffle(e, e) == e
+        assert _shuffle((), ()) == ()
 
     def test_binary(self):
-        assert perfect_shuffle(binary("00"), binary("11")) == binary("0101")
-
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError, match="equal lengths"):
-            perfect_shuffle(binary("0"), binary("01"))
-
-    def test_alphabet_mismatch(self):
-        with pytest.raises(ValueError, match="same alphabet"):
-            perfect_shuffle(Word.of((0,), 2), Word.of((0,), 3))
+        assert _shuffle(binary("00"), binary("11")) == binary("0101")
 
     def test_unshuffle_calliope(self):
-        y, z = unshuffle(letters("calliope"))
-        assert (format_word(y), format_word(z)) == ("clip", "aloe")
+        assert _unshuffle(letters("calliope")) == (letters("clip"), letters("aloe"))
 
     def test_unshuffle_binary(self):
-        assert unshuffle(binary("0101")) == (binary("00"), binary("11"))
-        assert unshuffle(binary("00")) == (binary("0"), binary("0"))
-
-    def test_unshuffle_odd_length(self):
-        with pytest.raises(ValueError, match="odd length"):
-            unshuffle(binary("010"))
+        assert _unshuffle(binary("0101")) == (binary("00"), binary("11"))
+        assert _unshuffle(binary("00")) == (binary("0"), binary("0"))
 
 
 class TestPalPrefixPredicate:
     def test_examples(self):
-        assert not has_nontrivial_pal_prefix(binary("011"))
-        assert has_nontrivial_pal_prefix(binary("010"))
-        assert has_nontrivial_pal_prefix(binary("001"))
+        assert not _has_pal_prefix(binary("011"))
+        assert _has_pal_prefix(binary("010"))
+        assert _has_pal_prefix(binary("001"))
 
     def test_matches_order_sets(self):
         for n in range(0, 11):
             for w in itertools.product(range(2), repeat=n):
-                word = Word.of(w, 2)
-                expected = bool(
-                    pal_prefix_orders(word, Parity.EVEN)
-                    or pal_prefix_orders(word, Parity.ODD)
-                )
-                assert has_nontrivial_pal_prefix(word) == expected
+                expected = bool(_even_pp_set(w) or _odd_pp_set(w))
+                assert _has_pal_prefix(w) == expected
 
 
 class TestProfile:
     def test_combined(self):
-        profile = word_profile(binary("0110110"))
+        profile = word_profile(parse_word("0110110", 2))
         assert profile.short_borders == {1}
         assert profile.even_pp_orders == {2}
         assert profile.odd_pp_orders == {3}
@@ -241,9 +203,9 @@ class TestProfile:
     def test_equal_sets_are_shared(self):
         # equal profiles are one record, and equal sets one frozenset, also
         # across profiles that differ elsewhere; both tables are bounded
-        first = word_profile(binary("0110110"))
-        assert word_profile(binary("1001001")) is first
-        other = word_profile(binary("0110111"))
+        first = word_profile(parse_word("0110110", 2))
+        assert word_profile(parse_word("1001001", 2)) is first
+        other = word_profile(parse_word("0110111", 2))
         assert other != first
         assert other.square_half_lengths is first.square_half_lengths
         assert other.even_pp_orders is first.even_pp_orders
@@ -282,23 +244,12 @@ def _first_profile_mismatch(profile):
     return None
 
 
-class TestSharedAlphabet:
-    def test_words_of_one_size_share_one_alphabet(self):
-        a, b = Word.of((0, 1), 3), Word.of((2,), 3)
-        assert a.alphabet is b.alphabet
-        assert a.alphabet is not Word.of((0, 1), 4).alphabet
-
+class TestWordValue:
     def test_equality_and_hashing_are_by_value(self):
-        shared, own = Word.of((0, 2, 1), 3), Word(Alphabet(3), (0, 2, 1))
-        assert shared.alphabet is not own.alphabet
-        assert shared == own and hash(shared) == hash(own)
-        assert shared != Word.of((0, 2, 1), 4)
-
-    def test_the_cache_is_bounded(self):
-        for k in range(1, 200):
-            assert Word.of((0,), k).alphabet == Alphabet(k)
-        info = words._alphabet.cache_info()
-        assert info.maxsize == 64 and info.currsize <= 64
+        built, direct = Word.of(iter([0, 2, 1]), 3), Word(3, (0, 2, 1))
+        assert (built.k, built.symbols) == (3, (0, 2, 1))
+        assert built == direct and hash(built) == hash(direct)
+        assert built != Word.of((0, 2, 1), 4)
 
 
 class TestTextForm:
@@ -339,7 +290,7 @@ class TestTextForm:
 
     def test_alphabet_validation(self):
         with pytest.raises(ValueError, match="alphabet size"):
-            Alphabet(0)
+            Word(0, ())
         with pytest.raises(ValueError, match="alphabet size"):
             Word.of((), 0)
 
@@ -353,19 +304,16 @@ class TestTextForm:
 @st.composite
 def random_words(draw, min_size=0, max_size=24):
     k = draw(st.integers(2, 5))
-    symbols = draw(
-        st.lists(st.integers(0, k - 1), min_size=min_size, max_size=max_size)
+    return tuple(
+        draw(st.lists(st.integers(0, k - 1), min_size=min_size, max_size=max_size))
     )
-    return Word.of(symbols, k)
 
 
 @st.composite
 def equal_length_pairs(draw):
     k = draw(st.integers(2, 5))
     n = draw(st.integers(0, 16))
-    make = lambda: Word.of(
-        draw(st.lists(st.integers(0, k - 1), min_size=n, max_size=n)), k
-    )
+    make = lambda: tuple(draw(st.lists(st.integers(0, k - 1), min_size=n, max_size=n)))
     return make(), make()
 
 
@@ -373,26 +321,20 @@ def equal_length_pairs(draw):
 @given(equal_length_pairs())
 def test_shuffle_unshuffle_round_trip(pair):
     x, y = pair
-    assert unshuffle(perfect_shuffle(x, y)) == (x, y)
+    assert _unshuffle(_shuffle(x, y)) == (x, y)
 
 
 @settings(deadline=None)
 @given(equal_length_pairs())
 def test_shuffle_reversal_law(pair):
     x, y = pair
-    assert reverse(perfect_shuffle(x, y)) == perfect_shuffle(reverse(y), reverse(x))
+    assert _shuffle(x, y)[::-1] == _shuffle(y[::-1], x[::-1])
 
 
 @settings(deadline=None)
 @given(random_words())
-def test_reverse_involution(word):
-    assert reverse(reverse(word)) == word
-
-
-@settings(deadline=None)
-@given(random_words())
-def test_unbordered_means_no_border_at_all(word):
-    assert is_unbordered(word) == (border_lengths(word) == frozenset())
+def test_unbordered_means_no_border_at_all(w):
+    assert (not _short_border_set(w)) == (_border_set(w) == frozenset())
 
 
 def _records():
@@ -404,7 +346,6 @@ def _records():
     from palcensus.recurrences import CountSeq
 
     return [
-        lambda: Alphabet(3),
         lambda: Word.of((0, 2, 1), 3),
         lambda: WordProfile(
             frozenset({1, 2}), frozenset({1}), frozenset({2}), frozenset({1})
@@ -427,7 +368,7 @@ class TestRecords:
     def test_equal_by_value_and_only_within_a_type(self, make):
         a, b = make(), make()
         assert a == b and a is not b
-        assert a != Alphabet(4) and a != _fields(a)
+        assert a != WordProfile(*[frozenset()] * 4) and a != _fields(a)
 
     def test_hash_follows_the_fields(self, make):
         a = make()
