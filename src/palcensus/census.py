@@ -1,6 +1,6 @@
 """Exhaustive classification of the words of a given length.
 
-Each family and profile kind is a list of patterns, each the equalities
+Each family and profile kind is a sequence of patterns, each the equalities
 w[a] == w[b] over a set of position pairs: a border of length i pairs t with
 n-i+t, a palindromic prefix of length m pairs t with m-1-t, and a square
 prefix of half-length j pairs t with j+t (mod n for min-square, a square
@@ -10,8 +10,9 @@ prefixes of length n - L (letters first appear as 0, 1, 2, ...), each
 standing for the perm(k, d) renamings of its d letters, drops the subtree
 below a prefix that holds a forbidden pattern, and decides the k**L
 completions of each prefix at once as the bits of one integer: a pattern is
-the AND of letter and pair-equality masks cached per (k, L).  The budget
-still counts all k**n words (or roots).  The naive scans of the words module
+the AND of letter and pair-equality masks cached per (k, L), compiled only
+when a walk first needs it.  The budget still counts all k**n words (or
+roots).  The naive scans of the words module
 are the independent route, checked by verify and the tests.  The walk is cut
 into blocks below canonical prefixes.  A census whose work (the completions
 its canonical prefixes decide) is below a measured cutoff counts a few
@@ -26,9 +27,11 @@ from __future__ import annotations
 import itertools
 import math
 import os
+from bisect import bisect_left, bisect_right
 from collections import Counter
 from enum import Enum
 from functools import lru_cache
+from operator import itemgetter
 
 from .words import Word, _entries
 
@@ -186,16 +189,17 @@ def _square(n: int, j: int) -> list:
     return [(range(2 * j - n), range(n - j, j)), (range(n - j), range(j, n))]
 
 
-# family -> its patterns at length n; the family is the words that hold none
+# family -> its patterns at length n, by nondecreasing end, each made as a
+# walk reaches it; the family is the words that hold none
 _PATTERNS = {
-    Family.UNBORDERED: lambda n: [
+    Family.UNBORDERED: lambda n: (
         [(range(i), range(n - i, n))] for i in range(1, n // 2 + 1)
-    ],
-    Family.NO_EVEN_PP: lambda n: [_palindrome(2 * i) for i in range(1, n // 2 + 1)],
-    Family.NO_ODD_PP: lambda n: [_palindrome(2 * i + 1) for i in range(1, (n + 1) // 2)],
-    Family.NO_PAL_PREFIX: lambda n: [_palindrome(m) for m in range(2, n + 1)],
-    Family.NO_SQUARE_PREFIX: lambda n: [_square(n, j) for j in range(1, n // 2 + 1)],
-    Family.MIN_SQUARE: lambda n: [_square(n, j) for j in range(1, n)],
+    ),
+    Family.NO_EVEN_PP: lambda n: (_palindrome(2 * i) for i in range(1, n // 2 + 1)),
+    Family.NO_ODD_PP: lambda n: (_palindrome(2 * i + 1) for i in range(1, (n + 1) // 2)),
+    Family.NO_PAL_PREFIX: lambda n: (_palindrome(m) for m in range(2, n + 1)),
+    Family.NO_SQUARE_PREFIX: lambda n: (_square(n, j) for j in range(1, n // 2 + 1)),
+    Family.MIN_SQUARE: lambda n: (_square(n, j) for j in range(1, n)),
 }
 # per profile kind, the family whose i-th pattern puts i in the kind's set
 _KIND_FAMILY = {
@@ -226,37 +230,81 @@ def _slice(r: range) -> slice:
     return slice(r.start, r.stop if r.stop >= 0 else None, r.step)
 
 
-@lru_cache(maxsize=8)
-def _compile(k: int, n: int, split: int, patterns) -> list:
-    """Each of the patterns(n) as (end, inside, letters, base) for prefixes
-    of length n - split: the prefix length that holds all its pairs (n when
-    the completion takes part), its pairs inside the prefix as slices to
-    compare, its completion letters q tied to prefix letters a as (a, q),
-    and the AND of its pairs inside the completion."""
-    stop = n - split
-    _, pair, full = _masks(k, split)
-    compiled = []
-    for pieces in patterns(n):
-        end, inside, letters, base = 0, [], [], full
-        for a_range, b_range in pieces:
-            end = max(end, b_range[-1] + 1)
-            cut = min(max(stop - b_range.start, 0), len(b_range))
-            if cut:
-                inside.append((_slice(a_range[:cut]), _slice(b_range[:cut])))
-            for a, b in zip(a_range[cut:], b_range[cut:]):
-                if a < stop:
-                    letters.append((a, b - stop))
-                else:
-                    base &= pair[a - stop][b - stop]
-        compiled.append((end, inside, letters, base))
-    return compiled
+_end = itemgetter(0)
+
+
+class _Compiled:
+    """The patterns(n) compiled for prefixes of length n - split, each when a
+    walk first reaches it, as (end, inside, letters, base): the prefix length
+    that holds all its pairs (n when the completion takes part), its pairs
+    inside the prefix as slices to compare, its completion letters q tied to
+    prefix letters a as (a, q), and the AND of its pairs inside the
+    completion.  A family lists its patterns by end, never falling, so a walk
+    that stops a prefix or a completion at its first held pattern compiles
+    none beyond it: a unary census decides a length within its first few
+    patterns, and a sweep of lengths is linear in the longest, not
+    quadratic.  A walk grows the cached object in place, so two threads must
+    not walk the same (k, n, split, patterns) at once; the package starts
+    none."""
+
+    __slots__ = ("_stop", "_pair", "_full", "_pending", "_done")
+
+    def __init__(self, k: int, n: int, split: int, patterns) -> None:
+        self._stop = n - split
+        _, self._pair, self._full = _masks(k, split)
+        self._pending = iter(patterns(n))  # None once every one is compiled
+        self._done = []  # the patterns compiled so far, in order
+
+    def _grow(self) -> bool:
+        """Compile the next pattern; False when none is left."""
+        stop, pair = self._stop, self._pair
+        for pieces in self._pending or ():
+            end, inside, letters, base = 0, [], [], self._full
+            for a_range, b_range in pieces:
+                end = max(end, b_range[-1] + 1)
+                cut = min(max(stop - b_range.start, 0), len(b_range))
+                if cut:
+                    inside.append((_slice(a_range[:cut]), _slice(b_range[:cut])))
+                for a, b in zip(a_range[cut:], b_range[cut:]):
+                    if a < stop:
+                        letters.append((a, b - stop))
+                    else:
+                        base &= pair[a - stop][b - stop]
+            self._done.append((end, inside, letters, base))
+            return True
+        self._pending = None
+        return False
+
+    def ending(self, m: int) -> list:
+        """The patterns that the prefix of length m completes."""
+        done = self._done
+        while (not done or done[-1][0] <= m) and self._grow():
+            pass
+        i = bisect_left(done, m, key=_end)
+        return done[i : bisect_right(done, m, i, key=_end)]
+
+    def past(self, m: int):
+        """The patterns that end past the prefix of length m, in order."""
+        self.ending(m)  # compiles through the first that ends past m
+        done = self._done
+        i = bisect_right(done, m, key=_end)
+        while i < len(done) or self._grow():
+            yield done[i]
+            i += 1
+
+    def __iter__(self):
+        return self.past(0)
+
+
+_compile = lru_cache(maxsize=8)(_Compiled)
 
 
 def _held(w, pattern, letter) -> int:
     """The completions of prefix w that hold the compiled pattern."""
     _, inside, letters, held = pattern
-    if not all(w[a] == w[b] for a, b in inside):
-        return 0
+    for a, b in inside:  # a loop, not all() over a generator: no frame per call
+        if w[a] != w[b]:
+            return 0
     for a, q in letters:
         held &= letter[q][w[a]]
     return held
@@ -316,20 +364,19 @@ def _family_block(k: int, n: int, family: Family, split: int, prefix: tuple) -> 
     stop = n - split
     letter, _, full = _masks(k, split)
     compiled = _compile(k, n, split, _PATTERNS[family])
-    # the patterns inside the prefix, by the prefix length that completes them
-    within: dict[int, list] = {}
-    for pattern in compiled:
-        if pattern[0] <= stop:
-            within.setdefault(pattern[0], []).append(pattern)
 
     def dead(m, w) -> bool:
-        return any(_held(w, pattern, letter) for pattern in within.get(m, ()))
+        return any(_held(w, pattern, letter) for pattern in compiled.ending(m))
 
     total = 0
     for w, _, weight in _walk(k, stop, prefix, dead):
+        # the walk held no pattern inside the prefix; the rest, in order,
+        # until every completion holds one
         hit = 0
-        for pattern in compiled:
+        for pattern in compiled.past(stop):
             hit |= _held(w, pattern, letter)
+            if hit == full:
+                break
         total += weight * (full ^ hit).bit_count()
     return total
 
@@ -481,5 +528,5 @@ def list_profile(
         words = [tuple(w) + tail for c, tail in enumerate(completions) if part >> c & 1]
         for names in itertools.permutations(range(k), used):
             names += tuple(c for c in range(k) if c not in names)
-            kept += [tuple(names[c] for c in word) for word in words]
+            kept += [tuple(map(names.__getitem__, word)) for word in words]
     return [Word.of(w, k) for w in sorted(kept)]

@@ -139,6 +139,31 @@ class TestFamilyCounts:
             assert census_family(1, n, Family.HAS_SQUARE_PREFIX) == 1
             assert census_family(1, n, Family.MIN_SQUARE) == 0
 
+    def test_a_unary_sweep_compiles_a_few_patterns_per_length(
+        self, monkeypatch, fresh_memo
+    ):
+        # a unary walk stops at its first held pattern, so it compiles no
+        # pattern past it: a sweep to n = 300 compiled 20 000 to 45 000 per
+        # family when every pattern of a length was compiled before the walk
+        compiled = Counter()
+
+        def counted(family, patterns):
+            def counting(n):
+                for pieces in patterns(n):
+                    compiled[family] += 1
+                    yield pieces
+            return counting
+
+        for family, patterns in list(census._PATTERNS.items()):
+            monkeypatch.setitem(census._PATTERNS, family, counted(family, patterns))
+        top = 300
+        for n in range(1, top + 1):
+            naive, _ = _naive_census(1, n)
+            for family in Family:
+                assert census_family(1, n, family) == naive[family], (n, family)
+        assert compiled.keys() == census._PATTERNS.keys()
+        assert max(compiled.values()) <= 2 * top, compiled
+
     def test_unary_words_past_the_recursion_limit(self):
         # 0**1000 has every border, palindromic prefix and square prefix
         n = 1000

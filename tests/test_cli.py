@@ -708,17 +708,36 @@ NO_SEQUENCES = NO_POOL + ("palcensus.constants", "palcensus.recurrences")
     ids=["map", "shuffle-order", "count", "count-jobs-2", "constants", "verify"],
 )
 def test_start_up_imports_only_what_the_command_runs(argv, absent):
+    # no command scans a word with word_profile, so none builds a kernel
     script = (
         "import sys\n"
         "from palcensus.cli import main\n"
         "code = main(sys.argv[1:])\n"
-        "print(code, *sorted(sys.modules))\n"
+        "words = sys.modules.get('palcensus.words')\n"
+        "built = words._kernel.cache_info().currsize if words else 0\n"
+        "print(code, built, *sorted(sys.modules))\n"
     )
     done = subprocess.run(
         [sys.executable, "-c", script, *argv],
         capture_output=True, text=True, env=_child_env(), timeout=60, check=True,
     )
-    code, *loaded = done.stdout.splitlines()[-1].split()
-    assert code == "0"
+    code, built, *loaded = done.stdout.splitlines()[-1].split()
+    assert (code, built) == ("0", "0")
     assert "palcensus.cli" in loaded
     assert not set(absent) & set(loaded)
+
+
+def test_importing_the_words_module_builds_no_kernel():
+    # kernels are built on a length's first word_profile call, and at most
+    # one per length up to the cutoff is kept
+    script = (
+        "import palcensus.words as words\n"
+        "info = words._kernel.cache_info()\n"
+        "print(info.currsize, info.maxsize, words._UNROLLED)\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True, text=True, env=_child_env(), timeout=60, check=True,
+    )
+    built, maxsize, unrolled = map(int, done.stdout.split())
+    assert (built, maxsize) == (0, unrolled + 1)

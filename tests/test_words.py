@@ -4,6 +4,7 @@ import inspect
 import itertools
 import pickle
 import random
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -152,33 +153,12 @@ class TestProfile:
 
     def test_matches_the_naive_scans_past_the_exhaustive_range(self):
         # long words, where a match may run for many letters before the
-        # first mismatch, or to the end of the word
-        rng = random.Random(15)
-        cases = [
-            (k, tuple(rng.randrange(k) for _ in range(n)))
-            for k in (2, 3, 26)
-            for n in range(13, 65)
-            for _ in range(20)
-        ]
-        fibonacci = "0"
-        while len(fibonacci) < 64:
-            fibonacci = fibonacci.translate({48: "01", 49: "0"})  # 0 -> 01, 1 -> 0
-        for n in range(65):
-            for period in ("0", "01", "001", "0110", "0010", "0100110"):
-                cases.append((2, tuple(map(int, (period * n)[:n]))))
-            cases.append((2, tuple(map(int, fibonacci[:n]))))
-            half = tuple(map(int, fibonacci[:n // 2]))
-            cases.append((2, half + (1,) * (n % 2) + half[::-1]))
-            cases.append((3, tuple(i % 3 for i in range(n // 2)) * 2))
-        for k, w in cases:
-            got = word_profile(Word.of(w, k))
-            assert (
-                got.short_borders, got.even_pp_orders, got.odd_pp_orders,
-                got.square_half_lengths,
-            ) == (
-                _short_border_set(w), _even_pp_set(w), _odd_pp_set(w),
-                _square_half_set(w),
-            ), (k, w)
+        # first mismatch, or to the end of the word; they reach past the
+        # kernels into the loop
+        lengths = {len(w) for _, w in _LONG_CASES}
+        assert {words._UNROLLED, words._UNROLLED + 1} <= lengths
+        assert max(lengths) >= 2 * words._UNROLLED
+        assert _first_profile_mismatch(word_profile, _LONG_CASES) is None
 
     @pytest.mark.parametrize(
         "old,new",
@@ -194,11 +174,55 @@ class TestProfile:
         ],
     )
     def test_naive_scans_see_a_planted_bug(self, old, new):
+        # the loop runs only past the kernels, so the long words must see it
         source = inspect.getsource(words.word_profile)
         assert source.count(old) == 1
         namespace = dict(vars(words))
         exec(source.replace(old, new), namespace)
-        assert _first_profile_mismatch(namespace["word_profile"]) is not None
+        assert _first_profile_mismatch(namespace["word_profile"], _LONG_CASES) is not None
+
+    @pytest.mark.parametrize(
+        "old,new",
+        [
+            # each palindrome chain without its last comparison
+            ("range(1, (p + 1) // 2)", "range(1, (p - 1) // 2)"),
+            # each square or border chain without its last comparison
+            ("range(1, min(p, n - p))", "range(1, min(p, n - p) - 1)"),
+            # the odd and even palindrome bits swapped
+            ("'e' if p % 2 else 'o'", "'o' if p % 2 else 'e'"),
+            # the square of the whole word (2p = n) skipped, then its border
+            ("(2 * p <= n)", "(2 * p < n)"),
+            ("(2 * p >= n)", "(2 * p > n)"),
+            # p = n - 1 dropped
+            ("for p in range(1, n):", "for p in range(1, n - 1):"),
+            # even lengths scanned with the kernel of the next odd length
+            ("_kernel(n)(s)", "_kernel(n | 1)(s)"),
+        ],
+    )
+    def test_kernels_see_a_planted_bug(self, old, new):
+        # a plant edits the generator, or else word_profile's dispatch
+        sources = [inspect.getsource(words._kernel), inspect.getsource(words.word_profile)]
+        target = 0 if old in sources[0] else 1
+        assert sources[target].count(old) == 1
+        sources[target] = sources[target].replace(old, new)
+        namespace = dict(vars(words))
+        exec("".join(sources), namespace)
+        planted = namespace["word_profile"]
+        try:
+            found = _first_profile_mismatch(planted)
+            if found is None:
+                found = _first_profile_mismatch(planted, _LONG_CASES)
+        except ValueError as error:  # a kernel unpacks only its own length
+            found = str(error)
+        assert found is not None
+
+    def test_kernels_are_built_per_length_and_refuse_other_lengths(self):
+        assert words._kernel.cache_info().maxsize == words._UNROLLED + 1
+        kernel = words._kernel(6)
+        assert words._kernel(6) is kernel and words._kernel(7) is not kernel
+        assert kernel((0, 1, 1, 0, 1, 1)) is word_profile(parse_word("011011", 2))
+        with pytest.raises(ValueError, match="unpack"):
+            kernel((0, 1, 1, 0, 1))
 
     def test_equal_sets_are_shared(self):
         # equal profiles are one record, and equal sets one frozenset, also
@@ -225,22 +249,56 @@ class TestProfile:
                     assert all(1 <= i <= n // 2 for i in entries)
 
 
-def _first_profile_mismatch(profile):
-    """The first word, empty and one-letter words included, whose profile
-    differs from the four naive scans, or None."""
+def _exhaustive_cases():
     for k, n_max in ((1, 8), (2, 12), (3, 7), (4, 5)):
         for n in range(n_max + 1):
             for w in itertools.product(range(k), repeat=n):
-                got = profile(Word.of(w, k))
-                scans = (
-                    _short_border_set(w), _even_pp_set(w), _odd_pp_set(w),
-                    _square_half_set(w),
-                )
-                if (
-                    got.short_borders, got.even_pp_orders, got.odd_pp_orders,
-                    got.square_half_lengths,
-                ) != scans:
-                    return w
+                yield k, w
+
+
+def _long_cases():
+    """Random words over k = 2, 3 and 26 from length 13, and periodic,
+    Fibonacci and palindromic binary words and ternary squares from length
+    0, all up to twice the longest word a kernel scans."""
+    top = 2 * words._UNROLLED
+    rng = random.Random(15)
+    cases = [
+        (k, tuple(rng.randrange(k) for _ in range(n)))
+        for k in (2, 3, 26)
+        for n in range(13, top + 1)
+        for _ in range(20)
+    ]
+    fibonacci = "0"
+    while len(fibonacci) < top:
+        fibonacci = fibonacci.translate({48: "01", 49: "0"})  # 0 -> 01, 1 -> 0
+    for n in range(top + 1):
+        for period in ("0", "01", "001", "0110", "0010", "0100110"):
+            cases.append((2, tuple(map(int, (period * n)[:n]))))
+        cases.append((2, tuple(map(int, fibonacci[:n]))))
+        half = tuple(map(int, fibonacci[:n // 2]))
+        cases.append((2, half + (1,) * (n % 2) + half[::-1]))
+        cases.append((3, tuple(i % 3 for i in range(n // 2)) * 2))
+    return cases
+
+
+_LONG_CASES = _long_cases()
+
+
+def _first_profile_mismatch(profile, cases=None):
+    """The first word of the cases (by default every word up to a length
+    that falls with k, the empty and one-letter words included) whose
+    profile differs from the four naive scans, or None."""
+    for k, w in _exhaustive_cases() if cases is None else cases:
+        got = profile(Word.of(w, k))
+        scans = (
+            _short_border_set(w), _even_pp_set(w), _odd_pp_set(w),
+            _square_half_set(w),
+        )
+        if (
+            got.short_borders, got.even_pp_orders, got.odd_pp_orders,
+            got.square_half_lengths,
+        ) != scans:
+            return w
     return None
 
 
@@ -287,6 +345,17 @@ class TestTextForm:
 
     def test_bare_integer_for_large_alphabets(self):
         assert parse_word("012", 40).symbols == (12,)
+
+    @pytest.mark.parametrize("symbol", [0.5, Fraction(1, 2), Decimal("1"), 1.0, "1", None])
+    def test_non_integral_symbol(self, symbol):
+        with pytest.raises(ValueError, match="must be integers"):
+            Word.of((0, symbol), 2)
+
+    def test_integral_symbols(self):
+        assert Word.of((True, False, 1), 2).symbols == (True, False, 1)
+        assert str(Word.of((True, False), 2)) == "10"
+        with pytest.raises(ValueError, match="out of range"):
+            Word.of((0, True), 1)
 
     def test_alphabet_validation(self):
         with pytest.raises(ValueError, match="alphabet size"):
