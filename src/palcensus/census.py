@@ -10,28 +10,27 @@ prefixes of length n - L (letters first appear as 0, 1, 2, ...), each
 standing for the perm(k, d) renamings of its d letters, drops the subtree
 below a prefix that holds a forbidden pattern, and decides the k**L
 completions of each prefix at once as the bits of one integer: a pattern is
-the AND of letter and pair-equality masks cached per (k, L), compiled only
-when a walk first needs it.  The budget still counts all k**n words (or
-roots).  The naive scans of the words module
-are the independent route, checked by verify and the tests.  The walk is cut
-into blocks below canonical prefixes.  A census whose work (the completions
-its canonical prefixes decide) is below a measured cutoff counts a few
-blocks in-process whatever jobs is (so does every family census the
-default budget admits); a larger one with jobs > 1 starts a pool of its own
-and hands it about 64 blocks per worker, one at a time, with identical
-results.  Completed counts are memoised per process.
+the AND of letter and pair-equality masks cached per (k, L).  The census
+needs k >= 2, as the recurrences and densities it is checked against do.
+The budget still counts all k**n words (or roots).  The naive scans of the
+words module are the independent route, checked by verify and the tests.
+The walk is cut into blocks below canonical prefixes.  A census whose work
+(the completions its canonical prefixes decide) is below a measured cutoff
+counts a few blocks in-process whatever jobs is (so does every family
+census the default budget admits); a larger one with jobs > 1 starts a
+pool of its own and hands it about 64 blocks per worker, one at a time,
+with identical results.  Completed counts are memoised per process.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 import os
-from bisect import bisect_left, bisect_right
 from collections import Counter
 from enum import Enum
 from functools import lru_cache
-from operator import itemgetter
 
 from .words import Word, _entries
 
@@ -58,8 +57,6 @@ _PROFILE_COST = 5
 # share
 _MIN_BLOCKS = 4
 _BLOCKS_PER_WORKER = 64
-# one letter has one word of each length, which the budget cannot bound
-MAX_UNARY_LENGTH = 1000
 # the most words list_profile builds: a listed word holds about 350 bytes,
 # and `profile --list` printed 70 340 binary words of length 18 in 1.4 s at
 # a peak of 39 MB on a 2-CPU box (140 680 took 2.9 s and 64 MB)
@@ -95,16 +92,16 @@ class ProfileKind(Enum):
 
 def _check_budget(k: int, n: int, budget: int) -> None:
     # every census entry point passes here, so it also guards the alphabet
-    if k < 1:
-        raise ValueError(f"census needs an alphabet of size k >= 1, got k={k}")
+    try:
+        alphabet = operator.index(k) >= 2
+    except TypeError:
+        alphabet = False
+    if not alphabet:
+        raise ValueError(f"census needs an alphabet of size k >= 2, got k={k}")
     space = k ** n
     if space > budget:
         raise BudgetExceededError(
             f"enumerating {k}**{n} = {space} words exceeds the budget of {budget}"
-        )
-    if k == 1 and n > MAX_UNARY_LENGTH:
-        raise ValueError(
-            f"unary census lengths must be at most {MAX_UNARY_LENGTH}, got {n}"
         )
 
 
@@ -130,10 +127,10 @@ def _words_up_to_renaming(k: int, n: int):
 
 def _canonical_blocks(k: int, n: int, count: int) -> list:
     """The canonical prefixes, with their class sizes, of the shortest length
-    up to n that has at least count of them; k = 1 has one per length."""
+    up to n that has at least count of them."""
     length = 0
     blocks = [((), 1)]
-    while k > 1 and length < n and len(blocks) < count:
+    while length < n and len(blocks) < count:
         length += 1
         blocks = list(_words_up_to_renaming(k, length))
     return blocks
@@ -150,10 +147,9 @@ def _canonical_count(k: int, n: int) -> int:
 
 def _split_length(k: int, n: int) -> int:
     """The number L of last letters decided at once: the most, up to
-    n - _MIN_WALK, whose k**L completions fit in a mask (one letter stops
-    where two would)."""
+    n - _MIN_WALK, whose k**L completions fit in a mask."""
     split = 0
-    while split < n - _MIN_WALK and max(k, 2) ** (split + 1) <= _MASK_BITS:
+    while split < n - _MIN_WALK and k ** (split + 1) <= _MASK_BITS:
         split += 1
     return split
 
@@ -189,17 +185,17 @@ def _square(n: int, j: int) -> list:
     return [(range(2 * j - n), range(n - j, j)), (range(n - j), range(j, n))]
 
 
-# family -> its patterns at length n, by nondecreasing end, each made as a
-# walk reaches it; the family is the words that hold none
+# family -> its patterns at length n, by nondecreasing end; the family is the
+# words that hold none
 _PATTERNS = {
-    Family.UNBORDERED: lambda n: (
+    Family.UNBORDERED: lambda n: [
         [(range(i), range(n - i, n))] for i in range(1, n // 2 + 1)
-    ),
-    Family.NO_EVEN_PP: lambda n: (_palindrome(2 * i) for i in range(1, n // 2 + 1)),
-    Family.NO_ODD_PP: lambda n: (_palindrome(2 * i + 1) for i in range(1, (n + 1) // 2)),
-    Family.NO_PAL_PREFIX: lambda n: (_palindrome(m) for m in range(2, n + 1)),
-    Family.NO_SQUARE_PREFIX: lambda n: (_square(n, j) for j in range(1, n // 2 + 1)),
-    Family.MIN_SQUARE: lambda n: (_square(n, j) for j in range(1, n)),
+    ],
+    Family.NO_EVEN_PP: lambda n: [_palindrome(2 * i) for i in range(1, n // 2 + 1)],
+    Family.NO_ODD_PP: lambda n: [_palindrome(2 * i + 1) for i in range(1, (n + 1) // 2)],
+    Family.NO_PAL_PREFIX: lambda n: [_palindrome(m) for m in range(2, n + 1)],
+    Family.NO_SQUARE_PREFIX: lambda n: [_square(n, j) for j in range(1, n // 2 + 1)],
+    Family.MIN_SQUARE: lambda n: [_square(n, j) for j in range(1, n)],
 }
 # per profile kind, the family whose i-th pattern puts i in the kind's set
 _KIND_FAMILY = {
@@ -230,73 +226,30 @@ def _slice(r: range) -> slice:
     return slice(r.start, r.stop if r.stop >= 0 else None, r.step)
 
 
-_end = itemgetter(0)
-
-
-class _Compiled:
-    """The patterns(n) compiled for prefixes of length n - split, each when a
-    walk first reaches it, as (end, inside, letters, base): the prefix length
-    that holds all its pairs (n when the completion takes part), its pairs
-    inside the prefix as slices to compare, its completion letters q tied to
-    prefix letters a as (a, q), and the AND of its pairs inside the
-    completion.  A family lists its patterns by end, never falling, so a walk
-    that stops a prefix or a completion at its first held pattern compiles
-    none beyond it: a unary census decides a length within its first few
-    patterns, and a sweep of lengths is linear in the longest, not
-    quadratic.  A walk grows the cached object in place, so two threads must
-    not walk the same (k, n, split, patterns) at once; the package starts
-    none."""
-
-    __slots__ = ("_stop", "_pair", "_full", "_pending", "_done")
-
-    def __init__(self, k: int, n: int, split: int, patterns) -> None:
-        self._stop = n - split
-        _, self._pair, self._full = _masks(k, split)
-        self._pending = iter(patterns(n))  # None once every one is compiled
-        self._done = []  # the patterns compiled so far, in order
-
-    def _grow(self) -> bool:
-        """Compile the next pattern; False when none is left."""
-        stop, pair = self._stop, self._pair
-        for pieces in self._pending or ():
-            end, inside, letters, base = 0, [], [], self._full
-            for a_range, b_range in pieces:
-                end = max(end, b_range[-1] + 1)
-                cut = min(max(stop - b_range.start, 0), len(b_range))
-                if cut:
-                    inside.append((_slice(a_range[:cut]), _slice(b_range[:cut])))
-                for a, b in zip(a_range[cut:], b_range[cut:]):
-                    if a < stop:
-                        letters.append((a, b - stop))
-                    else:
-                        base &= pair[a - stop][b - stop]
-            self._done.append((end, inside, letters, base))
-            return True
-        self._pending = None
-        return False
-
-    def ending(self, m: int) -> list:
-        """The patterns that the prefix of length m completes."""
-        done = self._done
-        while (not done or done[-1][0] <= m) and self._grow():
-            pass
-        i = bisect_left(done, m, key=_end)
-        return done[i : bisect_right(done, m, i, key=_end)]
-
-    def past(self, m: int):
-        """The patterns that end past the prefix of length m, in order."""
-        self.ending(m)  # compiles through the first that ends past m
-        done = self._done
-        i = bisect_right(done, m, key=_end)
-        while i < len(done) or self._grow():
-            yield done[i]
-            i += 1
-
-    def __iter__(self):
-        return self.past(0)
-
-
-_compile = lru_cache(maxsize=8)(_Compiled)
+@lru_cache(maxsize=8)
+def _compile(k: int, n: int, split: int, patterns) -> list:
+    """The patterns(n), in order, compiled for prefixes of length n - split
+    as (end, inside, letters, base): the prefix length that holds all its
+    pairs (n when the completion takes part), its pairs inside the prefix as
+    slices to compare, its completion letters q tied to prefix letters a as
+    (a, q), and the AND of its pairs inside the completion."""
+    stop = n - split
+    _, pair, full = _masks(k, split)
+    compiled = []
+    for pieces in patterns(n):
+        end, inside, letters, base = 0, [], [], full
+        for a_range, b_range in pieces:
+            end = max(end, b_range[-1] + 1)
+            cut = min(max(stop - b_range.start, 0), len(b_range))
+            if cut:
+                inside.append((_slice(a_range[:cut]), _slice(b_range[:cut])))
+            for a, b in zip(a_range[cut:], b_range[cut:]):
+                if a < stop:
+                    letters.append((a, b - stop))
+                else:
+                    base &= pair[a - stop][b - stop]
+        compiled.append((end, inside, letters, base))
+    return compiled
 
 
 def _held(w, pattern, letter) -> int:
@@ -363,17 +316,25 @@ def _family_block(k: int, n: int, family: Family, split: int, prefix: tuple) -> 
     the last split letters decided at once."""
     stop = n - split
     letter, _, full = _masks(k, split)
-    compiled = _compile(k, n, split, _PATTERNS[family])
+    # the patterns inside the prefix, by the prefix length that completes
+    # them, and the rest
+    within: dict[int, list] = {}
+    past = []
+    for pattern in _compile(k, n, split, _PATTERNS[family]):
+        if pattern[0] <= stop:
+            within.setdefault(pattern[0], []).append(pattern)
+        else:
+            past.append(pattern)
 
     def dead(m, w) -> bool:
-        return any(_held(w, pattern, letter) for pattern in compiled.ending(m))
+        return any(_held(w, pattern, letter) for pattern in within.get(m, ()))
 
     total = 0
     for w, _, weight in _walk(k, stop, prefix, dead):
         # the walk held no pattern inside the prefix; the rest, in order,
         # until every completion holds one
         hit = 0
-        for pattern in compiled.past(stop):
+        for pattern in past:
             hit |= _held(w, pattern, letter)
             if hit == full:
                 break

@@ -20,9 +20,7 @@ import sys
 
 # the parser needs only these; each command imports what it runs, so a
 # fresh process loads no more of the package than its command needs
-from .census import (
-    DEFAULT_BUDGET, MAX_LISTED_WORDS, BudgetExceededError, Family, ProfileKind,
-)
+from .census import DEFAULT_BUDGET, MAX_LISTED_WORDS, Family, ProfileKind
 
 # verify.SUITES in run order, spelled out so that the parser need not
 # import verify (a test keeps the two equal)
@@ -402,9 +400,6 @@ def main(argv=None) -> int:
         # point stdout at devnull so that the flush at exit raises nothing
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 141
-    except BudgetExceededError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
     except ValueError as error:
         # either class is raised only once its module is loaded, so these
         # imports cost nothing when they match

@@ -63,9 +63,6 @@ class Enclosure(_Record):
     def width(self) -> Fraction:
         return Fraction(self.high - self.low, self.denominator)
 
-    def __contains__(self, x) -> bool:
-        return self.low <= x * self.denominator <= self.high
-
     def complement(self, a: int, b: int = 1) -> Enclosure:
         """The enclosure of a - b * x for x in this one, b >= 0."""
         scaled = a * self.denominator

@@ -67,10 +67,6 @@ class Permutation(_Record):
         if seen.count(1) != n:  # n images in 1..n mark all n iff distinct
             raise ValueError(f"not a permutation of 1..{n}: {self.images}")
 
-    @property
-    def n(self) -> int:
-        return len(self.images)
-
 
 def milk_shuffle_permutation(n: int) -> Permutation:
     """The positional permutation realising the milk shuffle on length n.

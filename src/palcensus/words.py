@@ -97,11 +97,14 @@ class Word(_Record):
     symbols: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        k = self.k
+        # operator.index refuses 0.5, Fraction(1, 2) and Decimal("1")
+        try:
+            k = _index(self.k)
+        except TypeError:
+            raise ValueError(f"alphabet size must be an integer, got {self.k!r}") from None
         if k < 1:
             raise ValueError(f"alphabet size must be at least 1, got {k}")
         try:
-            # operator.index refuses 0.5, Fraction(1, 2) and Decimal("1")
             for s in map(_index, self.symbols):
                 if not 0 <= s < k:
                     raise ValueError(f"symbol {s!r} out of range for alphabet of size {k}")

@@ -63,10 +63,9 @@ NAIVE = {
     Family.MIN_SQUARE: lambda w: _square_half_set(w + w) == {len(w)},
 }
 
-# every (k, n) with k**n <= 2**12, unary lengths stopping at 12; n = 1 and
-# k = 1 are the edge cases
+# every (k, n) with k**n <= 2**12; n = 1 is the edge case
 SMALL_SIZES = [
-    (k, n) for k in (1, 2, 3, 4) for n in range(1, 13) if k ** n <= 2 ** 12
+    (k, n) for k in (2, 3, 4) for n in range(1, 13) if k ** n <= 2 ** 12
 ]
 
 EXAMPLE_BORDER_WORDS = [
@@ -124,79 +123,26 @@ class TestFamilyCounts:
         assert census_family(2, 10, Family.NO_EVEN_PP) == 284
 
     def test_unary_alphabet(self):
-        # the single length-1 word is in every family but has-square-prefix;
-        # every longer unary word is bordered and starts with the square 00,
-        # and from length 3 with the odd palindrome 000
+        # one letter has one word of each length, a case no recurrence or
+        # density covers: every family refuses it before any walk
         for family in Family:
-            expected = 0 if family is Family.HAS_SQUARE_PREFIX else 1
-            assert census_family(1, 1, family) == expected
-        for n in range(2, 6):
-            assert census_family(1, n, Family.UNBORDERED) == 0
-            assert census_family(1, n, Family.NO_EVEN_PP) == 0
-            assert census_family(1, n, Family.NO_ODD_PP) == (1 if n == 2 else 0)
-            assert census_family(1, n, Family.NO_PAL_PREFIX) == 0
-            assert census_family(1, n, Family.NO_SQUARE_PREFIX) == 0
-            assert census_family(1, n, Family.HAS_SQUARE_PREFIX) == 1
-            assert census_family(1, n, Family.MIN_SQUARE) == 0
-
-    def test_a_unary_sweep_compiles_a_few_patterns_per_length(
-        self, monkeypatch, fresh_memo
-    ):
-        # a unary walk stops at its first held pattern, so it compiles no
-        # pattern past it: a sweep to n = 300 compiled 20 000 to 45 000 per
-        # family when every pattern of a length was compiled before the walk
-        compiled = Counter()
-
-        def counted(family, patterns):
-            def counting(n):
-                for pieces in patterns(n):
-                    compiled[family] += 1
-                    yield pieces
-            return counting
-
-        for family, patterns in list(census._PATTERNS.items()):
-            monkeypatch.setitem(census._PATTERNS, family, counted(family, patterns))
-        top = 300
-        for n in range(1, top + 1):
-            naive, _ = _naive_census(1, n)
-            for family in Family:
-                assert census_family(1, n, family) == naive[family], (n, family)
-        assert compiled.keys() == census._PATTERNS.keys()
-        assert max(compiled.values()) <= 2 * top, compiled
-
-    def test_unary_words_past_the_recursion_limit(self):
-        # 0**1000 has every border, palindromic prefix and square prefix
-        n = 1000
-        assert [census_family(1, n, family) for family in Family] == [0] * 5 + [1, 0]
-        everything = {
-            ProfileKind.SHORT_BORDERS: range(1, n // 2 + 1),
-            ProfileKind.EVEN_PP_ORDERS: range(1, n // 2 + 1),
-            ProfileKind.ODD_PP_ORDERS: range(1, (n - 1) // 2 + 1),
-        }
-        for kind, full in everything.items():
-            assert census_profile(1, n, kind, set()) == 0
-            assert census_profile(1, n, kind, full) == 1
-            assert [w.symbols for w in list_profile(1, n, kind, full)] == [(0,) * n]
-        for query in (
-            lambda: census_family(1, 1200, Family.UNBORDERED),
-            lambda: census_profile(1, 1200, ProfileKind.SHORT_BORDERS, set()),
-            lambda: list_profile(1, 1200, ProfileKind.SHORT_BORDERS, set()),
-        ):
-            with pytest.raises(ValueError, match="at most 1000, got 1200"):
-                query()
+            for n in (1, 2, 1200):
+                with pytest.raises(ValueError, match="k >= 2, got k=1$"):
+                    census_family(1, n, family)
 
     def test_argument_validation(self):
         with pytest.raises(ValueError):
             census_family(2, 0, Family.UNBORDERED)
         # one alphabet check guards every entry point (k=0 used to divide
-        # by zero in the profiles, and k=-2 to list nothing)
-        for k in (0, -1, -2):
+        # by zero in the profiles, k=-2 to list nothing, and k=2.5 to raise
+        # a TypeError from the walk)
+        for k in (1, 0, -1, -2, 2.5):
             for query in (
                 lambda: census_family(k, 3, Family.UNBORDERED),
                 lambda: census_profile(k, 3, ProfileKind.SHORT_BORDERS, {1}),
                 lambda: list_profile(k, 3, ProfileKind.SHORT_BORDERS, {1}),
             ):
-                with pytest.raises(ValueError, match=f"k >= 1, got k={k}"):
+                with pytest.raises(ValueError, match=f"k >= 2, got k={k}$"):
                     query()
 
     def test_budget_error_names_the_space(self):
@@ -306,7 +252,7 @@ class TestProfileCensus:
         with pytest.raises(ValueError, match="at least 0"):
             list_profile(2, -1, ProfileKind.SHORT_BORDERS, set())
 
-    @pytest.mark.parametrize("k,n", [(2, 10), (3, 6), (4, 5), (1, 4)])
+    @pytest.mark.parametrize("k,n", [(2, 10), (3, 6), (4, 5)])
     def test_lists_match_the_naive_filter(self, k, n):
         assert _first_list_mismatch(k, n) is None
 
@@ -418,8 +364,6 @@ class TestCanonicalBlocks:
             _, blocks, processes = _plan(k, n, workers)
             assert (len(blocks), processes) == (count, workers), (k, workers)
             assert {len(b) for b, _ in blocks} == {length}
-        # one letter has one canonical prefix of each length: no split
-        assert _canonical_blocks(1, 10, 8) == [((), 1)]
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
     def test_class_counts(self, k):
@@ -520,14 +464,13 @@ class TestSplitPoints:
     small sizes, through the jobs > 1 block path."""
 
     @pytest.mark.parametrize("jobs", [1, 2])
-    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    @pytest.mark.parametrize("k", [2, 3, 4])
     def test_counts_match_the_naive_scans(
         self, monkeypatch, fresh_memo, forced_pool, k, jobs
     ):
         monkeypatch.setattr(census.os, "cpu_count", lambda: 2)
         assert _first_split_mismatch(monkeypatch, k, jobs) is None
-        # one letter has one block per length, so it never fans out
-        assert bool(forced_pool) == (jobs == 2 and k > 1)
+        assert bool(forced_pool) == (jobs == 2)
 
     @pytest.mark.parametrize("planted", ["dropped last block", "wrong class size"])
     def test_a_planted_bug_in_the_pooled_blocks_fails(
@@ -549,7 +492,7 @@ class TestSplitPoints:
         assert _first_split_mismatch(monkeypatch, 3, 2) is not None
         assert forced_pool
 
-    @pytest.mark.parametrize("k,n", [(1, 6), (2, 8), (3, 6), (4, 5)])
+    @pytest.mark.parametrize("k,n", [(2, 8), (3, 6), (4, 5)])
     def test_lists_match_the_naive_filter(self, monkeypatch, k, n):
         expected = _naive_lists(k, n)
         for split in range(n + 1):

@@ -158,27 +158,6 @@ class TestCount:
         assert (code, out) == (2, "")
         assert err.startswith("error: --n-max must keep k**n below 10**4300")
 
-    def test_unary_length_past_the_recursion_limit(self, capsys):
-        # one word per length, walked without recursion: 1000 letters are
-        # past what a walk recursing once per letter reaches under Python's
-        # default recursion limit
-        code, out, err = run(
-            capsys, "count", "--k", "1", "--n-min", "1000", "--n-max", "1000",
-            "--family", "unbordered", "--method", "brute",
-        )
-        assert (code, out, err) == (0, "1000\t0\n", "")
-
-    @pytest.mark.parametrize("command", [
-        ["count", "--n-min", "1200", "--n-max", "1200", "--family", "unbordered",
-         "--method", "brute"],
-        ["profile", "--n", "1200", "--kind", "borders", "--set", ""],
-    ])
-    def test_unary_length_cap_is_a_usage_error(self, capsys, command):
-        # the budget of 1**n words cannot bound a unary census
-        code, out, err = run(capsys, command[0], "--k", "1", *command[1:])
-        assert (code, out) == (2, "")
-        assert err == "error: unary census lengths must be at most 1000, got 1200\n"
-
     def test_invalid_family_is_a_usage_error(self, capsys):
         with pytest.raises(SystemExit) as outcome:
             main(["count", "--k", "2", "--n-max", "5", "--family", "weird"])
@@ -305,16 +284,19 @@ class TestProfile:
         assert (listing.wait(timeout=60), err) == (141, b"")
 
     @pytest.mark.parametrize(
-        "k,n", [("0", "8"), ("-1", "8"), ("-2", "3")], ids=["zero", "minus-1", "minus-2"]
+        "k,n", [("1", "3"), ("0", "8"), ("-1", "8"), ("-2", "3")],
+        ids=["one", "zero", "minus-1", "minus-2"],
     )
-    @pytest.mark.parametrize("listing", [[], ["--list"]], ids=["count", "list"])
-    def test_alphabet_below_one_is_a_usage_error(self, capsys, k, n, listing):
-        code, out, err = run(
-            capsys, "profile", "--k", k, "--n", n, "--kind", "borders",
-            "--set", "1", *listing,
-        )
+    @pytest.mark.parametrize("command", [
+        ["profile", "--kind", "borders", "--set", "1", "--n"],
+        ["profile", "--kind", "borders", "--set", "1", "--list", "--n"],
+        ["count", "--family", "unbordered", "--method", "brute", "--n-max"],
+    ], ids=["count", "list", "brute"])
+    def test_alphabet_below_one_is_a_usage_error(self, capsys, k, n, command):
+        # and one letter too: the census needs k >= 2, as the recurrences do
+        code, out, err = run(capsys, *command, n, "--k", k)
         assert (code, out) == (2, "")
-        assert err == f"error: census needs an alphabet of size k >= 1, got k={k}\n"
+        assert err == f"error: census needs an alphabet of size k >= 2, got k={k}\n"
 
 
 class TestConstants:

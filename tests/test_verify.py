@@ -146,7 +146,7 @@ def _canonical_blocks_planted(k, n, count, *, weight=math.perm):
     # weights each canonical block k**d instead of perm(k, d)
     length = 0
     prefixes = [()]
-    while k > 1 and length < n and len(prefixes) < count:
+    while length < n and len(prefixes) < count:
         length += 1
         prefixes = [w for w, _ in census._words_up_to_renaming(k, length)]
     return [(w, weight(k, len(set(w)))) for w in prefixes]
@@ -157,7 +157,7 @@ def _dead_at(lengths):
 
 
 def test_planted_renaming_walk_without_a_change_is_the_walk():
-    for k in range(1, 6):
+    for k in range(2, 6):
         for n in range(0, 6):
             for prefix in ((), (0,), (0, 0, 1), (0, 1, 0, 2, 1)):
                 if len(prefix) > n or max(prefix, default=0) >= k:

@@ -362,6 +362,9 @@ class TestTextForm:
             Word(0, ())
         with pytest.raises(ValueError, match="alphabet size"):
             Word.of((), 0)
+        for k in (2.5, Fraction(5, 2), Decimal("3"), 2.0, "3"):
+            with pytest.raises(ValueError, match="alphabet size must be an integer"):
+                Word.of((0, 1, 2), k)
 
     @pytest.mark.parametrize("k", [2, 7, 10, 14, 26, 30, 36, 41])
     def test_round_trip(self, k):
