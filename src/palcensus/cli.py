@@ -341,8 +341,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     constants.add_argument(
         "--method", choices=["closed-form"],
-        help="for h: check the functional equation's digits against the count "
-        "series, summed once to a tail of at most 10**-(DIGITS+2)",
+        help="for h: step D's own functional equation, not gamma's, and check its digits "
+        "against the count series, summed once to a tail of at most 10**-(DIGITS+2)",
     )
     constants.add_argument(
         "--terms", type=int, default=7,
@@ -401,13 +401,13 @@ def main(argv=None) -> int:
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 141
     except ValueError as error:
-        # either class is raised only once its module is loaded, so these
-        # imports cost nothing when they match
-        from .constants import CertificationError
-        from .recurrences import CacheMismatchError
-
+        # each exit-1 class is raised only once its module is loaded, so it is looked
+        # up, not imported (an absent module gives ()): a usage error loads neither
+        failures = tuple(getattr(sys.modules.get(f"{__package__}.{module}"), name, ())
+                         for module, name in (("constants", "CertificationError"),
+                                              ("recurrences", "CacheMismatchError")))
         print(f"error: {error}", file=sys.stderr)
-        return 1 if isinstance(error, (CertificationError, CacheMismatchError)) else 2
+        return 1 if isinstance(error, failures) else 2
 
 
 if __name__ == "__main__":

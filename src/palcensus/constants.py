@@ -8,10 +8,10 @@ expansion.
 
 The key series is D(X) = sum over n >= 1 of r(n) * X**n, where r(n) is the
 fraction of length-n words with no nontrivial palindromic prefix.  Its value
-at X = 1/k gives the limiting density of that family.  Every certified
-decimal report steps a functional equation down from X = 1/k, reading no
-count: D's for h and ρ, Nielsen's for γ.  The count series, summed by one
-integer kernel, are their references and give the square-prefix densities.
+at X = 1/k gives the limiting density of that family.  Every certified decimal
+report steps Nielsen's equation for γ, reading no count; ρ and h follow from γ
+by an identity proved at pal_free_density.  D's functional equation and the
+count series are their references; the series give the square-prefix densities.
 """
 
 from __future__ import annotations
@@ -63,17 +63,17 @@ class Enclosure(_Record):
     def width(self) -> Fraction:
         return Fraction(self.high - self.low, self.denominator)
 
-    def complement(self, a: int, b: int = 1) -> Enclosure:
-        """The enclosure of a - b * x for x in this one, b >= 0."""
+    def complement(self, a: int, b: int = 1, c: int = 1) -> Enclosure:
+        """The enclosure of (a - b * x) / c for x in this one, b >= 0, c > 0."""
         scaled = a * self.denominator
-        return Enclosure(scaled - b * self.high, scaled - b * self.low, self.denominator)
+        return Enclosure(scaled - b * self.high, scaled - b * self.low, c * self.denominator)
 
     def truncation_agreed(self, digits: int) -> int | None:
-        """floor(10**digits * max(lower, 0)) if it equals floor(10**digits * upper),
-        else None: every constant enclosed here, a density or D(1/k), is nonnegative."""
+        """floor(10**digits * lower) if it is nonnegative and equals
+        floor(10**digits * upper), else None: every constant reported is nonnegative."""
         scale = 10 ** digits
-        low = max(self.low, 0) * scale // self.denominator
-        return low if low == self.high * scale // self.denominator else None
+        low = self.low * scale // self.denominator
+        return low if 0 <= low == self.high * scale // self.denominator else None
 
 
 class DecimalReport(_Record):
@@ -118,12 +118,9 @@ def _series_enclosure(k: int, counts, N: int) -> Enclosure:
 
 
 def density_series(k: int, x, N: int) -> Enclosure:
-    """Enclosure of D(x) from the first N terms, one Fraction per term.
-
-    The coefficients lie in [0, 1], so the tail after N terms is at most the
-    geometric remainder x**(N+1) / (1-x); needs 0 < x < 1.  At x = 1/k this
-    is the independent reference for density_series_enclosure.
-    """
+    """Enclosure of D(x), 0 < x < 1, from N terms, one Fraction per term, and the
+    tail, at most x**(N+1) / (1-x) as the coefficients lie in [0, 1].  At x = 1/k
+    it is the independent reference for density_series_enclosure."""
     x = Fraction(x)
     if not 0 < x < 1:
         raise ValueError(f"series argument must satisfy 0 < x < 1, got {x}")
@@ -176,6 +173,12 @@ def _nielsen_enclosure(k: int, j: int) -> Enclosure:
     return u.complement(2)
 
 
+def _h_enclosure(k: int, j: int) -> Enclosure:
+    """Enclosure of h = D(1/k) = (2(k-1) - (k-2) γ) / (k**2 - 1), exactly 2/3 at k = 2,
+    from j Nielsen steps, as ρ = 2 - (k+1) h and (k-1) ρ = (k-2) γ (pal_free_density)."""
+    return _nielsen_enclosure(k, j).complement(2 * (k - 1), k - 2, k * k - 1)
+
+
 # the largest digit request: it bounds the closed-form report's series
 # reference, about 3.32 (digits + 2) / log2(k) terms (33 226 at k = 2)
 MAX_DIGITS = 10_000
@@ -185,10 +188,9 @@ _DEPTH_CAP = (4 * MAX_DIGITS + 11).bit_length() - 2
 
 
 def _refine(make_enclosure, digits: int, depth_cap: int = _DEPTH_CAP) -> int:
-    """floor(10**digits * c) at the first depth 1, 2, ..., depth_cap whose
-    enclosure of c is at most 10**-(digits+2) wide and whose bounds, the lower
-    read as max(lower, 0) (so ρ(2) = 0 is certified), truncate alike, else
-    CertificationError.  The request must lie in 1..MAX_DIGITS."""
+    """floor(10**digits * c), digits in 1..MAX_DIGITS, at the first depth 1, ..., depth_cap
+    whose enclosure of c is at most 10**-(digits+2) wide and whose bounds truncate alike,
+    the lower to a nonnegative value, else CertificationError."""
     if not 1 <= digits <= MAX_DIGITS:
         raise ValueError(f"digits must lie in 1..{MAX_DIGITS}, got {digits}")
     for depth in range(1, depth_cap + 1):
@@ -201,8 +203,9 @@ def _refine(make_enclosure, digits: int, depth_cap: int = _DEPTH_CAP) -> int:
 
 
 def density_series_report(k: int, digits: int) -> DecimalReport:
-    """D(1/k) certified by its functional equation alone; the series is its reference."""
-    truncation = _refine(lambda j: _functional_enclosure(k, j), digits)
+    """h = D(1/k), certified through γ's stepper by the identity proved at
+    pal_free_density; D's functional equation and the series are its references."""
+    truncation = _refine(lambda j: _h_enclosure(k, j), digits)
     return DecimalReport(_rendered(truncation, digits))
 
 
@@ -218,13 +221,11 @@ def closed_form_report(k: int, terms: int, digits: int) -> DecimalReport:
     N = max(1, math.ceil((digits + 2) / math.log10(k)) - 1)
     while (k - 1) * k ** N < 10 ** (digits + 2):
         N += 1
-    # D(1/k) > 0, so the series bounds truncate without a clamp
     series, scale = density_series_enclosure(k, N), 10 ** digits
     if not series.low * scale // series.denominator <= truncation <= (
             series.high * scale // series.denominator):
         raise CertificationError(
-            f"the functional equation and the series disagree at {digits} digits"
-        )
+            f"the functional equation and the series disagree at {digits} digits")
     return DecimalReport(_rendered(truncation, digits))
 
 
@@ -239,9 +240,15 @@ def pal_free_density_enclosure(k: int, N: int) -> Enclosure:
 
 
 def pal_free_density(k: int, digits: int) -> DecimalReport:
-    """The limiting no-palindromic-prefix density, certified to the requested
-    number of decimal places by D's functional equation alone."""
-    truncation = _refine(lambda j: _functional_enclosure(k, j).complement(2, k + 1), digits)
+    """The limiting no-palindromic-prefix density ρ = (k-2)/(k-1) γ, certified
+    through γ's stepper; at k = 2 it is exactly 0.
+
+    Proof: with the counts p(n) = k p(n-1) - p(ceil(n/2)) (no palindromic prefix) and
+    u(n) = k u(n-1) - [n even] u(n/2) (unbordered), d(n) = (k-1) p(n) - (k-2) u(n) is
+    p(n//2 + 1): d(1) = k = p(1), d(2m+1) = k d(2m) - (k-1) p(m+1) = p(m+1), and d(2m) =
+    k d(2m-1) - d(m) = k p(m) - p(m//2 + 1) = p(m+1), as ceil((m+1)/2) = m//2 + 1.
+    Divided by k**n, p(n//2 + 1) <= k**(n//2 + 1) vanishes: (k-1) ρ = (k-2) γ."""
+    truncation = _refine(lambda j: _h_enclosure(k, j).complement(2, k + 1), digits)
     return DecimalReport(_rendered(truncation, digits))
 
 
@@ -267,24 +274,17 @@ def unbordered_density(k: int, digits: int) -> DecimalReport:
     return DecimalReport(_rendered(truncation, digits))
 
 
-def square_prefix_densities(
-    k: int, n: int, min_square: CountSeq
-) -> tuple[Enclosure, Enclosure]:
-    """Enclosures for the limiting densities of words with and without a
-    square prefix.
-
-    The with-square density is the sum over i of min_square(i) / k**(2i);
-    truncating after n terms undershoots by at most k**(-n) / (k-1) because
-    min_square(i) never exceeds k**i.  The square-free density is its
-    complement in 1.  Requires min_square to hold 1..n.
-    """
+def square_prefix_densities(k: int, n: int, min_square: CountSeq) -> tuple[Enclosure, Enclosure]:
+    """Enclosures for the limiting densities of words with and without a square
+    prefix, from min_square at 1..n: the with-square density is the sum over i of
+    min_square(i) / k**(2i), and its n terms undershoot by at most k**(-n) / (k-1),
+    as min_square(i) <= k**i.  The square-free density is its complement in 1."""
     with_square = _series_enclosure(k, (min_square[i] for i in range(1, n + 1)), n)
     return with_square, with_square.complement(1)
 
 
 def unbordered_density_estimate(k: int, n: int) -> DecimalReport:
     """u(n) / k**n truncated to 16 places: an uncertified approximation of
-    γ, within k**-(n//2) / (k-1) above it.  Nothing in the package calls it;
-    it stays only for the benchmark's gamma op until the benchmark revision
-    (ROADMAP item 3).  unbordered_density certifies γ."""
+    γ, within k**-(n//2) / (k-1) above it, kept only for the benchmark's gamma
+    op until the benchmark revision.  unbordered_density certifies γ."""
     return DecimalReport(decimal_string(Fraction(unbordered_counts(k, n)[n], k ** n), 16))

@@ -23,6 +23,7 @@ from .census import (
 )
 from .constants import (
     _functional_enclosure,
+    _h_enclosure,
     _nielsen_enclosure,
     density_series,
     density_series_enclosure,
@@ -214,10 +215,17 @@ def _times(k: int, counter: Counter) -> Counter:
     return Counter({key: k * count for key, count in counter.items()})
 
 
+def _count_identity(k: int, n: int, p, u) -> bool:
+    """(k-1) p(n) = (k-2) u(n) + p(n//2 + 1) for the no-palindromic-prefix counts p and
+    the unbordered counts u, proved at constants.pal_free_density: it ties each
+    family's counts to the other's."""
+    return (k - 1) * p[n] == (k - 2) * u[n] + p[n // 2 + 1]
+
+
 def suite_counts(k_max: int, n_max: int, budget: int) -> SuiteResult:
     """The census equals a naive filter over all words and every family's
-    sequence; its profile counters equal the naive ones and obey the parity
-    laws."""
+    sequence, and on both routes the two families obey the count identity; its
+    profile counters equal the naive ones and obey the parity laws."""
     result = SuiteResult("counts")
     even, odd = ProfileKind.EVEN_PP_ORDERS, ProfileKind.ODD_PP_ORDERS
     for k in range(2, k_max + 1):
@@ -228,11 +236,11 @@ def suite_counts(k_max: int, n_max: int, budget: int) -> SuiteResult:
             family: family_counts(k, max(lengths), family, budget=budget)
             for family in Family
         }
-        counters = {}
+        counters, counted = {}, {family: {} for family in Family}
         for n in lengths:
             families, profiles = _naive_census(k, n)
             for family in Family:
-                got = census_family(k, n, family, budget=budget)
+                got = counted[family][n] = census_family(k, n, family, budget=budget)
                 for route, other in (
                     ("naive filter", families[family]),
                     ("recurrence", sequences[family][n]),
@@ -243,6 +251,11 @@ def suite_counts(k_max: int, n_max: int, budget: int) -> SuiteResult:
                             f"census {got}, {route} {other}"
                         )
                     result.checks += 1
+            for route, counts in (("census", counted), ("recurrences", sequences)):
+                if not _count_identity(k, n, counts[Family.NO_PAL_PREFIX],
+                                       counts[Family.UNBORDERED]):
+                    result.fail(f"count identity failed on the {route} at k={k}, n={n}")
+                result.checks += 1
             for kind in ProfileKind:
                 counters[n, kind] = _profile_counter(k, n, kind, budget=budget)
                 if counters[n, kind] != profiles[kind]:
@@ -308,9 +321,9 @@ def suite_recurrences(k_max: int, n_max: int, budget: int) -> SuiteResult:
 
 def suite_constants(k_max: int, n_max: int, budget: int) -> SuiteResult:
     """Enclosures match the per-term reference and nest, the functional
-    equation balances, its iterated enclosure meets the series enclosure
-    and shrinks doubly exponentially, the density bounds hold, and the
-    count ratios approach their limiting densities at the proved rates."""
+    equation balances, its iterated enclosure and the h derived from γ's meet
+    the series enclosure and each other and shrink doubly exponentially, the
+    density bounds hold, and the count ratios approach their limits at the proved rates."""
     result = SuiteResult("constants")
     for k in range(2, max(k_max, 3) + 1):
         # one Fraction per term: the stepper checks below read the kernel to 256
@@ -332,13 +345,14 @@ def suite_constants(k_max: int, n_max: int, budget: int) -> SuiteResult:
             if max(direct.lower, low) > min(direct.upper, high):
                 result.fail(f"functional equation enclosures disjoint at k={k}, x={x}")
             result.checks += 1
-    # the two certified routes to D(1/k) and to γ, paired so that their widths
+    # the certified routes to D(1/k), to γ and to h from γ, paired so that their widths
     # are comparable: about k**-N for the series, k**(1 - 2**(j+2)) for depth j
     for k in range(2, max(k_max, 5) + 1):
         for N, j in ((16, 1), (16, 2), (64, 3), (64, 4), (256, 5), (256, 6)):
             for name, stepper, reference, slack in (
                 ("functional-equation", _functional_enclosure, density_series_enclosure, 3),
                 ("Nielsen-equation", _nielsen_enclosure, unbordered_density_enclosure, 4),
+                ("gamma-derived h", _h_enclosure, density_series_enclosure, 4),
             ):
                 closed, series = stepper(k, j), reference(k, N)
                 if max(closed.lower, series.lower) > min(closed.upper, series.upper):
@@ -347,6 +361,11 @@ def suite_constants(k_max: int, n_max: int, budget: int) -> SuiteResult:
                 if closed.width * k ** (2 ** (j + 2) - slack) > 1:
                     result.fail(f"{name} enclosure too wide at k={k}, j={j}")
                 result.checks += 2
+            # (k-1) ρ = (k-2) γ through D's stepper, which reads neither γ nor ρ
+            derived, functional = _h_enclosure(k, j), _functional_enclosure(k, j)
+            if max(derived.lower, functional.lower) > min(derived.upper, functional.upper):
+                result.fail(f"gamma-derived h left D's enclosure at k={k}, j={j}")
+            result.checks += 1
     for k in range(2, max(k_max, 5) + 1):
         # at depth 1 the with-square enclosure's top is the bound 1/(k-1) itself
         depths = _lengths(k, 7, budget)

@@ -662,34 +662,42 @@ NO_SEQUENCES = NO_POOL + ("palcensus.constants", "palcensus.recurrences")
 
 
 @pytest.mark.parametrize(
-    "argv,absent",
+    "argv,absent,code",
     [
-        (["map", "--map", "f", "--k", "2", "--word", "0110"], NO_SEQUENCES),
-        (["shuffle-order", "--n", "7"], NO_SEQUENCES),
+        (["map", "--map", "f", "--k", "2", "--word", "0110"], NO_SEQUENCES, "0"),
+        (["shuffle-order", "--n", "7"], NO_SEQUENCES, "0"),
         (
             ["count", "--k", "2", "--n-max", "8", "--family", "unbordered",
              "--jobs", "1"],
-            NO_POOL,
+            NO_POOL, "0",
         ),
         # below the in-process cutoff more jobs start no pool
         (
             ["count", "--k", "2", "--n-min", "19", "--n-max", "19",
              "--family", "min-square", "--method", "brute", "--jobs", "2"],
-            NO_POOL,
+            NO_POOL, "0",
         ),
         (
             ["constants", "--k", "3", "--which", "h", "--method", "closed-form"],
-            NO_POOL,
+            NO_POOL, "0",
         ),
         # every suite, at bounds small enough to run in process
         (
             ["verify", "--suite", "all", "--k-max", "2", "--n-max", "6"],
-            ("concurrent.futures", "dataclasses", "inspect"),
+            ("concurrent.futures", "dataclasses", "inspect"), "0",
         ),
+        # usage errors load no module only to choose their exit code
+        (
+            ["count", "--k", "2", "--n-min", "27", "--n-max", "28",
+             "--family", "unbordered", "--method", "brute"],
+            ("palcensus.constants", "palcensus.verify"), "2",
+        ),
+        (["map", "--map", "f", "--k", "2", "--word", "3"], NO_SEQUENCES, "2"),
     ],
-    ids=["map", "shuffle-order", "count", "count-jobs-2", "constants", "verify"],
+    ids=["map", "shuffle-order", "count", "count-jobs-2", "constants", "verify",
+         "count-over-budget", "map-bad-symbol"],
 )
-def test_start_up_imports_only_what_the_command_runs(argv, absent):
+def test_start_up_imports_only_what_the_command_runs(argv, absent, code):
     # no command scans a word with word_profile, so none builds a kernel
     script = (
         "import sys\n"
@@ -703,8 +711,8 @@ def test_start_up_imports_only_what_the_command_runs(argv, absent):
         [sys.executable, "-c", script, *argv],
         capture_output=True, text=True, env=_child_env(), timeout=60, check=True,
     )
-    code, built, *loaded = done.stdout.splitlines()[-1].split()
-    assert (code, built) == ("0", "0")
+    returned, built, *loaded = done.stdout.splitlines()[-1].split()
+    assert (returned, built) == (code, "0")
     assert "palcensus.cli" in loaded
     assert not set(absent) & set(loaded)
 

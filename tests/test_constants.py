@@ -1,6 +1,7 @@
 """Enclosures, certified digits, the functional-equation route, and the
 density reports."""
 
+import hashlib
 import json
 import sys
 import time
@@ -16,6 +17,7 @@ from palcensus.constants import (
     CertificationError,
     Enclosure,
     _functional_enclosure,
+    _h_enclosure,
     _nielsen_enclosure,
     _refine,
     closed_form_report,
@@ -114,6 +116,14 @@ class TestEnclosure:
         assert Enclosure(123, 124, 1000).truncation_agreed(2) == 12
         straddling = Enclosure(199, 201, 1000)
         assert straddling.truncation_agreed(1) is None
+        # a lower bound below 0 never certifies, even where both bounds floor
+        # alike; every reported constant is nonnegative
+        assert Enclosure(-1, 1, 1000).truncation_agreed(2) is None
+        assert Enclosure(-3, -2, 1000).truncation_agreed(1) is None
+
+    def test_complement_with_a_divisor(self):
+        # (3 - 2x) / 5 over x in [1/4, 1/2] is [2/5, 1/2]
+        assert Enclosure(1, 2, 4).complement(3, 2, 5) == Enclosure(4, 5, 10)
 
 
 class TestDensitySeries:
@@ -418,12 +428,51 @@ class TestPalFreeDensity:
 
     def test_binary_density_vanishes(self):
         # two no-prefix words per length force the limiting density to zero;
-        # the enclosure straddles it, and the report certifies zeros because
-        # it reads the lower bound of a density as at least 0
+        # the series enclosure straddles it, while the report reads γ's
+        # stepper through (k-1) ρ = (k-2) γ, exactly 0 at k = 2 at every depth
         enclosure = pal_free_density_enclosure(2, 64)
         assert enclosure.lower < 0 < enclosure.upper
+        for j in (1, 5):
+            assert _h_enclosure(2, j).complement(2, 3) == Enclosure(0, 0, 1)
         for digits in (1, 10, 60, 1000):
             assert pal_free_density(2, digits).value == "0." + "0" * digits
+
+    def test_binary_reports_are_exact_at_depth_one(self, monkeypatch):
+        # ρ(2) = 0 and h(2) = 2/3 have enclosures of width 0, so the first
+        # depth certifies any number of digits
+        depths = []
+        stepper = constants._nielsen_enclosure
+
+        def counted(k, j):
+            depths.append(j)
+            return stepper(k, j)
+
+        monkeypatch.setattr(constants, "_nielsen_enclosure", counted)
+        for digits in (1, 60, 1000, 10000):
+            depths.clear()
+            assert pal_free_density(2, digits).value == "0." + "0" * digits
+            assert density_series_report(2, digits).value == "0." + "6" * digits
+            assert depths == [1, 1]
+
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_reports_need_no_functional_equation(self, monkeypatch, k):
+        # SHA-256 prefixes of the 10 000-digit h, ρ and γ as D's stepper
+        # certified h and ρ; γ's stepper alone must reproduce them
+        certified = {
+            2: ("f4304be04f6514f5", "05a8dec685ce9110", "64d6efb686f409b0"),
+            3: ("fe7c83ad18125a62", "d5213f3aacd6cdd1", "1dd682d301ee9818"),
+            4: ("3c5bcda5e1276011", "d77144f9c427dff8", "9e72ef2bcf8ae821"),
+        }
+
+        def refused(*args):
+            raise AssertionError("a decimal report stepped D's functional equation")
+
+        monkeypatch.setattr(constants, "_functional_enclosure", refused)
+        digests = tuple(
+            hashlib.sha256(report(k, 10000).value.encode()).hexdigest()[:16]
+            for report in (density_series_report, pal_free_density, unbordered_density)
+        )
+        assert digests == certified[k]
 
     def test_ratios_approach_the_density(self):
         from palcensus.recurrences import no_pal_prefix_ratios

@@ -485,6 +485,29 @@ def _nielsen_enclosure_planted(
     return u.complement(2)
 
 
+def _h_enclosure_planted(k, j, *, scale=lambda k: (k - 2, k - 1)):
+    # h = (2 - ρ) / (k+1) with ρ = (b/c) γ, (b, c) = scale(k): (k-2, k-1) is the
+    # proved identity
+    b, c = scale(k)
+    return constants._nielsen_enclosure(k, j).complement(2 * c, b, c * (k + 1))
+
+
+def _count_identity_with_coefficient_k(k, n, p, u):
+    return k * p[n] == (k - 2) * u[n] + p[n // 2 + 1]
+
+
+def _count_identity_at_half_rounded_up(k, n, p, u):
+    # p(ceil(n/2)) in place of p(n//2 + 1): at k = 2 both sides read the
+    # constant binary count 2, so only k >= 3 can show it
+    return (k - 1) * p[n] == (k - 2) * u[n] + p[(n + 1) // 2]
+
+
+def _no_pal_prefix_back_one_index_late(m, kept):
+    # the back term of m - 1, p(ceil((m-1)/2)), in place of p(ceil(m/2)): it
+    # differs at odd m, and not at k = 2, where every p(m) is 2
+    return kept[m // 2]
+
+
 def test_planted_engine_without_a_change_is_the_engine():
     for k in (2, 3, 5):
         for j in (0, 1, 4):
@@ -492,6 +515,7 @@ def test_planted_engine_without_a_change_is_the_engine():
                 k, j
             )
             assert _nielsen_enclosure_planted(k, j) == constants._nielsen_enclosure(k, j)
+            assert _h_enclosure_planted(k, j) == constants._h_enclosure(k, j)
 
 
 def _shuffle_order_planted(n, *, halve=True, strip_repeats=True):
@@ -602,6 +626,42 @@ def _case(module, name, planted, suite, failure, *, id, k=2):
             "constants",
             "functional-equation enclosure left the series enclosure at k=2, N=16, j=1",
             id="functional-quadratic-term-dropped",
+        ),
+        # γ's stepper reads no part of D's: the γ-derived h leaves D's enclosure
+        _case(
+            verify, "_functional_enclosure",
+            lambda k, j: _functional_enclosure_planted(k, j, quadratic=False),
+            "constants", "gamma-derived h left D's enclosure at k=2, j=1",
+            id="functional-quadratic-term-dropped-against-gamma",
+        ),
+        # (k-1)/(k-2) has no value at k = 2, where ρ = 0 is kept
+        _case(
+            verify, "_h_enclosure",
+            lambda k, j: _h_enclosure_planted(
+                k, j, scale=lambda k: (k - 1, k - 2) if k > 2 else (0, 1)),
+            "constants", "gamma-derived h enclosure left the series enclosure at k=3, N=16, j=1",
+            id="gamma-derived-h-scale-inverted", k=3,
+        ),
+        _case(
+            verify, "_h_enclosure",
+            lambda k, j: _h_enclosure_planted(k, j, scale=lambda k: (k - 2, k)),
+            "constants", "gamma-derived h left D's enclosure at k=3, j=1",
+            id="gamma-derived-h-coefficient-k", k=3,
+        ),
+        _case(
+            verify, "_count_identity", _count_identity_with_coefficient_k,
+            "counts", "count identity failed on the census at k=2, n=1",
+            id="count-identity-coefficient-k",
+        ),
+        _case(
+            verify, "_count_identity", _count_identity_at_half_rounded_up,
+            "counts", "count identity failed on the recurrences at k=3, n=2",
+            id="count-identity-half-rounded-up", k=3,
+        ),
+        _case(
+            recurrences, "_no_pal_prefix_back", _no_pal_prefix_back_one_index_late,
+            "counts", "count identity failed on the recurrences at k=3, n=3",
+            id="no-pal-prefix-back-term-late", k=3,
         ),
         _case(
             verify, "_functional_enclosure",
