@@ -11,12 +11,12 @@ __version__ = "0.1.0"
 
 _EXPORTS = {
     "census": (
-        "DEFAULT_BUDGET", "BudgetExceededError", "Family", "ProfileKind",
-        "census_family", "census_profile", "list_profile",
+        "DEFAULT_BUDGET", "BudgetExceededError", "CheckFailure", "Family",
+        "ProfileKind", "census_family", "census_profile", "list_profile",
     ),
     "constants": (
         "CertificationError", "DecimalReport", "Enclosure",
-        "closed_form_report", "decimal_string", "density_series",
+        "closed_form_report", "density_series",
         "density_series_enclosure", "density_series_report",
         "pal_free_density", "pal_free_density_enclosure",
         "square_prefix_densities", "unbordered_density",

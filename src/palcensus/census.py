@@ -26,13 +26,12 @@ from __future__ import annotations
 
 import itertools
 import math
-import operator
 import os
 from collections import Counter
 from enum import Enum
 from functools import lru_cache
 
-from .words import Word, _entries
+from .words import Word, _alphabet, _entries
 
 DEFAULT_BUDGET = 1 << 26
 # the k**L completions of one prefix are the bits of an integer of at most
@@ -67,6 +66,10 @@ class BudgetExceededError(ValueError):
     """Enumerating the requested space would exceed the configured budget."""
 
 
+class CheckFailure(ValueError):
+    """A computed result failed its check: the command line exits 1 for each one."""
+
+
 class Family(Enum):
     """Word families counted by the census.
 
@@ -90,24 +93,14 @@ class ProfileKind(Enum):
     ODD_PP_ORDERS = "odd-pp"
 
 
-def _check_budget(k: int, n: int, budget: int) -> None:
-    # every census entry point passes here, so it also guards the alphabet
-    try:
-        alphabet = operator.index(k) >= 2
-    except TypeError:
-        alphabet = False
-    if not alphabet:
-        raise ValueError(f"census needs an alphabet of size k >= 2, got k={k}")
+def _check_budget(k: int, n: int, budget: int) -> int:
+    """k through the alphabet check, if its k**n words fit the budget."""
+    k = _alphabet(k, 2)
     space = k ** n
     if space > budget:
         raise BudgetExceededError(
-            f"enumerating {k}**{n} = {space} words exceeds the budget of {budget}"
-        )
-
-
-def _check_jobs(jobs: int) -> None:
-    if jobs < 1:
-        raise ValueError(f"jobs must be at least 1, got {jobs}")
+            f"enumerating {k}**{n} = {space} words exceeds the budget of {budget}")
+    return k
 
 
 def _words_up_to_renaming(k: int, n: int):
@@ -384,13 +377,15 @@ def _census(
 _memo: dict = {}
 
 
-def _memoised(key: tuple, budget: int, count, *arguments):
-    """_memo[key] for key = (k, n, ...), counted as count(*arguments) within
-    the budget on a miss."""
-    if key not in _memo:
-        _check_budget(key[0], key[1], budget)
-        _memo[key] = count(*arguments)
-    return _memo[key]
+def _memoised(count, k: int, n: int, what, budget: int, jobs: int):
+    """_memo[k, n, what], counted as count(k, n, what, jobs) within the budget on a
+    miss; the key holds k through the alphabet check, so 3.0 never reads 3's count."""
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
+    k = _alphabet(k, 2)
+    if (k, n, what) not in _memo:
+        _memo[k, n, what] = count(_check_budget(k, n, budget), n, what, jobs)
+    return _memo[k, n, what]
 
 
 def _count_family(k: int, n: int, family: Family, jobs: int) -> int:
@@ -409,10 +404,9 @@ def census_family(
     """
     if n < 1:
         raise ValueError(f"census needs n >= 1, got n={n}")
-    _check_jobs(jobs)
     complement = family is Family.HAS_SQUARE_PREFIX
     walked = Family.NO_SQUARE_PREFIX if complement else family
-    value = _memoised((k, n, walked), budget, _count_family, k, n, walked, jobs)
+    value = _memoised(_count_family, k, n, walked, budget, jobs)
     return k ** n - value if complement else value
 
 
@@ -428,8 +422,7 @@ def _profile_counter(
     k: int, n: int, kind: ProfileKind, *, budget: int = DEFAULT_BUDGET, jobs: int = 1
 ) -> Counter:
     """{profile set of the kind: number of length-n words with it}."""
-    _check_jobs(jobs)
-    return _memoised((k, n, kind), budget, _count_profile, k, n, kind, jobs)
+    return _memoised(_count_profile, k, n, kind, budget, jobs)
 
 
 def _validate_profile_set(n: int, profile_set) -> frozenset[int]:
@@ -470,7 +463,7 @@ def list_profile(
     MAX_LISTED_WORDS words of length n, the census counts the list first and
     refuses one that long before building any word."""
     wanted = _validate_profile_set(n, profile_set)
-    _check_budget(k, n, budget)
+    k = _check_budget(k, n, budget)
     if k ** n > MAX_LISTED_WORDS:
         count = census_profile(k, n, kind, wanted, budget=budget)
         if count > MAX_LISTED_WORDS:

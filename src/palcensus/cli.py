@@ -5,9 +5,9 @@ Subcommands reproduce the count tables (count), apply the maps to words
 (constants), compute shuffle orders (shuffle-order), and run the
 cross-checking suites (verify).
 
-Exit codes: 0 on success, 1 on a verification or certification failure,
-2 on a usage error (including exceeding the enumeration budget), 141 when
-the reader closes stdout early (as a shell reports a tool SIGPIPE ends).
+Exit codes: 0 on success, 1 on a failed verification or census.CheckFailure,
+2 on any other ValueError (usage, an exceeded budget), 141 when the reader
+closes stdout early (as a shell reports a tool SIGPIPE ends).
 Identical invocations produce byte-identical output.
 """
 
@@ -18,9 +18,10 @@ import math
 import os
 import sys
 
-# the parser needs only these; each command imports what it runs, so a
-# fresh process loads no more of the package than its command needs
-from .census import DEFAULT_BUDGET, MAX_LISTED_WORDS, Family, ProfileKind
+# the parser and main (CheckFailure) need only these; each command imports what
+# it runs, so a fresh process loads no more of the package than its command needs
+from .census import DEFAULT_BUDGET, MAX_LISTED_WORDS, CheckFailure, Family, ProfileKind
+from .words import _alphabet
 
 # verify.SUITES in run order, spelled out so that the parser need not
 # import verify (a test keeps the two equal)
@@ -68,19 +69,19 @@ def _cmd_count(args) -> int:
     if args.n_max < args.n_min:
         raise ValueError(f"--n-max must be at least --n-min {args.n_min}, got {args.n_max}")
     # every count is at most k**n: refuse up front any that Python could not print
-    digits = sys.int_info.default_max_str_digits
-    if args.k > 1 and args.n_max * math.log10(args.k) >= digits:
+    k, digits = _alphabet(args.k, 2), sys.int_info.default_max_str_digits
+    if args.n_max * math.log10(k) >= digits:
         raise ValueError(
-            f"--n-max must keep k**n below 10**{digits}, got {args.n_max} at k={args.k}")
+            f"--n-max must keep k**n below 10**{digits}, got {args.n_max} at k={k}")
     ns = range(args.n_min, args.n_max + 1)
     brute = {}
     if args.method in ("brute", "both"):
         for n in ns:
-            brute[n] = census_family(args.k, n, family, budget=args.budget, jobs=args.jobs)
+            brute[n] = census_family(k, n, family, budget=args.budget, jobs=args.jobs)
     recurrence = {}
     if args.method in ("recurrence", "both"):
         recurrence = family_counts(
-            args.k, args.n_max, family, cache=_cache_store(args),
+            k, args.n_max, family, cache=_cache_store(args),
             budget=args.budget, verify_cache=args.verify_cache, jobs=args.jobs,
         )
 
@@ -401,13 +402,8 @@ def main(argv=None) -> int:
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 141
     except ValueError as error:
-        # each exit-1 class is raised only once its module is loaded, so it is looked
-        # up, not imported (an absent module gives ()): a usage error loads neither
-        failures = tuple(getattr(sys.modules.get(f"{__package__}.{module}"), name, ())
-                         for module, name in (("constants", "CertificationError"),
-                                              ("recurrences", "CacheMismatchError")))
         print(f"error: {error}", file=sys.stderr)
-        return 1 if isinstance(error, failures) else 2
+        return 1 if isinstance(error, CheckFailure) else 2
 
 
 if __name__ == "__main__":

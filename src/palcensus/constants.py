@@ -20,14 +20,15 @@ import math
 from decimal import Decimal
 from fractions import Fraction
 
+from .census import CheckFailure
 from .recurrences import (
-    CountSeq, MissingCountError, _doubling, _no_pal_prefix_back, _unbordered_back,
-    no_pal_prefix_ratios, unbordered_counts,
+    CountSeq, MissingCountError, _doubling, _min_square_alphabet, _no_pal_prefix_back,
+    _unbordered_back, no_pal_prefix_ratios, unbordered_counts,
 )
-from .words import _Record
+from .words import _alphabet, _Record
 
 
-class CertificationError(ValueError):
+class CertificationError(CheckFailure):
     """The requested number of digits could not be certified."""
 
 
@@ -84,20 +85,11 @@ class DecimalReport(_Record):
 
 
 def _rendered(scaled: int, digits: int) -> str:
-    """x >= 0 truncated to `digits` places, from scaled = floor(x * 10**digits),
-    as `whole.frac`, or `whole` at 0 places, at any length: Decimal renders the
-    integers, as int -> str stops at 4300 digits."""
+    """x >= 0 truncated to digits >= 1 places, from scaled = floor(x * 10**digits),
+    as `whole.frac` at any length: Decimal renders the integers, as int -> str
+    stops at 4300 digits."""
     whole, frac = divmod(scaled, 10 ** digits)
-    text = str(Decimal(whole))
-    return f"{text}.{str(Decimal(frac)).zfill(digits)}" if digits else text
-
-
-def decimal_string(x: Fraction, digits: int) -> str:
-    """Truncated decimal expansion of a nonnegative rational; the integer
-    part alone when digits <= 0."""
-    if x < 0:
-        raise ValueError(f"cannot render {x} to {digits} decimal places")
-    return _rendered(math.floor(x * 10 ** max(digits, 0)), max(digits, 0))
+    return f"{Decimal(whole)!s}.{str(Decimal(frac)).zfill(digits)}"
 
 
 # ---------------------------------------------------------------------------
@@ -109,7 +101,8 @@ def _series_enclosure(k: int, counts, N: int) -> Enclosure:
     c(1), c(2), ... of counts in [0, k**n], which must hold N: N terms as one
     integer over k**(2N) by Horner's rule, and the tail, at most k**(-N) / (k-1)."""
     numerator = n = 0
-    for n, count in zip(range(1, N + 1), counts):
+    # zip pulls the stream first, so _doubling checks k and N even at N = 0
+    for count, n in zip(counts, range(1, N + 1)):
         numerator = numerator * k * k + count
     if n < N:
         raise MissingCountError(f"the series needs {N} counts, the stream held {n}")
@@ -144,8 +137,7 @@ def _stepped(k: int, j: int, start, step) -> Enclosure:
     p = k**(2**(i+1) - 1), (a, b) = step(p), b > 0, from A(Y_j) in [low, low + width]
     / denominator, (low, width, denominator) = start(p).  Each step swaps the bounds,
     integer numerators over one shared denominator: no Fraction and no gcd."""
-    if k < 2:
-        raise ValueError(f"the functional equations need k at least 2, got {k}")
+    k = _alphabet(k, 2)
     low, width, denominator = start(k ** (2 ** (j + 1) - 1))
     high = low + width
     for p in (k ** (2 ** e - 1) for e in range(j, 0, -1)):
@@ -214,8 +206,8 @@ def closed_form_report(k: int, terms: int, digits: int) -> DecimalReport:
     (and _DEPTH_CAP) deep, then checked against the series enclosure at the
     fewest terms N whose tail 1/((k-1) k**N) is at most 10**-(digits+2): it
     fails rather than guessing if the depth runs out or that enclosure misses the digits."""
-    if k < 2 or terms < 1:
-        raise ValueError(f"closed form needs k >= 2 and terms >= 1, got {k}, {terms}")
+    if terms < 1:
+        raise ValueError(f"closed form needs terms >= 1, got {terms}")
     depth_cap = min(2 * terms, _DEPTH_CAP)
     truncation = _refine(lambda j: _functional_enclosure(k, j), digits, depth_cap)
     N = max(1, math.ceil((digits + 2) / math.log10(k)) - 1)
@@ -279,6 +271,7 @@ def square_prefix_densities(k: int, n: int, min_square: CountSeq) -> tuple[Enclo
     prefix, from min_square at 1..n: the with-square density is the sum over i of
     min_square(i) / k**(2i), and its n terms undershoot by at most k**(-n) / (k-1),
     as min_square(i) <= k**i.  The square-free density is its complement in 1."""
+    k = _min_square_alphabet(k, n, min_square)
     with_square = _series_enclosure(k, (min_square[i] for i in range(1, n + 1)), n)
     return with_square, with_square.complement(1)
 
@@ -287,4 +280,4 @@ def unbordered_density_estimate(k: int, n: int) -> DecimalReport:
     """u(n) / k**n truncated to 16 places: an uncertified approximation of
     γ, within k**-(n//2) / (k-1) above it, kept only for the benchmark's gamma
     op until the benchmark revision.  unbordered_density certifies γ."""
-    return DecimalReport(decimal_string(Fraction(unbordered_counts(k, n)[n], k ** n), 16))
+    return DecimalReport(_rendered(unbordered_counts(k, n)[n] * 10 ** 16 // k ** n, 16))

@@ -14,15 +14,15 @@ import os
 from fractions import Fraction
 from pathlib import Path
 
-from .census import DEFAULT_BUDGET, Family, census_family
-from .words import _Record
+from .census import DEFAULT_BUDGET, CheckFailure, Family, census_family
+from .words import _alphabet, _Record
 
 
 class MissingCountError(ValueError):
     """A derived sequence or enclosure needs counts that were not supplied."""
 
 
-class CacheMismatchError(ValueError):
+class CacheMismatchError(CheckFailure):
     """A cached count disagrees with its recomputation."""
 
 
@@ -45,11 +45,12 @@ class CountSeq(_Record):
         raise MissingCountError(f"{family} count for k={self.k}, n={n} was not computed")
 
 
-def _require(k: int, N: int) -> None:
-    if k < 2:
-        raise ValueError(f"recurrences need an alphabet of size at least 2, got {k}")
+def _require(k: int, N: int) -> int:
+    """k through the alphabet check, if N is at least 1."""
+    k = _alphabet(k, 2)
     if N < 1:
         raise ValueError(f"sequence length must be at least 1, got {N}")
+    return k
 
 
 def _doubling(k: int, N: int, back):
@@ -57,7 +58,7 @@ def _doubling(k: int, N: int, back):
     kept[m] = c(m) for m <= ceil(N/2) is all that back may read of the stream
     (it may read a sequence of its own), so half the counts are held.  A zero
     back is not subtracted, as x - 0 would copy the big int x."""
-    _require(k, N)
+    k = _require(k, N)
     kept = [0]
     count = k
     for m in range(1, N + 1):
@@ -141,7 +142,7 @@ def min_square_counts(
     per length) and are remembered in the persistent cache when one is given.
     With verify_cache, hits are recomputed and compared byte for byte.
     """
-    _require(k, N)
+    k = _require(k, N)
     values: list[int] = []
     dirty = False
     for n in range(1, N + 1):
@@ -163,6 +164,15 @@ def min_square_counts(
     return CountSeq(k, Family.MIN_SQUARE, tuple(values))
 
 
+def _min_square_alphabet(k: int, N: int, min_square: CountSeq) -> int:
+    """k through _require, if min_square holds minimal-square counts over it."""
+    k = _require(k, N)
+    if min_square.family is not Family.MIN_SQUARE or min_square.k != k:
+        raise ValueError(f"square-prefix counts over k={k} need min-square counts over "
+                         f"k={k}, got {min_square.family.value} counts over k={min_square.k}")
+    return k
+
+
 def square_prefix_counts(
     k: int, N: int, min_square: CountSeq
 ) -> tuple[CountSeq, CountSeq]:
@@ -173,8 +183,9 @@ def square_prefix_counts(
     times k**(n-2i).  Hence has(n) = k * has(n-1) + min_square(n/2) at even
     n, and the free counts free(n) = k**n - has(n) double like the others:
     free(1) = k and free(n) = k * free(n-1) - [n even] * min_square(n/2).
-    Requires min_square to hold every half-length up to N // 2.
+    Requires min_square to hold k's minimal-square counts up to N // 2.
     """
+    k = _min_square_alphabet(k, N, min_square)
     free = tuple(_doubling(k, N, lambda m, kept: 0 if m % 2 else min_square[m // 2]))
     has = tuple(k ** n - count for n, count in enumerate(free, 1))
     return (

@@ -86,6 +86,18 @@ class _Record:
         return type(self), tuple(getattr(self, name) for name in self.__slots__)
 
 
+def _alphabet(k, least: int) -> int:
+    """k as an int of at least `least`, else ValueError: the one alphabet check, for Word
+    (least 1) and every counting layer (least 2).  3.0, Fraction(3) and "3" are refused."""
+    try:
+        size = _index(k)
+    except TypeError:
+        raise ValueError(f"alphabet size must be an integer, got {k!r}") from None
+    if size < least:
+        raise ValueError(f"alphabet size must be at least {least}, got {size}")
+    return size
+
+
 class Word(_Record):
     """A word over the alphabet {0, ..., k-1}.
 
@@ -97,13 +109,7 @@ class Word(_Record):
     symbols: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        # operator.index refuses 0.5, Fraction(1, 2) and Decimal("1")
-        try:
-            k = _index(self.k)
-        except TypeError:
-            raise ValueError(f"alphabet size must be an integer, got {self.k!r}") from None
-        if k < 1:
-            raise ValueError(f"alphabet size must be at least 1, got {k}")
+        k = _alphabet(self.k, 1)
         try:
             for s in map(_index, self.symbols):
                 if not 0 <= s < k:

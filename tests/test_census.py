@@ -127,7 +127,7 @@ class TestFamilyCounts:
         # density covers: every family refuses it before any walk
         for family in Family:
             for n in (1, 2, 1200):
-                with pytest.raises(ValueError, match="k >= 2, got k=1$"):
+                with pytest.raises(ValueError, match="alphabet size must be at least 2, got 1$"):
                     census_family(1, n, family)
 
     def test_argument_validation(self):
@@ -136,14 +136,27 @@ class TestFamilyCounts:
         # one alphabet check guards every entry point (k=0 used to divide
         # by zero in the profiles, k=-2 to list nothing, and k=2.5 to raise
         # a TypeError from the walk)
-        for k in (1, 0, -1, -2, 2.5):
+        refusals = {k: f"at least 2, got {k}$" for k in (1, 0, -1, -2)}
+        for k, message in {**refusals, 2.5: "an integer, got 2.5$"}.items():
             for query in (
                 lambda: census_family(k, 3, Family.UNBORDERED),
                 lambda: census_profile(k, 3, ProfileKind.SHORT_BORDERS, {1}),
                 lambda: list_profile(k, 3, ProfileKind.SHORT_BORDERS, {1}),
             ):
-                with pytest.raises(ValueError, match=f"k >= 2, got k={k}$"):
+                with pytest.raises(ValueError, match=f"alphabet size must be {message}"):
                     query()
+
+    def test_an_integral_float_finds_no_memoised_count(self):
+        # 3.0 == 3 and hash alike, so a memo keyed by the raw k answered
+        # census_family(3.0, ...) once census_family(3, ...) had run
+        assert census_family(3, 4, Family.UNBORDERED) == 48
+        for query in (
+            lambda k: census_family(k, 4, Family.UNBORDERED),
+            lambda k: census_profile(k, 4, ProfileKind.SHORT_BORDERS, ()),
+        ):
+            query(3)
+            with pytest.raises(ValueError, match="alphabet size must be an integer, got 3.0$"):
+                query(3.0)
 
     def test_budget_error_names_the_space(self):
         with pytest.raises(BudgetExceededError, match=r"3\*\*20"):

@@ -1,5 +1,6 @@
 """End-to-end CLI behaviour: output formats, exit codes, determinism."""
 
+import importlib
 import json
 import os
 import subprocess
@@ -296,7 +297,7 @@ class TestProfile:
         # and one letter too: the census needs k >= 2, as the recurrences do
         code, out, err = run(capsys, *command, n, "--k", k)
         assert (code, out) == (2, "")
-        assert err == f"error: census needs an alphabet of size k >= 2, got k={k}\n"
+        assert err == f"error: alphabet size must be at least 2, got {k}\n"
 
 
 class TestConstants:
@@ -652,6 +653,39 @@ class TestVerify:
         with pytest.raises(SystemExit) as outcome:
             main(["verify", "--suite", "nonsense"])
         assert outcome.value.code == 2
+
+
+# the exit code of each ValueError the package defines: 1 for a check that
+# failed, every census.CheckFailure, and 2 for a request refused up front
+EXIT_CODES = {
+    "CheckFailure": 1, "CertificationError": 1, "CacheMismatchError": 1,
+    "BudgetExceededError": 2, "MissingCountError": 2,
+}
+
+
+def _package_value_errors():
+    for module in ("census", "constants", "maps", "recurrences", "verify", "words"):
+        importlib.import_module(f"palcensus.{module}")
+    found, stack = {}, [ValueError]
+    while stack:
+        for subclass in stack.pop().__subclasses__():
+            stack.append(subclass)
+            if subclass.__module__.startswith("palcensus."):
+                found[subclass.__name__] = subclass
+    return found
+
+
+def test_every_package_value_error_has_its_exit_code(capsys, monkeypatch):
+    errors = _package_value_errors()
+    assert sorted(errors) == sorted(EXIT_CODES)
+    for name, error in errors.items():
+        def planted(args, error=error):
+            raise error(f"planted {name}")
+
+        monkeypatch.setattr(cli, "_cmd_shuffle_order", planted)
+        code, out, err = run(capsys, "shuffle-order", "--n", "7")
+        assert (code, out, err) == (EXIT_CODES[name], "", f"error: planted {name}\n")
+        assert (code == 1) == issubclass(error, census.CheckFailure)
 
 
 # modules a short command must not load: the cross-checks, the process pool,

@@ -20,8 +20,8 @@ from palcensus.constants import (
     _h_enclosure,
     _nielsen_enclosure,
     _refine,
+    _rendered,
     closed_form_report,
-    decimal_string,
     density_series,
     density_series_enclosure,
     density_series_report,
@@ -66,29 +66,32 @@ def traced_peak(call) -> int:
         tracemalloc.stop()
 
 
+def truncated(x, places):
+    """floor(x * 10**places), x a Fraction, as the reports render it."""
+    return _rendered(x.numerator * 10 ** places // x.denominator, places)
+
+
 def agreed_digits(a, b, places=2000):
     """How many of the first `places` decimals of two numbers in [0, 1) agree
     before the first difference."""
-    pairs = zip(decimal_string(a, places)[2:], decimal_string(b, places)[2:])
+    pairs = zip(truncated(a, places)[2:], truncated(b, places)[2:])
     return next((i for i, (x, y) in enumerate(pairs) if x != y), places)
 
 
 class TestDecimalRendering:
     def test_truncates(self):
-        assert decimal_string(Fraction(2, 3), 5) == "0.66666"
-        assert decimal_string(Fraction(1, 4), 3) == "0.250"
-        assert decimal_string(Fraction(7, 2), 2) == "3.50"
-        assert decimal_string(Fraction(5), 0) == "5"
-
-    def test_rejects_negative(self):
-        with pytest.raises(ValueError):
-            decimal_string(Fraction(-1, 2), 3)
+        assert truncated(Fraction(2, 3), 5) == "0.66666"
+        assert _rendered(250, 3) == "0.250"
+        assert _rendered(350, 2) == "3.50"
+        assert _rendered(5, 1) == "0.5"
+        assert _rendered(0, 2) == "0.00"
 
     def test_beyond_the_int_string_limit(self):
         limit = sys.get_int_max_str_digits()
-        third = Fraction(1, 3)
-        assert decimal_string(third, 4400) == "0." + "3" * 4400
-        assert Enclosure(1, 1, 3).truncation_agreed(4400) == 10 ** 4400 // 3
+        third = 10 ** 4400 // 3
+        assert _rendered(third, 4400) == "0." + "3" * 4400
+        assert _rendered(10 ** 4400 + third, 4400) == "1." + "3" * 4400
+        assert Enclosure(1, 1, 3).truncation_agreed(4400) == third
         assert sys.get_int_max_str_digits() == limit
 
 
@@ -160,6 +163,14 @@ class TestDensitySeries:
         )
         with pytest.raises(MissingCountError, match="needs 3 counts, the stream held 2"):
             constants._series_enclosure(2, iter([2, 2]), 3)
+
+    def test_no_terms_still_check_the_alphabet(self):
+        # zip pulled no count at N = 0, so k = 3.0 gave a float enclosure
+        for enclose in (density_series_enclosure, unbordered_density_enclosure):
+            with pytest.raises(ValueError, match="alphabet size must be an integer, got 3.0"):
+                enclose(3.0, 0)
+            with pytest.raises(ValueError, match="sequence length must be at least 1, got 0"):
+                enclose(3, 0)
 
     def test_ten_thousand_digits_stream_the_counts(self):
         # the reference series at 10 000 digits, k = 4, sums 2**15 counts of
@@ -409,8 +420,9 @@ class TestClosedForm:
 
     def test_argument_validation(self):
         # usage errors, not certification failures
-        for k, terms in ((1, 6), (3, 0)):
-            with pytest.raises(ValueError, match="needs k >= 2 and terms >= 1") as raised:
+        for k, terms, message in ((1, 6, "alphabet size must be at least 2, got 1"),
+                                  (3, 0, "closed form needs terms >= 1, got 0")):
+            with pytest.raises(ValueError, match=message) as raised:
                 closed_form_report(k, terms, 50)
             assert not isinstance(raised.value, CertificationError)
 
@@ -523,6 +535,11 @@ class TestSquareDensities:
         with pytest.raises(MissingCountError):
             square_prefix_densities(2, 20, min_square_counts(2, 5))
 
+    def test_counts_of_another_alphabet_or_family_rejected(self):
+        for k, other in ((3, min_square_counts(2, 6)), (2, unbordered_counts(2, 6))):
+            with pytest.raises(ValueError, match=f"need min-square counts over k={k}"):
+                square_prefix_densities(k, 6, other)
+
 
 class TestUnborderedDensity:
     @pytest.mark.parametrize("k,prefix", [(2, GAMMA2_PREFIX), (3, GAMMA3_PREFIX)])
@@ -551,8 +568,8 @@ class TestUnborderedDensity:
 
     def test_ratio_at_sixty_agrees_to_nine_places(self):
         ratio = Fraction(unbordered_counts(2, 60)[60], 2 ** 60)
-        assert decimal_string(ratio, 9) == unbordered_density(2, 9).value
-        assert decimal_string(ratio, 10) != unbordered_density(2, 10).value
+        assert truncated(ratio, 9) == unbordered_density(2, 9).value
+        assert truncated(ratio, 10) != unbordered_density(2, 10).value
 
     def test_ten_thousand_digits_hold_no_counts(self):
         # summing the streamed counts allocated a peak of 37 MB (it keeps

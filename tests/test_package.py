@@ -3,10 +3,13 @@ from the module that defines it, and is the same object as there."""
 
 import ast
 import importlib
+import inspect
 import json
 import os
+import re
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -16,12 +19,12 @@ import palcensus
 # the names the package exports, by defining module
 EXPORTED = {
     "census": (
-        "DEFAULT_BUDGET", "BudgetExceededError", "Family", "ProfileKind",
-        "census_family", "census_profile", "list_profile",
+        "DEFAULT_BUDGET", "BudgetExceededError", "CheckFailure", "Family",
+        "ProfileKind", "census_family", "census_profile", "list_profile",
     ),
     "constants": (
         "CertificationError", "DecimalReport", "Enclosure",
-        "closed_form_report", "decimal_string", "density_series",
+        "closed_form_report", "density_series",
         "density_series_enclosure", "density_series_report",
         "pal_free_density", "pal_free_density_enclosure",
         "square_prefix_densities", "unbordered_density",
@@ -43,11 +46,13 @@ EXPORTED = {
 NAMES = [name for names in EXPORTED.values() for name in names]
 
 # the per-word wrappers that only tests called, and their record types;
-# word_profile and the tuple-level scans in words replace them
+# word_profile and the tuple-level scans in words replace them.  The
+# reports render their own digits, so decimal_string went too
 REMOVED = (
-    "Alphabet", "Parity", "border_lengths", "has_nontrivial_pal_prefix",
-    "is_palindrome", "is_unbordered", "pal_prefix_orders", "perfect_shuffle",
-    "reverse", "short_border_lengths", "square_half_lengths", "unshuffle",
+    "Alphabet", "Parity", "border_lengths", "decimal_string",
+    "has_nontrivial_pal_prefix", "is_palindrome", "is_unbordered",
+    "pal_prefix_orders", "perfect_shuffle", "reverse", "short_border_lengths",
+    "square_half_lengths", "unshuffle",
 )
 
 
@@ -120,6 +125,43 @@ def test_the_benchmark_sequences_ops_pass_their_checks(tmp_path):
         timeout=120, check=True,
     )
     assert json.loads(done.stdout.splitlines()[-1])["errors"] == {}
+
+
+def _takes_k_first(value) -> bool:
+    return inspect.isfunction(value) and [*inspect.signature(value).parameters][:1] == ["k"]
+
+
+# every exported function whose first parameter is the alphabet size k, found
+# by its signature, so that a new entry point is covered as it is exported
+ALPHABET_ENTRIES = [
+    name for name in palcensus.__all__ if _takes_k_first(getattr(palcensus, name))
+]
+
+# a valid argument for each other required parameter, by name
+ARGUMENTS = {
+    "n": 4, "N": 4, "x": Fraction(1, 3), "terms": 7, "digits": 5, "profile_set": (),
+    "family": palcensus.Family.UNBORDERED, "kind": palcensus.ProfileKind.SHORT_BORDERS,
+    # the ternary minimal squares at half-lengths 1..4
+    "min_square": palcensus.CountSeq(3, palcensus.Family.MIN_SQUARE, (3, 6, 18, 48)),
+}
+
+
+def test_the_alphabet_entries_span_every_counting_layer():
+    modules = {getattr(palcensus, name).__module__ for name in ALPHABET_ENTRIES}
+    assert modules == {"palcensus.census", "palcensus.recurrences", "palcensus.constants"}
+
+
+@pytest.mark.parametrize("name", ALPHABET_ENTRIES)
+def test_every_entry_point_takes_k_through_the_one_gate(name):
+    function = getattr(palcensus, name)
+    required = [parameter.name for parameter in inspect.signature(function).parameters.values()
+                if parameter.default is parameter.empty][1:]
+    arguments = [ARGUMENTS[parameter] for parameter in required]
+    assert function(3, *arguments) is not None
+    for k in (1, 2.5, 3.0, Fraction(3), "3", None):
+        message = "at least 2, got 1" if k == 1 else f"an integer, got {k!r}"
+        with pytest.raises(ValueError, match=re.escape(f"alphabet size must be {message}")):
+            function(k, *arguments)
 
 
 def test_unknown_name_is_an_attribute_error():

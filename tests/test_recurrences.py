@@ -233,6 +233,16 @@ class TestSquareSplit:
         with pytest.raises(MissingCountError):
             square_prefix_counts(2, 12, short)
 
+    def test_counts_of_another_alphabet_or_family_rejected(self):
+        # the binary minimal squares made the ternary free counts
+        # (3, 7, 21, 61, 183, 545), against the true (3, 6, 18, 48, 144, 414)
+        free, _ = square_prefix_counts(3, 6, min_square_counts(3, 3))
+        assert free.values == (3, 6, 18, 48, 144, 414)
+        for other in (min_square_counts(2, 6), no_pal_prefix_counts(3, 6),
+                      CountSeq(3, Family.UNBORDERED, min_square_counts(3, 6).values)):
+            with pytest.raises(ValueError, match="need min-square counts over k=3"):
+                square_prefix_counts(3, 6, other)
+
     @pytest.mark.parametrize("k,N", [(2, 52), (3, 32), (4, 26)])
     def test_matches_the_convolution_of_census_counts(self, k, N):
         # the census min-square counts at every half-length the default
