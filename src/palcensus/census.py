@@ -12,8 +12,8 @@ below a prefix that holds a forbidden pattern, and decides the k**L
 completions of each prefix at once as the bits of one integer: a pattern is
 the AND of letter and pair-equality masks cached per (k, L).  The census
 needs k >= 2, as the recurrences and densities it is checked against do.
-The budget still counts all k**n words (or roots).  The naive scans of the
-words module are the independent route, checked by verify and the tests.
+The budget counts all k**n words (or roots), by the one rule _longest.  The
+naive word scans are the independent route, checked by verify and the tests.
 The walk is cut into blocks below canonical prefixes.  A census whose work
 (the completions its canonical prefixes decide) is below a measured cutoff
 counts a few blocks in-process whatever jobs is (so does every family
@@ -56,7 +56,7 @@ _PROFILE_COST = 5
 # share
 _MIN_BLOCKS = 4
 _BLOCKS_PER_WORKER = 64
-# the most words list_profile builds: a listed word holds about 350 bytes,
+# the most words list_profile builds: a listed word holds about 300 bytes,
 # and `profile --list` printed 70 340 binary words of length 18 in 1.4 s at
 # a peak of 39 MB on a 2-CPU box (140 680 took 2.9 s and 64 MB)
 MAX_LISTED_WORDS = 1 << 16
@@ -93,13 +93,21 @@ class ProfileKind(Enum):
     ODD_PP_ORDERS = "odd-pp"
 
 
+def _longest(k: int, budget: int) -> int:
+    """The one budget rule: the largest n with k**n <= budget (0 when k > budget), k
+    through the alphabet check, found by multiplying up, never past budget * k."""
+    k = _alphabet(k, 2)
+    n, space = 0, k
+    while space <= budget:
+        n, space = n + 1, space * k
+    return n
+
+
 def _check_budget(k: int, n: int, budget: int) -> int:
     """k through the alphabet check, if its k**n words fit the budget."""
     k = _alphabet(k, 2)
-    space = k ** n
-    if space > budget:
-        raise BudgetExceededError(
-            f"enumerating {k}**{n} = {space} words exceeds the budget of {budget}")
+    if n > _longest(k, budget):
+        raise BudgetExceededError(f"enumerating {k}**{n} words exceeds the budget of {budget}")
     return k
 
 
@@ -464,7 +472,7 @@ def list_profile(
     refuses one that long before building any word."""
     wanted = _validate_profile_set(n, profile_set)
     k = _check_budget(k, n, budget)
-    if k ** n > MAX_LISTED_WORDS:
+    if n > _longest(k, MAX_LISTED_WORDS):
         count = census_profile(k, n, kind, wanted, budget=budget)
         if count > MAX_LISTED_WORDS:
             raise BudgetExceededError(

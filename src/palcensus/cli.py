@@ -157,6 +157,7 @@ def _cmd_profile(args) -> int:
 
 
 def _cmd_constants(args) -> int:
+    from .census import _longest
     from .constants import (
         closed_form_report,
         density_series_report,
@@ -176,7 +177,7 @@ def _cmd_constants(args) -> int:
     else:
         c_max = args.c_max
         if c_max is None:  # the largest c <= 20 the budget admits
-            c_max = next((c for c in range(20, 1, -1) if args.k ** c <= args.budget), 1)
+            c_max = max(1, min(20, _longest(args.k, args.budget)))
         min_square = min_square_counts(
             args.k, c_max, cache=_cache_store(args), budget=args.budget,
             verify_cache=args.verify_cache, jobs=args.jobs,

@@ -14,7 +14,7 @@ import os
 from fractions import Fraction
 from pathlib import Path
 
-from .census import DEFAULT_BUDGET, CheckFailure, Family, census_family
+from .census import DEFAULT_BUDGET, CheckFailure, Family, _longest, census_family
 from .words import _alphabet, _Record
 
 
@@ -35,6 +35,7 @@ class CountSeq(_Record):
     values: tuple[int, ...]
 
     def __post_init__(self) -> None:
+        _alphabet(self.k, 2)
         if not isinstance(self.values, tuple):
             raise TypeError(f"CountSeq values must be a tuple, not {type(self.values).__name__}")
 
@@ -102,17 +103,15 @@ _VALIDATION_WORDS = 60_000
 
 
 def _validate_unbordered(k: int, budget: int) -> None:
-    total = 0
+    total, longest = 0, _longest(k, budget)
     for n, value in enumerate(_doubling(k, 14, _unbordered_back), 1):
         total += k ** n
-        if total > _VALIDATION_WORDS or k ** n > budget:
+        if total > _VALIDATION_WORDS or n > longest:
             break
         counted = census_family(k, n, Family.UNBORDERED, budget=budget)
         if value != counted:
-            raise RuntimeError(
-                f"unbordered recurrence disagrees with the census at "
-                f"k={k}, n={n}: {value} != {counted}"
-            )
+            raise CheckFailure(f"unbordered recurrence disagrees with the census at "
+                               f"k={k}, n={n}: {value} != {counted}")
 
 
 def unbordered_counts(k: int, N: int, *, budget: int = DEFAULT_BUDGET) -> CountSeq:
@@ -235,7 +234,7 @@ def no_pal_prefix_ratios(k: int, N: int) -> dict[int, Fraction]:
     for n, count in enumerate(no_pal_prefix_counts(k, N).values, 1):
         values[n] = Fraction(count, k ** n)
         if not 0 <= values[n] <= 1:
-            raise RuntimeError(f"ratio out of range at k={k}, n={n}: {values[n]}")
+            raise CheckFailure(f"ratio out of range at k={k}, n={n}: {values[n]}")
     return values
 
 

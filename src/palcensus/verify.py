@@ -16,6 +16,7 @@ from .census import (
     DEFAULT_BUDGET,
     Family,
     ProfileKind,
+    _longest,
     _profile_counter,
     _words_up_to_renaming,
     census_family,
@@ -91,8 +92,8 @@ class SuiteResult:
         self._count += 1
 
 
-def _lengths(k: int, n_max: int, budget: int):
-    return [n for n in range(1, n_max + 1) if k ** n <= budget]
+def _lengths(k: int, n_max: int, budget: int) -> range:
+    return range(1, min(n_max, _longest(k, budget)) + 1)
 
 
 def _classes(result: SuiteResult, k: int, n: int):
@@ -127,10 +128,10 @@ def suite_bijection(k_max: int, n_max: int, budget: int) -> SuiteResult:
             if borders != _profile_counter(k, n, ProfileKind.EVEN_PP_ORDERS, budget=budget):
                 result.fail(f"profile censuses disagree at k={k}, n={n}")
             result.checks += 1
-        # image lists coincide set-wise, not just in count; a listed word
-        # takes about 250 bytes, so at most 3**8 words are listed
-        n = min(8, n_max)
-        if n >= 1 and k ** n <= min(budget, 3 ** 8):
+        # image lists coincide set-wise, not just in count; a listed word holds
+        # about 300 bytes, so they run at the longest n <= 8 with k**n <= 3**8
+        n = min(8, n_max, _longest(k, min(budget, 3 ** 8)))
+        if n >= 1:
             borders = _profile_counter(k, n, ProfileKind.SHORT_BORDERS, budget=budget)
             for wanted in sorted(borders, key=sorted):
                 with_borders = list_profile(
@@ -300,14 +301,11 @@ def suite_recurrences(k_max: int, n_max: int, budget: int) -> SuiteResult:
             result.checks += 1
         # square-prefix-free counts from the parity recurrence against the
         # convolution over the census's minimal-square counts
-        lengths = _lengths(k, min(n_max, 12), budget)
-        if lengths:
-            top = max(lengths)
+        top = min(n_max, 12, _longest(k, budget))
+        if top:
             min_square = family_counts(k, top // 2 or 1, Family.MIN_SQUARE, budget=budget)
             free = family_counts(k, top, Family.NO_SQUARE_PREFIX, budget=budget)
-            for n in lengths:
-                if n < 2:
-                    continue
+            for n in range(2, top + 1):
                 has = sum(min_square[i] * k ** (n - 2 * i) for i in range(1, n // 2 + 1))
                 if free[n] != k ** n - has:
                     result.fail(f"square-prefix convolution failed at k={k}, n={n}")
@@ -368,10 +366,9 @@ def suite_constants(k_max: int, n_max: int, budget: int) -> SuiteResult:
             result.checks += 1
     for k in range(2, max(k_max, 5) + 1):
         # at depth 1 the with-square enclosure's top is the bound 1/(k-1) itself
-        depths = _lengths(k, 7, budget)
-        if len(depths) < 2:
+        depth = min(7, _longest(k, budget))
+        if depth < 2:
             continue
-        depth = max(depths)
         min_square = min_square_counts(k, depth, budget=budget)
         with_square, square_free = square_prefix_densities(k, depth, min_square)
         if not with_square.upper < Fraction(1, k - 1):
@@ -437,9 +434,7 @@ def suite_lemmas(k_max: int, n_max: int, budget: int) -> SuiteResult:
                     result.fail(f"shuffle-palindrome splitting failed at k={k}, x={x}")
                 result.checks += 1
         # reversing a shuffle shuffles the reversals, swapped
-        for n in range(0, min(5, n_max // 2) + 1):
-            if k ** (2 * n) > budget:
-                break
+        for n in range(0, min(5, n_max // 2, _longest(k, budget) // 2) + 1):
             for v in _classes(result, k, 2 * n):
                 y, z = v[:n], v[n:]
                 if _shuffle(y, z)[::-1] != _shuffle(z[::-1], y[::-1]):
@@ -454,10 +449,8 @@ def suite_lemmas(k_max: int, n_max: int, budget: int) -> SuiteResult:
                 result.checks += 1
         # a palindromic prefix longer than half of a palindrome forces a
         # shorter one, though not always a nontrivial one (000)
-        for n in range(1, n_max + 1):
+        for n in range(1, min(n_max, 2 * _longest(k, budget)) + 1):
             head = (n + 1) // 2
-            if k ** head > budget:
-                break
             for half_word in _classes(result, k, head):
                 p = half_word + half_word[::-1][n % 2:]
                 for m in range(n // 2 + 1, n):
@@ -469,9 +462,7 @@ def suite_lemmas(k_max: int, n_max: int, budget: int) -> SuiteResult:
                             )
                         result.checks += 1
         # appending the reflection preserves having a palindromic prefix
-        for length in range(0, min(8, n_max) + 1):
-            if k ** length > budget:
-                break
+        for length in range(0, min(8, n_max, _longest(k, budget)) + 1):
             for w in _classes(result, k, length):
                 for middle in [()] + [(a,) for a in range(k)]:
                     mirrored = w + middle + w[::-1]

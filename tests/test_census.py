@@ -10,6 +10,7 @@ import concurrent.futures
 import itertools
 import multiprocessing
 import os
+import re
 from collections import Counter
 from types import SimpleNamespace
 
@@ -176,6 +177,34 @@ class TestFamilyCounts:
             census_profile(2, 27, ProfileKind.SHORT_BORDERS, set())
         with pytest.raises(BudgetExceededError, match=r"2\*\*27"):
             list_profile(2, 27, ProfileKind.SHORT_BORDERS, set())
+
+    @pytest.mark.parametrize("n", [20_000, 10 ** 8])
+    def test_a_length_far_past_the_budget_is_refused_without_its_power(self, n):
+        # the refusal names k**n without building it: str() refuses 2**20000,
+        # and 2**10**8 alone takes 12.5 MB
+        message = f"enumerating 2**{n} words exceeds the budget of {DEFAULT_BUDGET}"
+        for query in (
+            lambda: census_family(2, n, Family.UNBORDERED),
+            lambda: census_profile(2, n, ProfileKind.SHORT_BORDERS, ()),
+            lambda: list_profile(2, n, ProfileKind.SHORT_BORDERS, ()),
+        ):
+            with pytest.raises(BudgetExceededError, match=re.escape(message) + "$"):
+                query()
+
+
+class TestLongest:
+    @pytest.mark.parametrize("k", range(2, 8))
+    def test_the_longest_length_whose_words_fit(self, k):
+        budgets = {0, 1} | {k ** m + step for m in range(13) for step in (-1, 0, 1)}
+        for budget in sorted(budgets):
+            brute = max((n for n in range(40) if k ** n <= budget), default=0)
+            assert census._longest(k, budget) == brute, budget
+
+    @pytest.mark.parametrize(
+        "k,message", [(1, "at least 2, got 1"), (2.5, "an integer, got 2.5")])
+    def test_the_alphabet_goes_through_the_gate(self, k, message):
+        with pytest.raises(ValueError, match=re.escape(f"alphabet size must be {message}")):
+            census._longest(k, DEFAULT_BUDGET)
 
 
 class TestProfileCensus:

@@ -247,6 +247,12 @@ class TestProfile:
             "10100101", "10101101", "10110101", "10111101",
         ]
 
+    def test_a_length_far_past_the_budget_is_a_usage_error(self, capsys):
+        # the message names 2**20000 without expanding it, which str() refuses
+        code, out, err = run(capsys, "profile", "--k", "2", "--n", "20000", "--kind", "borders")
+        assert (code, out) == (2, "")
+        assert err == "error: enumerating 2**20000 words exceeds the budget of 67108864\n"
+
     def test_list_above_the_cap_is_a_usage_error(self, capsys, monkeypatch):
         monkeypatch.setattr(census, "MAX_LISTED_WORDS", 50)
         code, out, err = run(
@@ -602,6 +608,21 @@ class TestVerify:
         assert code == 0
         assert out.startswith("g-map: PASS")
 
+    def test_a_huge_n_max_costs_no_more_than_the_budget_admits(self):
+        # every suite stops at the longest length the budget admits, without
+        # building k**n for each n up to --n-max
+        def verify_fresh(n_max):
+            return subprocess.run(
+                [sys.executable, "-m", "palcensus", "verify", "--suite", "all",
+                 "--k-max", "2", "--n-max", n_max, "--budget", "64"],
+                capture_output=True, text=True, env=_child_env(), timeout=10,
+            )
+
+        huge, short = verify_fresh("1000000"), verify_fresh("12")
+        assert (huge.returncode, huge.stderr) == (0, "")
+        assert huge.stdout == short.stdout
+        assert len(huge.stdout.splitlines()) == 6
+
     def test_suite_names_match_the_verify_table(self):
         # the parser lists the suites without importing verify
         assert cli.SUITE_NAMES == tuple(verify.SUITES)
@@ -653,6 +674,25 @@ class TestVerify:
         with pytest.raises(SystemExit) as outcome:
             main(["verify", "--suite", "nonsense"])
         assert outcome.value.code == 2
+
+
+def test_a_failed_self_check_of_a_recurrence_exits_1_without_a_traceback():
+    # the unbordered counts check themselves against the census on every call
+    script = (
+        "import sys\n"
+        "from palcensus import recurrences\n"
+        "from palcensus.cli import main\n"
+        "recurrences._unbordered_back = lambda m, kept: 0\n"
+        "sys.exit(main(sys.argv[1:]))\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", script, "count", "--k", "2", "--n-max", "6",
+         "--family", "unbordered", "--method", "recurrence"],
+        capture_output=True, text=True, env=_child_env(), timeout=60,
+    )
+    assert (done.returncode, done.stdout) == (1, "")
+    assert done.stderr == (
+        "error: unbordered recurrence disagrees with the census at k=2, n=2: 4 != 2\n")
 
 
 # the exit code of each ValueError the package defines: 1 for a check that

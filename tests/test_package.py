@@ -164,6 +164,23 @@ def test_every_entry_point_takes_k_through_the_one_gate(name):
             function(k, *arguments)
 
 
+@pytest.mark.parametrize(
+    "record,rest,least",
+    [
+        (palcensus.Word, ((0,),), 1),
+        # 3.0 == 3, so counts over 3.0 would pass square_prefix_counts as ternary
+        (palcensus.CountSeq, (palcensus.Family.MIN_SQUARE, (3, 6)), 2),
+    ],
+    ids=["Word", "CountSeq"],
+)
+def test_every_record_takes_k_through_the_one_gate(record, rest, least):
+    assert record(least, *rest).k == least
+    for k in (least - 1, 2.5, 3.0, Fraction(3), "3", None):
+        message = f"at least {least}, got {k}" if k == least - 1 else f"an integer, got {k!r}"
+        with pytest.raises(ValueError, match=re.escape(f"alphabet size must be {message}")):
+            record(k, *rest)
+
+
 def test_unknown_name_is_an_attribute_error():
     with pytest.raises(AttributeError, match="no_such_name"):
         palcensus.no_such_name

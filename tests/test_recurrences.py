@@ -14,7 +14,7 @@ import pytest
 
 import palcensus
 from palcensus import census, recurrences
-from palcensus.census import Family, census_family
+from palcensus.census import CheckFailure, Family, census_family
 from palcensus.recurrences import (
     CacheMismatchError,
     CacheStore,
@@ -176,7 +176,7 @@ class TestUnbordered:
             return honest(k, n, family, **options) + (n == 9)
 
         monkeypatch.setattr(recurrences, "census_family", planted)
-        with pytest.raises(RuntimeError, match="k=2, n=9: 148 != 149"):
+        with pytest.raises(CheckFailure, match="k=2, n=9: 148 != 149"):
             unbordered_counts(2, 5)
 
     def test_census_agreement_binary(self):
@@ -292,6 +292,13 @@ class TestRatios:
         for k in (2, 3):
             ratios = no_pal_prefix_ratios(k, 64)
             assert all(0 <= ratios[n] <= 1 for n in range(1, 65))
+
+    def test_a_ratio_out_of_range_is_a_failed_check(self, monkeypatch):
+        # a count above k**n: the CLI exits 1 on a CheckFailure, not a traceback
+        monkeypatch.setattr(recurrences, "no_pal_prefix_counts", lambda k, N: CountSeq(
+            k, Family.NO_PAL_PREFIX, (k, k * k + 1)))
+        with pytest.raises(CheckFailure, match="ratio out of range at k=2, n=2: 5/4"):
+            no_pal_prefix_ratios(2, 2)
 
     def test_halving_identity(self):
         for k in (2, 3):

@@ -75,8 +75,7 @@ def test_run_suites_refuses_a_budget_below_two(monkeypatch, budget):
         run_suites(list(verify.SUITES), budget=budget)
 
 
-def test_bijection_lists_at_most_3_to_the_8_words(monkeypatch):
-    # a listed word takes about 250 bytes: 9**8 of them would need gigabytes
+def _listed_by_bijection(monkeypatch, k_max, n_max):
     calls = []
 
     def recorded(k, n, *args, **options):
@@ -84,9 +83,22 @@ def test_bijection_lists_at_most_3_to_the_8_words(monkeypatch):
         return census.list_profile(k, n, *args, **options)
 
     monkeypatch.setattr(verify, "list_profile", recorded)
-    result = verify.suite_bijection(5, 8, DEFAULT_BUDGET)
+    result = verify.suite_bijection(k_max, n_max, DEFAULT_BUDGET)
     assert result.passed, result.failures
-    assert sorted(set(calls)) == [(2, 8), (3, 8)]
+    return sorted(set(calls))
+
+
+def test_bijection_lists_at_most_3_to_the_8_words(monkeypatch):
+    # a listed word holds about 300 bytes: 9**8 of them would need gigabytes;
+    # each k lists at its longest length up to 8 within 3**8 words
+    listed = _listed_by_bijection(monkeypatch, 5, 8)
+    assert listed == [(2, 8), (3, 8), (4, 6), (5, 5)]
+    assert all(k ** n <= 3 ** 8 for k, n in listed)
+
+
+def test_bijection_lists_images_at_every_k(monkeypatch):
+    # k = 4 and 5 list shorter words rather than none (4**7 and 5**7 > 3**8)
+    assert _listed_by_bijection(monkeypatch, 5, 7) == [(2, 7), (3, 7), (4, 6), (5, 5)]
 
 
 @pytest.mark.parametrize(
@@ -256,7 +268,7 @@ def test_counts_suite_catches_a_planted_renaming_bug(
     monkeypatch.setattr(census, name, planted)
     # the unbordered recurrence checks itself against the census on every
     # call, so it sees the plant first; silenced, the naive filter must
-    with pytest.raises(RuntimeError, match="unbordered recurrence disagrees"):
+    with pytest.raises(census.CheckFailure, match="unbordered recurrence disagrees"):
         run_fresh()
     monkeypatch.setattr(recurrences, "_validate_unbordered", lambda k, budget: None)
     result = run_fresh()
