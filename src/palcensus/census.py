@@ -19,7 +19,8 @@ The walk is cut into blocks below canonical prefixes.  A census whose work
 counts a few blocks in-process whatever jobs is (so does every family
 census the default budget admits); a larger one with jobs > 1 starts a
 pool of its own and hands it about 64 blocks per worker, one at a time,
-with identical results.  Completed counts are memoised per process.
+with identical results.  Completed counts are memoised per process, and
+read only after _gate has checked the query.
 """
 
 from __future__ import annotations
@@ -103,8 +104,12 @@ def _longest(k: int, budget: int) -> int:
     return n
 
 
-def _check_budget(k: int, n: int, budget: int) -> int:
-    """k through the alphabet check, if its k**n words fit the budget."""
+def _gate(k: int, n: int, budget: int, jobs: int = 1) -> int:
+    """The one check of every census query, before the memo is read: jobs at
+    least 1, k through the alphabet check, and its k**n words within the
+    budget.  Returns the int k."""
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
     k = _alphabet(k, 2)
     if n > _longest(k, budget):
         raise BudgetExceededError(f"enumerating {k}**{n} words exceeds the budget of {budget}")
@@ -129,12 +134,8 @@ def _words_up_to_renaming(k: int, n: int):
 def _canonical_blocks(k: int, n: int, count: int) -> list:
     """The canonical prefixes, with their class sizes, of the shortest length
     up to n that has at least count of them."""
-    length = 0
-    blocks = [((), 1)]
-    while length < n and len(blocks) < count:
-        length += 1
-        blocks = list(_words_up_to_renaming(k, length))
-    return blocks
+    length = next((m for m in range(n) if _canonical_count(k, m) >= count), n)
+    return list(_words_up_to_renaming(k, length))
 
 
 def _canonical_count(k: int, n: int) -> int:
@@ -149,10 +150,7 @@ def _canonical_count(k: int, n: int) -> int:
 def _split_length(k: int, n: int) -> int:
     """The number L of last letters decided at once: the most, up to
     n - _MIN_WALK, whose k**L completions fit in a mask."""
-    split = 0
-    while split < n - _MIN_WALK and k ** (split + 1) <= _MASK_BITS:
-        split += 1
-    return split
+    return min(max(n - _MIN_WALK, 0), _longest(k, _MASK_BITS))
 
 
 def _plan(k: int, n: int, workers: int, cost: int = 1) -> tuple[int, list, int]:
@@ -385,14 +383,11 @@ def _census(
 _memo: dict = {}
 
 
-def _memoised(count, k: int, n: int, what, budget: int, jobs: int):
-    """_memo[k, n, what], counted as count(k, n, what, jobs) within the budget on a
-    miss; the key holds k through the alphabet check, so 3.0 never reads 3's count."""
-    if jobs < 1:
-        raise ValueError(f"jobs must be at least 1, got {jobs}")
-    k = _alphabet(k, 2)
+def _memoised(count, k: int, n: int, what, jobs: int):
+    """_memo[k, n, what], counted as count(k, n, what, jobs) on a miss; k is the
+    int _gate returned, so 3.0 never reads 3's count."""
     if (k, n, what) not in _memo:
-        _memo[k, n, what] = count(_check_budget(k, n, budget), n, what, jobs)
+        _memo[k, n, what] = count(k, n, what, jobs)
     return _memo[k, n, what]
 
 
@@ -414,7 +409,8 @@ def census_family(
         raise ValueError(f"census needs n >= 1, got n={n}")
     complement = family is Family.HAS_SQUARE_PREFIX
     walked = Family.NO_SQUARE_PREFIX if complement else family
-    value = _memoised(_count_family, k, n, walked, budget, jobs)
+    k = _gate(k, n, budget, jobs)
+    value = _memoised(_count_family, k, n, walked, jobs)
     return k ** n - value if complement else value
 
 
@@ -430,7 +426,7 @@ def _profile_counter(
     k: int, n: int, kind: ProfileKind, *, budget: int = DEFAULT_BUDGET, jobs: int = 1
 ) -> Counter:
     """{profile set of the kind: number of length-n words with it}."""
-    return _memoised(_count_profile, k, n, kind, budget, jobs)
+    return _memoised(_count_profile, _gate(k, n, budget, jobs), n, kind, jobs)
 
 
 def _validate_profile_set(n: int, profile_set) -> frozenset[int]:
@@ -471,7 +467,7 @@ def list_profile(
     MAX_LISTED_WORDS words of length n, the census counts the list first and
     refuses one that long before building any word."""
     wanted = _validate_profile_set(n, profile_set)
-    k = _check_budget(k, n, budget)
+    k = _gate(k, n, budget)
     if n > _longest(k, MAX_LISTED_WORDS):
         count = census_profile(k, n, kind, wanted, budget=budget)
         if count > MAX_LISTED_WORDS:

@@ -23,9 +23,10 @@ import sys
 from .census import DEFAULT_BUDGET, MAX_LISTED_WORDS, CheckFailure, Family, ProfileKind
 from .words import _alphabet
 
-# verify.SUITES in run order, spelled out so that the parser need not
-# import verify (a test keeps the two equal)
+# verify.SUITES in run order and verify.VERIFY_BUDGET, spelled out so that
+# the parser need not import verify (a test keeps them equal)
 SUITE_NAMES = ("bijection", "g-map", "counts", "recurrences", "constants", "lemmas")
+VERIFY_BUDGET = 1 << 16
 
 # shuffle-order caps beside the library's --n cap, measured to keep a
 # request under 0.5 s on a 2-CPU box: --n-max 0.45 s, --check 0.45 s and 57 MB
@@ -41,7 +42,7 @@ def _cache_store(args):
     return CacheStore(default_cache_path())
 
 
-def _emit_count_rows(rows, fmt) -> None:
+def _emit_rows(rows, fmt) -> None:
     # rows: (n, value) or (n, value, matched: bool)
     for row in rows:
         if fmt == "bfile":
@@ -96,13 +97,13 @@ def _cmd_count(args) -> int:
                         file=sys.stderr,
                     )
                 return 1
-            _emit_count_rows([(n, brute[n]) for n in ns], args.format)
+            _emit_rows([(n, brute[n]) for n in ns], args.format)
             return 0
-        _emit_count_rows(rows, args.format)
+        _emit_rows(rows, args.format)
         return 1 if bad else 0
 
     values = brute if args.method == "brute" else recurrence
-    _emit_count_rows([(n, values[n]) for n in ns], args.format)
+    _emit_rows([(n, values[n]) for n in ns], args.format)
     return 0
 
 
@@ -204,7 +205,7 @@ def _cmd_shuffle_order(args) -> int:
     if args.check and positions > MAX_CHECK_POSITIONS:
         raise ValueError(f"--check is capped at {MAX_CHECK_POSITIONS} positions, got {positions}")
     ns = [args.n] if single else range(2, args.n_max + 1)
-    lines = []
+    rows = []
     for n in ns:
         order = milk_shuffle_order(n)
         if args.check:
@@ -216,14 +217,11 @@ def _cmd_shuffle_order(args) -> int:
                     file=sys.stderr,
                 )
                 return 1
-        if single:
-            lines.append(str(order))
-        elif args.format == "bfile":
-            lines.append(f"{n} {order}")
-        else:
-            lines.append(f"{n}\t{order}")
-    for line in lines:
-        print(line)
+        rows.append((n, order))
+    if single:
+        print(rows[0][1])
+    else:
+        _emit_rows(rows, args.format)
     return 0
 
 
@@ -384,7 +382,7 @@ def _build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--k-max", type=int, default=3)
     verify.add_argument("--n-max", type=int, default=10)
     _add_budget_options(verify, jobs=False)
-    verify.set_defaults(func=_cmd_verify)
+    verify.set_defaults(func=_cmd_verify, budget=VERIFY_BUDGET)
 
     return parser
 

@@ -139,7 +139,7 @@ def min_square_counts(
 
     There is no known recurrence, so values come from the census (k**n roots
     per length) and are remembered in the persistent cache when one is given.
-    With verify_cache, hits are recomputed and compared byte for byte.
+    With verify_cache, hits are recomputed and compared.
     """
     k = _require(k, N)
     values: list[int] = []
@@ -148,7 +148,7 @@ def min_square_counts(
         stored = cache.get(k, n) if cache is not None else None
         if stored is None or verify_cache:
             computed = census_family(k, n, Family.MIN_SQUARE, budget=budget, jobs=jobs)
-            if stored is not None and str(stored) != str(computed):
+            if stored is not None and stored != computed:
                 raise CacheMismatchError(
                     f"cached min-square count for k={k}, n={n} is {stored}; "
                     f"recomputation gives {computed}"

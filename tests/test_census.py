@@ -191,6 +191,22 @@ class TestFamilyCounts:
             with pytest.raises(BudgetExceededError, match=re.escape(message) + "$"):
                 query()
 
+    def test_a_memoised_count_is_refused_past_a_smaller_budget(self, fresh_memo):
+        # the budget is checked before the memo is read, so an answer does
+        # not depend on which census ran earlier in the process
+        assert census_family(2, 20, Family.UNBORDERED) == 281_076
+        assert census_profile(2, 12, ProfileKind.SHORT_BORDERS, ()) == 1116
+        with pytest.raises(BudgetExceededError, match=r"2\*\*20 words"):
+            census_family(2, 20, Family.UNBORDERED, budget=10)
+        with pytest.raises(BudgetExceededError, match=r"2\*\*12 words"):
+            census_profile(2, 12, ProfileKind.SHORT_BORDERS, (), budget=10)
+
+    def test_a_complement_is_refused_past_a_smaller_budget(self, fresh_memo):
+        # HAS_SQUARE_PREFIX reads the memo entry of its complement
+        census_family(2, 20, Family.NO_SQUARE_PREFIX)
+        with pytest.raises(BudgetExceededError, match=r"2\*\*20 words"):
+            census_family(2, 20, Family.HAS_SQUARE_PREFIX, budget=10)
+
 
 class TestLongest:
     @pytest.mark.parametrize("k", range(2, 8))
@@ -413,6 +429,24 @@ class TestCanonicalBlocks:
             assert _canonical_count(k, length) == len(
                 list(_words_up_to_renaming(k, length))
             )
+
+    def test_the_split_is_the_longest_mask_below_the_walk(self):
+        # the loop the planner once kept, against the budget rule it reads now
+        for k in range(2, 11):
+            for n in range(41):
+                split = 0
+                while split < n - census._MIN_WALK and k ** (split + 1) <= census._MASK_BITS:
+                    split += 1
+                assert census._split_length(k, n) == split, (k, n)
+
+    def test_blocks_are_the_first_length_with_enough_classes(self):
+        # the loop the planner once kept, regenerating every shorter length
+        for k, n, count in itertools.product(range(2, 6), range(13), (1, 4, 128, 512)):
+            length, blocks = 0, [((), 1)]
+            while length < n and len(blocks) < count:
+                length += 1
+                blocks = list(_words_up_to_renaming(k, length))
+            assert _canonical_blocks(k, n, count) == blocks, (k, n, count)
 
     @pytest.mark.parametrize("k,n", [(3, 10), (4, 8)])
     def test_no_block_holds_more_than_a_quarter_of_the_walk(self, k, n):

@@ -1,6 +1,7 @@
 """End-to-end CLI behaviour: output formats, exit codes, determinism."""
 
 import importlib
+import inspect
 import json
 import os
 import subprocess
@@ -541,6 +542,22 @@ class TestShuffleOrder:
             f"{n} {SHUFFLE_ORDERS[n - 2]}\n" for n in range(2, 21)
         )
 
+    def test_tsv_matches_frozen_orders(self, capsys):
+        # the rows go through the writer count uses
+        code, out, _ = run(capsys, "shuffle-order", "--n-max", "20")
+        assert code == 0
+        assert out == "".join(
+            f"{n}\t{SHUFFLE_ORDERS[n - 2]}\n" for n in range(2, 21)
+        )
+
+    def test_a_check_mismatch_prints_no_row(self, capsys, monkeypatch):
+        # the rows are written only after every order passes its check
+        monkeypatch.setattr(maps, "permutation_order", lambda p: 0 if len(p.images) == 9 else 1)
+        monkeypatch.setattr(maps, "milk_shuffle_order", lambda n: 1)
+        code, out, err = run(capsys, "shuffle-order", "--n-max", "12", "--check")
+        assert (code, out) == (1, "")
+        assert err == "order mismatch at n=9: permutation 0, congruence 1\n"
+
     def test_degenerate_size(self, capsys):
         code, _, err = run(capsys, "shuffle-order", "--n", "1")
         assert code == 2
@@ -624,8 +641,11 @@ class TestVerify:
         assert len(huge.stdout.splitlines()) == 6
 
     def test_suite_names_match_the_verify_table(self):
-        # the parser lists the suites without importing verify
+        # the parser lists the suites and the default budget without
+        # importing verify
         assert cli.SUITE_NAMES == tuple(verify.SUITES)
+        default = inspect.signature(verify.run_suites).parameters["budget"].default
+        assert cli._build_parser().parse_args(["verify"]).budget == default == 1 << 16
 
     def test_a_suite_that_ran_no_check_fails(self, capsys, monkeypatch):
         # no bounds that run_suites accepts leave a suite without a check, so

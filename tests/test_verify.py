@@ -2,7 +2,11 @@
 
 import itertools
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -63,6 +67,18 @@ def test_run_suites_refuses_bounds_that_scan_no_word(monkeypatch, options):
     monkeypatch.setattr(verify, "SUITES", dict.fromkeys(verify.SUITES, not_run))
     with pytest.raises(ValueError, match="--k-max must be at least 2"):
         run_suites(list(verify.SUITES), **options)
+
+
+def test_the_default_budget_bounds_every_suite_in_a_fresh_process():
+    # the naive word scans run about a thousand times slower per word than
+    # the census: at the census budget of 2**26, lemmas alone ran past 60 s
+    src = str(Path(verify.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    script = ("from palcensus.verify import SUITES, run_suites\n"
+              "results = run_suites(list(SUITES), k_max=2, n_max=40)\n"
+              "assert all(result.passed for result in results)\n")
+    subprocess.run([sys.executable, "-c", script], env=env, timeout=30, check=True)
 
 
 @pytest.mark.parametrize("budget", [1, 0, -2])
