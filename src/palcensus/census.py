@@ -13,7 +13,8 @@ completions of each prefix at once as the bits of one integer: a pattern is
 the AND of letter and pair-equality masks cached per (k, L).  The census
 needs k >= 2, as the recurrences and densities it is checked against do.
 The budget counts all k**n words (or roots), by the one rule _longest.  The
-naive word scans are the independent route, checked by verify and the tests.
+walk is the engine's one canonical-word generator; verify keeps its own, and
+the naive word scans, as the independent route.
 The walk is cut into blocks below canonical prefixes.  A census whose work
 (the completions its canonical prefixes decide) is below a measured cutoff
 counts a few blocks in-process whatever jobs is (so does every family
@@ -26,7 +27,6 @@ read only after _gate has checked the query.
 from __future__ import annotations
 
 import itertools
-import math
 import os
 from collections import Counter
 from enum import Enum
@@ -116,26 +116,12 @@ def _gate(k: int, n: int, budget: int, jobs: int = 1) -> int:
     return k
 
 
-def _words_up_to_renaming(k: int, n: int):
-    """The length-n words whose letters first appear in the order 0, 1, 2,
-    ..., each with the number of words that rename its letters, perm(k, d)
-    for d distinct letters: one representative per renaming class, in
-    lexicographic order."""
-    stack = [((), 0)]
-    while stack:
-        w, used = stack.pop()
-        if len(w) == n:
-            yield w, math.perm(k, used)
-        else:
-            for a in range(min(used + 1, k) - 1, -1, -1):
-                stack.append((w + (a,), max(used, a + 1)))
-
-
 def _canonical_blocks(k: int, n: int, count: int) -> list:
-    """The canonical prefixes, with their class sizes, of the shortest length
-    up to n that has at least count of them."""
+    """The canonical prefixes, with their class sizes (the walk's weights,
+    perm(k, d) for d letters), of the shortest length up to n that has at
+    least count of them, in lexicographic order."""
     length = next((m for m in range(n) if _canonical_count(k, m) >= count), n)
-    return list(_words_up_to_renaming(k, length))
+    return [(tuple(w), weight) for w, _, weight in _walk(k, length, ())]
 
 
 def _canonical_count(k: int, n: int) -> int:

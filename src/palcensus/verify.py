@@ -4,11 +4,17 @@ Every suite runs its checks exhaustively up to the given bounds (silently
 clipped to the enumeration budget), collects failure descriptions, and
 reports how many individual checks ran.  The CLI prints one line per suite
 and exits nonzero if anything failed.
+
+The reference route lives here, beside the checks that read it: the naive
+border, palindromic-prefix and square-prefix scans, one slice comparison per
+candidate, and the generator of one word per letter-renaming class they run
+on.  Neither the census engine nor ``words.word_profile`` calls them.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from collections import Counter
 from fractions import Fraction
 
@@ -17,7 +23,6 @@ from .census import (
     ProfileKind,
     _longest,
     _profile_counter,
-    _words_up_to_renaming,
     census_family,
     list_profile,
 )
@@ -41,16 +46,7 @@ from .maps import (
     permutation_order,
 )
 from .recurrences import family_counts, min_square_counts, no_pal_prefix_ratios
-from .words import (
-    _border_set,
-    _even_pp_set,
-    _has_pal_prefix,
-    _odd_pp_set,
-    _short_border_set,
-    _shuffle,
-    _square_half_set,
-    _unshuffle,
-)
+from .words import _shuffle, _unshuffle
 
 _MAX_REPORTED_FAILURES = 5
 # the suites' default budget: their naive word scans run about a thousand
@@ -92,6 +88,59 @@ class SuiteResult:
         elif len(self._repeats) < _MAX_REPORTED_FAILURES:
             self._repeats.append((self._count, message))
         self._count += 1
+
+
+# ---------------------------------------------------------------------------
+# the reference route, naive on purpose: obvious correctness matters more than
+# speed for the ground truth
+
+
+def _border_set(w: tuple[int, ...]) -> frozenset[int]:
+    n = len(w)
+    return frozenset(i for i in range(1, n) if w[:i] == w[n - i:])
+
+
+def _short_border_set(w: tuple[int, ...]) -> frozenset[int]:
+    n = len(w)
+    return frozenset(i for i in range(1, n // 2 + 1) if w[:i] == w[n - i:])
+
+
+def _even_pp_set(w: tuple[int, ...]) -> frozenset[int]:
+    # w[2i-1::-1] is the reversed prefix of length 2i
+    return frozenset(
+        i for i in range(1, len(w) // 2 + 1) if w[:2 * i] == w[2 * i - 1::-1]
+    )
+
+
+def _odd_pp_set(w: tuple[int, ...]) -> frozenset[int]:
+    return frozenset(
+        i for i in range(1, (len(w) - 1) // 2 + 1) if w[:2 * i + 1] == w[2 * i::-1]
+    )
+
+
+def _square_half_set(w: tuple[int, ...]) -> frozenset[int]:
+    return frozenset(
+        j for j in range(1, len(w) // 2 + 1) if w[:j] == w[j:2 * j]
+    )
+
+
+def _words_up_to_renaming(k: int, n: int):
+    """The length-n words whose letters first appear in the order 0, 1, 2,
+    ..., each with the number of words that rename its letters, perm(k, d)
+    for d distinct letters: one representative per renaming class, in
+    lexicographic order."""
+    stack = [((), 0)]
+    while stack:
+        w, used = stack.pop()
+        if len(w) == n:
+            yield w, math.perm(k, used)
+        else:
+            for a in range(min(used + 1, k) - 1, -1, -1):
+                stack.append((w + (a,), max(used, a + 1)))
+
+
+# ---------------------------------------------------------------------------
+# the suites
 
 
 def _lengths(k: int, n_max: int, budget: int) -> range:
@@ -187,8 +236,9 @@ def _naive_census(k: int, n: int):
     scans: the second route for the census engine.
 
     Renaming the letters keeps every border, palindromic prefix and square, so
-    the word scans run on the census's class generator, weighted by class
-    size; the engine takes only its blocks from it and walks the rest itself.
+    the word scans run on one word per renaming class, weighted by class size.
+    The classes come from this module's own generator, not the census's walk,
+    so the two routes share no code.
     """
     classes: Counter = Counter()
     for w, size in _words_up_to_renaming(k, n):
@@ -468,7 +518,7 @@ def suite_lemmas(k_max: int, n_max: int, budget: int) -> SuiteResult:
             for w in _classes(result, k, length):
                 for middle in [()] + [(a,) for a in range(k)]:
                     mirrored = w + middle + w[::-1]
-                    direct = _has_pal_prefix(w + middle)
+                    direct = bool(_even_pp_set(w + middle) or _odd_pp_set(w + middle))
                     reflected = any(
                         mirrored[:m] == mirrored[m - 1::-1]
                         for m in range(2, len(mirrored))

@@ -1,14 +1,11 @@
 """Word primitives.
 
-Words are immutable sequences of integer symbols over {0, ..., k-1}, and
-``word_profile`` is the one public per-word query.  The tuple-level scans
-(underscore names) for borders, palindromic prefixes and square prefixes are
-naive on purpose, one slice comparison per candidate: obvious correctness
-matters more than speed for the ground truth.  They, and the perfect shuffle
-and its inverse, work on bare symbol tuples, so the verify suites can run
-them over many words of a length without building a ``Word`` per candidate;
-the scans are the oracle that the census engine and ``word_profile`` are
-checked against.
+Words are immutable sequences of integer symbols over {0, ..., k-1}, with
+a text form, and ``word_profile`` is the one public per-word query.  The
+perfect shuffle and its inverse (underscore names) work on bare symbol
+tuples, for the milk shuffle in ``maps`` and the shuffle lemmas in ``verify``.
+The naive border, palindromic-prefix and square-prefix scans that
+``word_profile`` and the census are checked against live in ``verify``.
 
 ``word_profile`` scans a word of up to ``_UNROLLED`` (32) letters with a
 kernel made for its length: straight-line code whose tests compare letters
@@ -149,43 +146,7 @@ class WordProfile(_Record):
 
 
 # ---------------------------------------------------------------------------
-# tuple-level scans
-
-
-def _border_set(w: tuple[int, ...]) -> frozenset[int]:
-    n = len(w)
-    return frozenset(i for i in range(1, n) if w[:i] == w[n - i:])
-
-
-def _short_border_set(w: tuple[int, ...]) -> frozenset[int]:
-    n = len(w)
-    return frozenset(i for i in range(1, n // 2 + 1) if w[:i] == w[n - i:])
-
-
-def _even_pp_set(w: tuple[int, ...]) -> frozenset[int]:
-    # w[2i-1::-1] is the reversed prefix of length 2i
-    return frozenset(
-        i for i in range(1, len(w) // 2 + 1) if w[:2 * i] == w[2 * i - 1::-1]
-    )
-
-
-def _odd_pp_set(w: tuple[int, ...]) -> frozenset[int]:
-    return frozenset(
-        i for i in range(1, (len(w) - 1) // 2 + 1) if w[:2 * i + 1] == w[2 * i::-1]
-    )
-
-
-def _square_half_set(w: tuple[int, ...]) -> frozenset[int]:
-    return frozenset(
-        j for j in range(1, len(w) // 2 + 1) if w[:j] == w[j:2 * j]
-    )
-
-
-def _has_pal_prefix(w: tuple[int, ...]) -> bool:
-    for m in range(2, len(w) + 1):
-        if w[:m] == w[m - 1::-1]:
-            return True
-    return False
+# tuple-level shuffles
 
 
 def _shuffle(y: tuple[int, ...], z: tuple[int, ...]) -> tuple[int, ...]:

@@ -18,14 +18,8 @@ from palcensus.maps import (
     milk_unshuffle,
     permutation_order,
 )
-from palcensus.words import (
-    Word,
-    _even_pp_set,
-    _odd_pp_set,
-    _short_border_set,
-    format_word,
-    parse_word,
-)
+from palcensus.verify import _even_pp_set, _odd_pp_set, _short_border_set
+from palcensus.words import Word, format_word, parse_word
 
 
 def letters(text):

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from palcensus import census, constants, maps, recurrences, verify, words
+from palcensus import census, constants, maps, recurrences, verify
 from palcensus.census import DEFAULT_BUDGET, Family, ProfileKind
 from palcensus.constants import Enclosure
 from palcensus.recurrences import CountSeq
@@ -176,7 +176,7 @@ def _canonical_blocks_planted(k, n, count, *, weight=math.perm):
     prefixes = [()]
     while length < n and len(prefixes) < count:
         length += 1
-        prefixes = [w for w, _ in census._words_up_to_renaming(k, length)]
+        prefixes = [w for w, _ in verify._words_up_to_renaming(k, length)]
     return [(w, weight(k, len(set(w)))) for w in prefixes]
 
 
@@ -273,11 +273,14 @@ def test_counts_suite_catches_a_planted_renaming_bug(
     monkeypatch, name, planted, unchanged, failure
 ):
     # the naive route calls the class generator, not the census blocks,
-    # walk or masks, so only the census sees the plant
+    # walk or masks, so only the census sees the plant.  The blocks are
+    # pinned to the reference classes, since the census takes them from its
+    # walk: a walk plant then reaches only the walk below the blocks
     def run_fresh():
         monkeypatch.setattr(census, "_memo", {})
         return suite_counts(3, 7, DEFAULT_BUDGET)
 
+    monkeypatch.setattr(census, "_canonical_blocks", _canonical_blocks_planted)
     monkeypatch.setattr(census, name, unchanged)
     honest = run_fresh()
     assert honest.passed, honest.failures
@@ -290,6 +293,16 @@ def test_counts_suite_catches_a_planted_renaming_bug(
     result = run_fresh()
     assert not result.passed
     assert result.failures[0] == failure
+
+
+def test_counts_suite_catches_a_walk_plant_in_the_blocks(monkeypatch):
+    # unpinned, the walk also makes the blocks: at n = 1 the one block (0,)
+    # weighs 1, not k
+    monkeypatch.setattr(census, "_memo", {})
+    monkeypatch.setattr(census, "_walk", lambda *args: _walk_planted(*args, new_weight=False))
+    monkeypatch.setattr(recurrences, "_validate_unbordered", lambda k, budget: None)
+    result = suite_counts(3, 7, DEFAULT_BUDGET)
+    assert result.failures[0] == "unbordered mismatch at k=2, n=1: census 1, naive filter 2"
 
 
 def _milk_shuffle_reading_one_letter_early(w):
@@ -372,16 +385,23 @@ def _unshuffle_reading_the_second_track_backwards(x):
     return x[0::2], x[1::2][::-1]
 
 
-def _has_pal_prefix_from_length_three(w):
-    # palindromic prefixes should be looked for from length 2
-    return any(w[:m] == w[m - 1::-1] for m in range(3, len(w) + 1))
+def _even_pp_set_from_order_two(w):
+    # even palindromic prefixes should be looked for from order 1 (length 2),
+    # so palindromic prefixes are now found from length 3 only
+    return frozenset(
+        i for i in range(2, len(w) // 2 + 1) if w[:2 * i] == w[2 * i - 1::-1]
+    )
+
+
+_honest_even_pp_set, _honest_odd_pp_set = verify._even_pp_set, verify._odd_pp_set
+_honest_words_up_to_renaming = verify._words_up_to_renaming
 
 
 def _classes_without_a_third_letter(k, n):
     # the class generator that never introduces letter 2: at k = 3 every
     # class that uses all three letters goes missing, while each word it
     # still yields passes every position check
-    return ((w, size) for w, size in census._words_up_to_renaming(k, n) if 2 not in w)
+    return ((w, size) for w, size in _honest_words_up_to_renaming(k, n) if 2 not in w)
 
 
 def _old_pal_prefix_lemma(p, m):
@@ -816,7 +836,7 @@ def _case(module, name, planted, suite, failure, *, id, k=2):
             id="unshuffle-reversed",
         ),
         _case(
-            verify, "_has_pal_prefix", _has_pal_prefix_from_length_three,
+            verify, "_even_pp_set", _even_pp_set_from_order_two,
             "lemmas", "reflection equivalence failed at k=2", id="pal-prefix-from-three",
         ),
     ],
@@ -837,8 +857,8 @@ def test_suite_catches_a_planted_bug(
 def test_g_map_catches_swapped_parity_scans(monkeypatch):
     # the even-to-odd analogue then holds on every word; at n = 2 the order
     # correspondence fails only at 00 and 11
-    monkeypatch.setattr(verify, "_even_pp_set", words._odd_pp_set)
-    monkeypatch.setattr(verify, "_odd_pp_set", words._even_pp_set)
+    monkeypatch.setattr(verify, "_even_pp_set", _honest_odd_pp_set)
+    monkeypatch.setattr(verify, "_odd_pp_set", _honest_even_pp_set)
     [result] = run_suites(["g-map"], k_max=2, n_max=2)
     assert result.failures == [
         "order correspondence failed at k=2, w=(0, 0)",
@@ -850,8 +870,8 @@ def test_g_map_catches_swapped_parity_scans(monkeypatch):
 def test_each_failed_check_reports_its_first_failure(monkeypatch):
     # up to n = 6 the order correspondence fails at many words before the
     # analogue is tried; the analogue's line must still show, in its place
-    monkeypatch.setattr(verify, "_even_pp_set", words._odd_pp_set)
-    monkeypatch.setattr(verify, "_odd_pp_set", words._even_pp_set)
+    monkeypatch.setattr(verify, "_even_pp_set", _honest_odd_pp_set)
+    monkeypatch.setattr(verify, "_odd_pp_set", _honest_even_pp_set)
     [result] = run_suites(["g-map"], k_max=2, n_max=6)
     assert result.failures == [
         "order correspondence failed at k=2, w=(0, 0)",

@@ -12,16 +12,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from palcensus import words
+from palcensus.verify import (
+    _border_set,
+    _even_pp_set,
+    _odd_pp_set,
+    _short_border_set,
+    _square_half_set,
+)
 from palcensus.words import (
     Word,
     WordProfile,
-    _border_set,
-    _even_pp_set,
-    _has_pal_prefix,
-    _odd_pp_set,
-    _short_border_set,
     _shuffle,
-    _square_half_set,
     _unshuffle,
     format_word,
     parse_word,
@@ -127,6 +128,11 @@ class TestShuffle:
         assert _unshuffle(binary("00")) == (binary("0"), binary("0"))
 
 
+def _has_pal_prefix(w):
+    # a nontrivial palindromic prefix is even or odd: the two order sets
+    return bool(_even_pp_set(w) or _odd_pp_set(w))
+
+
 class TestPalPrefixPredicate:
     def test_examples(self):
         assert not _has_pal_prefix(binary("011"))
@@ -134,9 +140,10 @@ class TestPalPrefixPredicate:
         assert _has_pal_prefix(binary("001"))
 
     def test_matches_order_sets(self):
+        # the two order sets cover every palindromic prefix of length >= 2
         for n in range(0, 11):
             for w in itertools.product(range(2), repeat=n):
-                expected = bool(_even_pp_set(w) or _odd_pp_set(w))
+                expected = any(w[:m] == w[m - 1::-1] for m in range(2, n + 1))
                 assert _has_pal_prefix(w) == expected
 
 
