@@ -18,8 +18,7 @@ _EXPORTS = {
         "CertificationError", "DecimalReport", "Enclosure",
         "closed_form_report", "density_series",
         "density_series_enclosure", "density_series_report",
-        "pal_free_density", "pal_free_density_enclosure",
-        "square_prefix_densities", "unbordered_density",
+        "pal_free_density", "square_prefix_densities", "unbordered_density",
         "unbordered_density_enclosure", "unbordered_density_estimate",
     ),
     "maps": (

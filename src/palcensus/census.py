@@ -32,7 +32,7 @@ from collections import Counter
 from enum import Enum
 from functools import lru_cache
 
-from .words import Word, _alphabet, _entries
+from .words import Word, _entries, _integer
 
 DEFAULT_BUDGET = 1 << 26
 # the k**L completions of one prefix are the bits of an integer of at most
@@ -97,23 +97,22 @@ class ProfileKind(Enum):
 def _longest(k: int, budget: int) -> int:
     """The one budget rule: the largest n with k**n <= budget (0 when k > budget), k
     through the alphabet check, found by multiplying up, never past budget * k."""
-    k = _alphabet(k, 2)
+    k = _integer(k, 2, "alphabet size")
     n, space = 0, k
     while space <= budget:
         n, space = n + 1, space * k
     return n
 
 
-def _gate(k: int, n: int, budget: int, jobs: int = 1) -> int:
-    """The one check of every census query, before the memo is read: jobs at
-    least 1, k through the alphabet check, and its k**n words within the
-    budget.  Returns the int k."""
-    if jobs < 1:
-        raise ValueError(f"jobs must be at least 1, got {jobs}")
-    k = _alphabet(k, 2)
+def _gate(k: int, n: int, budget: int, jobs: int = 1) -> tuple[int, int]:
+    """The one check of every census query of an int length n, before the memo
+    is read: jobs at least 1 and k at least 2, through the integer check, and
+    the k**n words within the budget.  Returns the int k and jobs."""
+    jobs = _integer(jobs, 1, "jobs")
+    k = _integer(k, 2, "alphabet size")
     if n > _longest(k, budget):
         raise BudgetExceededError(f"enumerating {k}**{n} words exceeds the budget of {budget}")
-    return k
+    return k, jobs
 
 
 def _canonical_blocks(k: int, n: int, count: int) -> list:
@@ -391,11 +390,10 @@ def census_family(
     enumerates the k**n length-n roots w and keeps those whose doubling ww
     has no nonempty proper square prefix.
     """
-    if n < 1:
-        raise ValueError(f"census needs n >= 1, got n={n}")
+    n = _integer(n, 1, "census length")
     complement = family is Family.HAS_SQUARE_PREFIX
     walked = Family.NO_SQUARE_PREFIX if complement else family
-    k = _gate(k, n, budget, jobs)
+    k, jobs = _gate(k, n, budget, jobs)
     value = _memoised(_count_family, k, n, walked, jobs)
     return k ** n - value if complement else value
 
@@ -412,12 +410,13 @@ def _profile_counter(
     k: int, n: int, kind: ProfileKind, *, budget: int = DEFAULT_BUDGET, jobs: int = 1
 ) -> Counter:
     """{profile set of the kind: number of length-n words with it}."""
-    return _memoised(_count_profile, _gate(k, n, budget, jobs), n, kind, jobs)
+    k, jobs = _gate(k, n, budget, jobs)
+    return _memoised(_count_profile, k, n, kind, jobs)
 
 
-def _validate_profile_set(n: int, profile_set) -> frozenset[int]:
-    if n < 0:
-        raise ValueError(f"profile length must be at least 0, got {n}")
+def _validate_profile_set(n: int, profile_set) -> tuple[int, frozenset[int]]:
+    """The int n, at least 0, and the profile set, its entries in 1..n // 2."""
+    n = _integer(n, 0, "profile length")
     wanted = frozenset(profile_set)
     bad = sorted(
         str(i) for i in wanted if not isinstance(i, int) or not 1 <= i <= n // 2
@@ -426,7 +425,7 @@ def _validate_profile_set(n: int, profile_set) -> frozenset[int]:
         raise ValueError(
             f"profile set entries must lie in 1..{n // 2} for length {n}, got {bad}"
         )
-    return wanted
+    return n, wanted
 
 
 def census_profile(
@@ -440,7 +439,7 @@ def census_profile(
 ) -> int:
     """Number of length-n words whose profile set of the given kind equals
     profile_set exactly (the empty set asks for words with no such structure)."""
-    wanted = _validate_profile_set(n, profile_set)
+    n, wanted = _validate_profile_set(n, profile_set)
     return _profile_counter(k, n, kind, budget=budget, jobs=jobs)[wanted]
 
 
@@ -452,8 +451,8 @@ def list_profile(
     prefix's letters (the letters it leaves unused follow in order).  Above
     MAX_LISTED_WORDS words of length n, the census counts the list first and
     refuses one that long before building any word."""
-    wanted = _validate_profile_set(n, profile_set)
-    k = _gate(k, n, budget)
+    n, wanted = _validate_profile_set(n, profile_set)
+    k, _ = _gate(k, n, budget)
     if n > _longest(k, MAX_LISTED_WORDS):
         count = census_profile(k, n, kind, wanted, budget=budget)
         if count > MAX_LISTED_WORDS:
@@ -469,6 +468,8 @@ def list_profile(
     kept = []
     for w, used, _ in _walk(k, n - split, ()):
         part = _parts(w, compiled, letter, full).get(mask, 0)
+        if not part:
+            continue
         words = [tuple(w) + tail for c, tail in enumerate(completions) if part >> c & 1]
         for names in itertools.permutations(range(k), used):
             names += tuple(c for c in range(k) if c not in names)

@@ -21,7 +21,7 @@ import sys
 # the parser and main (CheckFailure) need only these; each command imports what
 # it runs, so a fresh process loads no more of the package than its command needs
 from .census import DEFAULT_BUDGET, MAX_LISTED_WORDS, CheckFailure, Family, ProfileKind
-from .words import _alphabet
+from .words import _integer
 
 # verify.SUITES in run order and verify.VERIFY_BUDGET, spelled out so that
 # the parser need not import verify (a test keeps them equal)
@@ -70,7 +70,9 @@ def _cmd_count(args) -> int:
     if args.n_max < args.n_min:
         raise ValueError(f"--n-max must be at least --n-min {args.n_min}, got {args.n_max}")
     # every count is at most k**n: refuse up front any that Python could not print
-    k, digits = _alphabet(args.k, 2), sys.int_info.default_max_str_digits
+    # under the limit in force; with no limit (0), the default still bounds the work
+    k = _integer(args.k, 2, "alphabet size")
+    digits = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
     if args.n_max * math.log10(k) >= digits:
         raise ValueError(
             f"--n-max must keep k**n below 10**{digits}, got {args.n_max} at k={k}")

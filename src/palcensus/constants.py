@@ -23,9 +23,9 @@ from fractions import Fraction
 from .census import CheckFailure
 from .recurrences import (
     CountSeq, MissingCountError, _doubling, _min_square_alphabet, _no_pal_prefix_back,
-    _unbordered_back, no_pal_prefix_ratios, unbordered_counts,
+    _require, _unbordered_back, no_pal_prefix_ratios, unbordered_counts,
 )
-from .words import _alphabet, _Record
+from .words import _integer, _Record
 
 
 class CertificationError(CheckFailure):
@@ -72,7 +72,7 @@ class Enclosure(_Record):
     def truncation_agreed(self, digits: int) -> int | None:
         """floor(10**digits * lower) if it is nonnegative and equals
         floor(10**digits * upper), else None: every constant reported is nonnegative."""
-        scale = 10 ** digits
+        scale = 10 ** _integer(digits, 0, "digits")
         low = self.low * scale // self.denominator
         return low if 0 <= low == self.high * scale // self.denominator else None
 
@@ -100,8 +100,8 @@ def _series_enclosure(k: int, counts, N: int) -> Enclosure:
     """Enclosure of the sum of c(n) / k**(2n) over n >= 1 from the stream
     c(1), c(2), ... of counts in [0, k**n], which must hold N: N terms as one
     integer over k**(2N) by Horner's rule, and the tail, at most k**(-N) / (k-1)."""
+    k, N = _require(k, N)
     numerator = n = 0
-    # zip pulls the stream first, so _doubling checks k and N even at N = 0
     for count, n in zip(counts, range(1, N + 1)):
         numerator = numerator * k * k + count
     if n < N:
@@ -137,7 +137,7 @@ def _stepped(k: int, j: int, start, step) -> Enclosure:
     p = k**(2**(i+1) - 1), (a, b) = step(p), b > 0, from A(Y_j) in [low, low + width]
     / denominator, (low, width, denominator) = start(p).  Each step swaps the bounds,
     integer numerators over one shared denominator: no Fraction and no gcd."""
-    k = _alphabet(k, 2)
+    k = _integer(k, 2, "alphabet size")
     low, width, denominator = start(k ** (2 ** (j + 1) - 1))
     high = low + width
     for p in (k ** (2 ** e - 1) for e in range(j, 0, -1)):
@@ -179,26 +179,24 @@ MAX_DIGITS = 10_000
 _DEPTH_CAP = (4 * MAX_DIGITS + 11).bit_length() - 2
 
 
-def _refine(make_enclosure, digits: int, depth_cap: int = _DEPTH_CAP) -> int:
-    """floor(10**digits * c), digits in 1..MAX_DIGITS, at the first depth 1, ..., depth_cap
-    whose enclosure of c is at most 10**-(digits+2) wide and whose bounds truncate alike,
-    the lower to a nonnegative value, else CertificationError."""
-    if not 1 <= digits <= MAX_DIGITS:
-        raise ValueError(f"digits must lie in 1..{MAX_DIGITS}, got {digits}")
+def _refine(make_enclosure, digits: int, depth_cap: int = _DEPTH_CAP) -> tuple[int, int]:
+    """(floor(10**digits * c), digits) for the int digits in 1..MAX_DIGITS, at the first
+    depth 1, ..., depth_cap whose enclosure of c is at most 10**-(digits+2) wide and whose
+    bounds truncate alike, the lower to a nonnegative value, else CertificationError."""
+    digits = _integer(digits, 1, "digits", MAX_DIGITS)
     for depth in range(1, depth_cap + 1):
         enclosure = make_enclosure(depth)
         if (enclosure.high - enclosure.low) * 10 ** (digits + 2) <= enclosure.denominator:
             agreed = enclosure.truncation_agreed(digits)
             if agreed is not None:
-                return agreed
+                return agreed, digits
     raise CertificationError(f"depth {depth_cap} does not certify {digits} digits")
 
 
 def density_series_report(k: int, digits: int) -> DecimalReport:
     """h = D(1/k), certified through γ's stepper by the identity proved at
     pal_free_density; D's functional equation and the series are its references."""
-    truncation = _refine(lambda j: _h_enclosure(k, j), digits)
-    return DecimalReport(_rendered(truncation, digits))
+    return DecimalReport(_rendered(*_refine(lambda j: _h_enclosure(k, j), digits)))
 
 
 def closed_form_report(k: int, terms: int, digits: int) -> DecimalReport:
@@ -206,10 +204,8 @@ def closed_form_report(k: int, terms: int, digits: int) -> DecimalReport:
     (and _DEPTH_CAP) deep, then checked against the series enclosure at the
     fewest terms N whose tail 1/((k-1) k**N) is at most 10**-(digits+2): it
     fails rather than guessing if the depth runs out or that enclosure misses the digits."""
-    if terms < 1:
-        raise ValueError(f"closed form needs terms >= 1, got {terms}")
-    depth_cap = min(2 * terms, _DEPTH_CAP)
-    truncation = _refine(lambda j: _functional_enclosure(k, j), digits, depth_cap)
+    depth_cap = min(2 * _integer(terms, 1, "terms"), _DEPTH_CAP)
+    truncation, digits = _refine(lambda j: _functional_enclosure(k, j), digits, depth_cap)
     N = max(1, math.ceil((digits + 2) / math.log10(k)) - 1)
     while (k - 1) * k ** N < 10 ** (digits + 2):
         N += 1
@@ -225,12 +221,6 @@ def closed_form_report(k: int, terms: int, digits: int) -> DecimalReport:
 # limiting densities
 
 
-def pal_free_density_enclosure(k: int, N: int) -> Enclosure:
-    """Enclosure of the limiting no-palindromic-prefix density from N terms
-    of the series, the reference for pal_free_density: 2 - (k+1) * D(1/k)."""
-    return density_series_enclosure(k, N).complement(2, k + 1)
-
-
 def pal_free_density(k: int, digits: int) -> DecimalReport:
     """The limiting no-palindromic-prefix density ρ = (k-2)/(k-1) γ, certified
     through γ's stepper; at k = 2 it is exactly 0.
@@ -240,8 +230,8 @@ def pal_free_density(k: int, digits: int) -> DecimalReport:
     p(n//2 + 1): d(1) = k = p(1), d(2m+1) = k d(2m) - (k-1) p(m+1) = p(m+1), and d(2m) =
     k d(2m-1) - d(m) = k p(m) - p(m//2 + 1) = p(m+1), as ceil((m+1)/2) = m//2 + 1.
     Divided by k**n, p(n//2 + 1) <= k**(n//2 + 1) vanishes: (k-1) ρ = (k-2) γ."""
-    truncation = _refine(lambda j: _h_enclosure(k, j).complement(2, k + 1), digits)
-    return DecimalReport(_rendered(truncation, digits))
+    return DecimalReport(
+        _rendered(*_refine(lambda j: _h_enclosure(k, j).complement(2, k + 1), digits)))
 
 
 def unbordered_density_enclosure(k: int, N: int) -> Enclosure:
@@ -262,8 +252,7 @@ def unbordered_density_enclosure(k: int, N: int) -> Enclosure:
 
 def unbordered_density(k: int, digits: int) -> DecimalReport:
     """The limiting unbordered density γ, certified by Nielsen's equation alone."""
-    truncation = _refine(lambda j: _nielsen_enclosure(k, j), digits)
-    return DecimalReport(_rendered(truncation, digits))
+    return DecimalReport(_rendered(*_refine(lambda j: _nielsen_enclosure(k, j), digits)))
 
 
 def square_prefix_densities(k: int, n: int, min_square: CountSeq) -> tuple[Enclosure, Enclosure]:
@@ -271,7 +260,7 @@ def square_prefix_densities(k: int, n: int, min_square: CountSeq) -> tuple[Enclo
     prefix, from min_square at 1..n: the with-square density is the sum over i of
     min_square(i) / k**(2i), and its n terms undershoot by at most k**(-n) / (k-1),
     as min_square(i) <= k**i.  The square-free density is its complement in 1."""
-    k = _min_square_alphabet(k, n, min_square)
+    k, n = _min_square_alphabet(k, n, min_square)
     with_square = _series_enclosure(k, (min_square[i] for i in range(1, n + 1)), n)
     return with_square, with_square.complement(1)
 

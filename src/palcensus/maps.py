@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 
-from .words import Word, _Record, _shuffle, _unshuffle
+from .words import Word, _integer, _Record, _shuffle, _unshuffle
 
 # milk_shuffle_order's largest n: up to it the two trial divisions take at
 # most 0.25 s on a 2-CPU x86-64 box (2n-1 and n-1 prime); past it they can
@@ -75,8 +75,7 @@ def milk_shuffle_permutation(n: int) -> Permutation:
     milk_shuffle by construction.  For n = 7 the images are
     (1, 7, 2, 6, 3, 5, 4).
     """
-    if n < 1:
-        raise ValueError(f"permutation size must be at least 1, got {n}")
+    n = _integer(n, 1, "permutation size")
     return Permutation(_milk_shuffle(tuple(range(1, n + 1))))
 
 
@@ -126,10 +125,7 @@ def milk_shuffle_order(n: int) -> int:
     halved when 2**(order/2) is -1.  The two trial divisions run up to about
     sqrt(2n), so n must be at most MAX_SHUFFLE_N.
     """
-    if n < 2:
-        raise ValueError(f"milk shuffle order characterisation needs n >= 2, got {n}")
-    if n > MAX_SHUFFLE_N:
-        raise ValueError(f"milk shuffle order needs n <= {MAX_SHUFFLE_N}, got {n}")
+    n = _integer(n, 2, "shuffle length", MAX_SHUFFLE_N)
     modulus = 2 * n - 1
     order = modulus
     for p in _prime_factors(modulus):

@@ -15,7 +15,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from .census import DEFAULT_BUDGET, CheckFailure, Family, _longest, census_family
-from .words import _alphabet, _Record
+from .words import _integer, _Record
 
 
 class MissingCountError(ValueError):
@@ -35,7 +35,7 @@ class CountSeq(_Record):
     values: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        _alphabet(self.k, 2)
+        _integer(self.k, 2, "alphabet size")
         if not isinstance(self.values, tuple):
             raise TypeError(f"CountSeq values must be a tuple, not {type(self.values).__name__}")
 
@@ -46,12 +46,9 @@ class CountSeq(_Record):
         raise MissingCountError(f"{family} count for k={self.k}, n={n} was not computed")
 
 
-def _require(k: int, N: int) -> int:
-    """k through the alphabet check, if N is at least 1."""
-    k = _alphabet(k, 2)
-    if N < 1:
-        raise ValueError(f"sequence length must be at least 1, got {N}")
-    return k
+def _require(k: int, N: int) -> tuple[int, int]:
+    """The int k, at least 2, and the int sequence length N, at least 1."""
+    return _integer(k, 2, "alphabet size"), _integer(N, 1, "sequence length")
 
 
 def _doubling(k: int, N: int, back):
@@ -59,7 +56,7 @@ def _doubling(k: int, N: int, back):
     kept[m] = c(m) for m <= ceil(N/2) is all that back may read of the stream
     (it may read a sequence of its own), so half the counts are held.  A zero
     back is not subtracted, as x - 0 would copy the big int x."""
-    k = _require(k, N)
+    k, N = _require(k, N)
     kept = [0]
     count = k
     for m in range(1, N + 1):
@@ -121,6 +118,7 @@ def unbordered_counts(k: int, N: int, *, budget: int = DEFAULT_BUDGET) -> CountS
     u(2n) = k*u(2n-1) - u(n).  Each call cross-checks the recurrence
     against the enumeration census at the short lengths.
     """
+    k, N = _require(k, N)
     _validate_unbordered(k, budget)
     return CountSeq(k, Family.UNBORDERED, tuple(_doubling(k, N, _unbordered_back)))
 
@@ -141,7 +139,8 @@ def min_square_counts(
     per length) and are remembered in the persistent cache when one is given.
     With verify_cache, hits are recomputed and compared.
     """
-    k = _require(k, N)
+    k, N = _require(k, N)
+    jobs = _integer(jobs, 1, "jobs")
     values: list[int] = []
     dirty = False
     for n in range(1, N + 1):
@@ -163,13 +162,13 @@ def min_square_counts(
     return CountSeq(k, Family.MIN_SQUARE, tuple(values))
 
 
-def _min_square_alphabet(k: int, N: int, min_square: CountSeq) -> int:
-    """k through _require, if min_square holds minimal-square counts over it."""
-    k = _require(k, N)
+def _min_square_alphabet(k: int, N: int, min_square: CountSeq) -> tuple[int, int]:
+    """k and N through _require, if min_square holds minimal-square counts over k."""
+    k, N = _require(k, N)
     if min_square.family is not Family.MIN_SQUARE or min_square.k != k:
         raise ValueError(f"square-prefix counts over k={k} need min-square counts over "
                          f"k={k}, got {min_square.family.value} counts over k={min_square.k}")
-    return k
+    return k, N
 
 
 def square_prefix_counts(
@@ -184,7 +183,7 @@ def square_prefix_counts(
     free(1) = k and free(n) = k * free(n-1) - [n even] * min_square(n/2).
     Requires min_square to hold k's minimal-square counts up to N // 2.
     """
-    k = _min_square_alphabet(k, N, min_square)
+    k, N = _min_square_alphabet(k, N, min_square)
     free = tuple(_doubling(k, N, lambda m, kept: 0 if m % 2 else min_square[m // 2]))
     has = tuple(k ** n - count for n, count in enumerate(free, 1))
     return (
@@ -210,6 +209,7 @@ def family_counts(
     k * u(n-1), which is u(n) at odd n.  The square-prefix families come from
     the minimal-square counts.  The keywords are those of min_square_counts;
     budget also bounds the unbordered check."""
+    jobs = _integer(jobs, 1, "jobs")
     if family in (Family.UNBORDERED, Family.NO_EVEN_PP, Family.NO_ODD_PP):
         u = unbordered_counts(k, N, budget=budget).values
         if family is Family.NO_ODD_PP:
@@ -290,7 +290,9 @@ class CacheStore:
         return self._load().get((k, n))
 
     def put(self, k: int, n: int, count: int) -> None:
-        self._load()[(k, n)] = count
+        """Store count for (k, n) as ints, refused where _read would refuse the record."""
+        record = _integer(k, 1, "alphabet size"), _integer(n, 1, "half-length")
+        self._load()[record] = _integer(count, 0, "min-square count")
 
     def save(self) -> None:
         """Write this store's values merged with what the file holds now.

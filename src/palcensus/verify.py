@@ -32,7 +32,6 @@ from .constants import (
     _nielsen_enclosure,
     density_series,
     density_series_enclosure,
-    pal_free_density_enclosure,
     square_prefix_densities,
     unbordered_density_enclosure,
 )
@@ -46,12 +45,16 @@ from .maps import (
     permutation_order,
 )
 from .recurrences import family_counts, min_square_counts, no_pal_prefix_ratios
-from .words import _shuffle, _unshuffle
+from .words import _integer, _shuffle, _unshuffle
 
 _MAX_REPORTED_FAILURES = 5
 # the suites' default budget: their naive word scans run about a thousand
 # times slower per word than the census
 VERIFY_BUDGET = 1 << 16
+# the largest k_max: the constants and recurrences suites work at every k whatever
+# the budget; `verify --suite all --n-max 12` took 7.8 s at k_max 30, 16 s at 120
+# and 21-24 s at 150 on a 2-CPU box
+MAX_VERIFY_K = 120
 
 
 class SuiteResult:
@@ -432,7 +435,7 @@ def suite_constants(k_max: int, n_max: int, budget: int) -> SuiteResult:
     # tail control: even-index ratios approach the limiting density geometrically
     for k in range(2, k_max + 1):
         ratios = no_pal_prefix_ratios(k, 64)
-        limit = pal_free_density_enclosure(k, 256)
+        limit = density_series_enclosure(k, 256).complement(2, k + 1)  # ρ = 2 - (k+1) h
         for n in (4, 8, 16, 32):
             bound = Fraction(k + 1, k ** n * (k - 1))
             here = ratios[2 * n]
@@ -553,4 +556,5 @@ def run_suites(
             f"--k-max must be at least 2 and --n-max at least 1, got {k_max} and {n_max}")
     if budget < 2:  # the smallest length, k = 2 and n = 1, has two words
         raise ValueError(f"--budget must be at least 2, got {budget}")
+    k_max = _integer(k_max, 2, "--k-max", MAX_VERIFY_K)
     return [SUITES[name](k_max, n_max, budget) for name in names]

@@ -6,6 +6,9 @@ perfect shuffle and its inverse (underscore names) work on bare symbol
 tuples, for the milk shuffle in ``maps`` and the shuffle lemmas in ``verify``.
 The naive border, palindromic-prefix and square-prefix scans that
 ``word_profile`` and the census are checked against live in ``verify``.
+``_integer`` is the package's one integer check: every alphabet size,
+length, digit count, term count, job count and cache record passes it, and
+its callers compute with the int it returns.
 
 ``word_profile`` scans a word of up to ``_UNROLLED`` (32) letters with a
 kernel made for its length: straight-line code whose tests compare letters
@@ -83,16 +86,18 @@ class _Record:
         return type(self), tuple(getattr(self, name) for name in self.__slots__)
 
 
-def _alphabet(k, least: int) -> int:
-    """k as an int of at least `least`, else ValueError: the one alphabet check, for Word
-    (least 1) and every counting layer (least 2).  3.0, Fraction(3) and "3" are refused."""
+def _integer(value, least: int, what: str, most: int | None = None) -> int:
+    """value as an int of at least `least` (and at most `most`, if given), else
+    ValueError naming `what`; 2.5, 3.0, Fraction(3), "3" and None are refused."""
     try:
-        size = _index(k)
+        number = _index(value)
     except TypeError:
-        raise ValueError(f"alphabet size must be an integer, got {k!r}") from None
-    if size < least:
-        raise ValueError(f"alphabet size must be at least {least}, got {size}")
-    return size
+        raise ValueError(f"{what} must be an integer, got {value!r}") from None
+    if most is not None and not least <= number <= most:
+        raise ValueError(f"{what} must lie in {least}..{most}, got {number}")
+    if number < least:
+        raise ValueError(f"{what} must be at least {least}, got {number}")
+    return number
 
 
 class Word(_Record):
@@ -106,7 +111,7 @@ class Word(_Record):
     symbols: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        k = _alphabet(self.k, 1)
+        k = _integer(self.k, 1, "alphabet size")
         try:
             for s in map(_index, self.symbols):
                 if not 0 <= s < k:

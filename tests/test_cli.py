@@ -149,6 +149,25 @@ class TestCount:
         )
         assert code == 0 and len(out) == len("14284 ") + 4300 + 1
 
+    @pytest.mark.parametrize("limit,argv,power", [
+        # 2**2126 has 641 digits; the rows for 2120..2127 once printed first
+        (640, ["--n-min", "2120", "--n-max", "2130"], 640),
+        # with no limit in force, the default still bounds the recurrence's work
+        (0, ["--n-min", "14280", "--n-max", "14300"], 4300),
+    ])
+    def test_the_print_cap_reads_the_limit_in_force(self, capsys, limit, argv, power):
+        previous = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(limit)
+        try:
+            code, out, err = run(
+                capsys, "count", "--k", "2", "--family", "unbordered", "--method",
+                "recurrence", *argv, "--format", "bfile",
+            )
+        finally:
+            sys.set_int_max_str_digits(previous)
+        assert (code, out) == (2, "")
+        assert err == f"error: --n-max must keep k**n below 10**{power}, got {argv[-1]} at k=2\n"
+
     @pytest.mark.parametrize("family", ["unbordered", "no-pal-prefix", "min-square"])
     def test_a_huge_length_is_refused_at_once(self, capsys, family):
         start = time.perf_counter()
@@ -561,7 +580,7 @@ class TestShuffleOrder:
     def test_degenerate_size(self, capsys):
         code, _, err = run(capsys, "shuffle-order", "--n", "1")
         assert code == 2
-        assert "n >= 2" in err
+        assert err == f"error: shuffle length must lie in 2..{maps.MAX_SHUFFLE_N}, got 1\n"
 
     @pytest.mark.parametrize(
         "argv,named",
@@ -573,7 +592,7 @@ class TestShuffleOrder:
             (["--n", "500001", "--check"], str(cli.MAX_CHECK_POSITIONS)),
             (["--n-max", "1000", "--check"], str(cli.MAX_CHECK_POSITIONS)),
             (["--n", str(maps.MAX_SHUFFLE_N), "--check"], str(cli.MAX_CHECK_POSITIONS)),
-            (["--n", "0"], "n >= 2"),
+            (["--n", "0"], f"lie in 2..{maps.MAX_SHUFFLE_N}, got 0"),
         ],
         ids=["n-above-cap", "n-max-above-cap", "n-max-1", "n-max-negative",
              "check-n", "check-n-max", "check-n-at-cap", "n-0"],
@@ -689,6 +708,15 @@ class TestVerify:
         code, out, err = run(capsys, "verify", *argv)
         assert (code, out) == (2, "")
         assert err.startswith("error: --k-max must be at least 2 and --n-max at least 1")
+
+    @pytest.mark.parametrize("k_max", [121, 10 ** 9])
+    def test_k_max_past_the_cap_is_refused_at_once(self, capsys, k_max):
+        # the constants and recurrences suites work at every k, whatever the budget
+        start = time.perf_counter()
+        code, out, err = run(capsys, "verify", "--k-max", str(k_max), "--n-max", "1")
+        assert time.perf_counter() - start < 1
+        assert (code, out) == (2, "")
+        assert err == f"error: --k-max must lie in 2..120, got {k_max}\n"
 
     def test_unknown_suite_is_a_usage_error(self, capsys):
         with pytest.raises(SystemExit) as outcome:

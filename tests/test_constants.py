@@ -26,7 +26,6 @@ from palcensus.constants import (
     density_series_enclosure,
     density_series_report,
     pal_free_density,
-    pal_free_density_enclosure,
     square_prefix_densities,
     unbordered_density,
     unbordered_density_enclosure,
@@ -356,7 +355,7 @@ class TestClosedForm:
             return Enclosure(value - halves[j], value + halves[j], 2 * 10 ** 30)
 
         assert stepped(1).lower < grid < stepped(1).upper
-        assert _refine(stepped, 5, 2) == 12345
+        assert _refine(stepped, 5, 2) == (12345, 5)
 
     def test_the_width_gate_precedes_agreement(self):
         # bounds that agree on 5 digits certify nothing while wider than 10**-7
@@ -368,7 +367,7 @@ class TestClosedForm:
     def test_the_width_gate_is_ten_to_the_minus_digits_plus_two(self):
         # both enclosures truncate to 0.12345; only the narrower one, exactly
         # 10**-7 wide, passes the gate
-        assert _refine(lambda j: Enclosure(12345000, 12345001, 10 ** 8), 5, 1) == 12345
+        assert _refine(lambda j: Enclosure(12345000, 12345001, 10 ** 8), 5, 1) == (12345, 5)
         with pytest.raises(CertificationError):
             _refine(lambda j: Enclosure(1234500, 1234510, 10 ** 7), 5, 1)
 
@@ -405,7 +404,7 @@ class TestClosedForm:
                 raise CertificationError("the series disagrees")
             return text
 
-        assert doubling(4, 7, 60) == int(closed_form_report(4, 7, 60).value[2:])
+        assert doubling(4, 7, 60) == (int(closed_form_report(4, 7, 60).value[2:]), 60)
         assert traced_peak(lambda: doubling(4, 7, 10000)) > CLOSED_FORM_PEAK_BOUND
 
     @pytest.mark.parametrize("digits", [0, -1, MAX_DIGITS + 1])
@@ -421,7 +420,7 @@ class TestClosedForm:
     def test_argument_validation(self):
         # usage errors, not certification failures
         for k, terms, message in ((1, 6, "alphabet size must be at least 2, got 1"),
-                                  (3, 0, "closed form needs terms >= 1, got 0")):
+                                  (3, 0, "terms must be at least 1, got 0")):
             with pytest.raises(ValueError, match=message) as raised:
                 closed_form_report(k, terms, 50)
             assert not isinstance(raised.value, CertificationError)
@@ -434,7 +433,7 @@ class TestPalFreeDensity:
 
     def test_enclosure_definition(self):
         series = density_series_enclosure(3, 40)
-        enclosure = pal_free_density_enclosure(3, 40)
+        enclosure = series.complement(2, 4)
         assert enclosure.lower == 2 - 4 * series.upper
         assert enclosure.upper == 2 - 4 * series.lower
 
@@ -442,7 +441,7 @@ class TestPalFreeDensity:
         # two no-prefix words per length force the limiting density to zero;
         # the series enclosure straddles it, while the report reads γ's
         # stepper through (k-1) ρ = (k-2) γ, exactly 0 at k = 2 at every depth
-        enclosure = pal_free_density_enclosure(2, 64)
+        enclosure = density_series_enclosure(2, 64).complement(2, 3)
         assert enclosure.lower < 0 < enclosure.upper
         for j in (1, 5):
             assert _h_enclosure(2, j).complement(2, 3) == Enclosure(0, 0, 1)
@@ -491,7 +490,7 @@ class TestPalFreeDensity:
 
         for k in (2, 3):
             ratios = no_pal_prefix_ratios(k, 64)
-            limit = pal_free_density_enclosure(k, 300)
+            limit = density_series_enclosure(k, 300).complement(2, k + 1)
             for n in (4, 8, 16, 32):
                 bound = Fraction(k + 1, k ** n * (k - 1))
                 assert limit.lower - bound <= ratios[2 * n] <= limit.upper + bound

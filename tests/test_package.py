@@ -15,6 +15,7 @@ from pathlib import Path
 import pytest
 
 import palcensus
+from palcensus import census
 
 # the names the package exports, by defining module
 EXPORTED = {
@@ -26,8 +27,7 @@ EXPORTED = {
         "CertificationError", "DecimalReport", "Enclosure",
         "closed_form_report", "density_series",
         "density_series_enclosure", "density_series_report",
-        "pal_free_density", "pal_free_density_enclosure",
-        "square_prefix_densities", "unbordered_density",
+        "pal_free_density", "square_prefix_densities", "unbordered_density",
         "unbordered_density_enclosure", "unbordered_density_estimate",
     ),
     "maps": (
@@ -47,12 +47,13 @@ NAMES = [name for names in EXPORTED.values() for name in names]
 
 # the per-word wrappers that only tests called, and their record types;
 # word_profile and the tuple-level scans in words replace them.  The
-# reports render their own digits, so decimal_string went too
+# reports render their own digits, so decimal_string went too, and verify
+# complements the series enclosure itself for ρ's limit
 REMOVED = (
     "Alphabet", "Parity", "border_lengths", "decimal_string",
     "has_nontrivial_pal_prefix", "is_palindrome", "is_unbordered",
-    "pal_prefix_orders", "perfect_shuffle", "reverse", "short_border_lengths",
-    "square_half_lengths", "unshuffle",
+    "pal_free_density_enclosure", "pal_prefix_orders", "perfect_shuffle", "reverse",
+    "short_border_lengths", "square_half_lengths", "unshuffle",
 )
 
 
@@ -162,6 +163,55 @@ def test_every_entry_point_takes_k_through_the_one_gate(name):
         message = "at least 2, got 1" if k == 1 else f"an integer, got {k!r}"
         with pytest.raises(ValueError, match=re.escape(f"alphabet size must be {message}")):
             function(k, *arguments)
+
+
+# the integer parameters of the k-first entry points, each at least 1 but a
+# profile's length, which may be 0
+INTEGERS = ("n", "N", "digits", "terms", "jobs")
+
+# (id, the callable given a scratch directory, valid keyword arguments, the
+# integer parameter, its least value): every integer argument of the public API
+INTEGER_CASES = [
+    (
+        f"{name}-{parameter}", lambda path, name=name: getattr(palcensus, name),
+        {"k": 3, **{p.name: ARGUMENTS[p.name] for p in parameters.values()
+                    if p.default is p.empty and p.name != "k"}},
+        parameter, 0 if name in ("census_profile", "list_profile") and parameter == "n" else 1,
+    )
+    for name in ALPHABET_ENTRIES
+    for parameters in [inspect.signature(getattr(palcensus, name)).parameters]
+    for parameter in parameters if parameter in INTEGERS
+] + [
+    ("milk_shuffle_order-n", lambda path: palcensus.milk_shuffle_order, {"n": 5}, "n", 2),
+    ("milk_shuffle_permutation-n", lambda path: palcensus.milk_shuffle_permutation,
+     {"n": 5}, "n", 1),
+    ("truncation_agreed-digits", lambda path: palcensus.Enclosure(1, 2, 3).truncation_agreed,
+     {"digits": 2}, "digits", 0),
+    *[(f"CacheStore.put-{parameter}", lambda path: palcensus.CacheStore(path / "c.tsv").put,
+       {"k": 2, "n": 1, "count": 2}, parameter, least)
+      for parameter, least in (("k", 1), ("n", 1), ("count", 0))],
+]
+
+
+@pytest.mark.parametrize(
+    "make,arguments,parameter,least",
+    [pytest.param(*case[1:], id=case[0]) for case in INTEGER_CASES],
+)
+def test_every_integer_argument_goes_through_the_one_gate(
+    monkeypatch, tmp_path, make, arguments, parameter, least
+):
+    function = make(tmp_path)
+    function(**arguments)
+    for value in (2.5, 3.0, Fraction(3), "3", None, least - 1):
+        if value == least - 1:
+            message = rf"must (be at least {least}|lie in {least}\.\.\d+), got {least - 1}$"
+        else:
+            message = re.escape(f"must be an integer, got {value!r}") + "$"
+        # refused before any work: no census count is memoised
+        monkeypatch.setattr(census, "_memo", {})
+        with pytest.raises(ValueError, match=message):
+            function(**{**arguments, parameter: value})
+        assert census._memo == {}
 
 
 @pytest.mark.parametrize(

@@ -365,6 +365,36 @@ class TestCacheStore:
         with pytest.raises(ValueError):
             CacheStore(path).get(2, 3)
 
+    @pytest.mark.parametrize(
+        "record,message",
+        [
+            ((2, 3.0, 6), "half-length must be an integer, got 3.0"),
+            ((0, 1, 5), "alphabet size must be at least 1, got 0"),
+            ((2, 1, -1), "min-square count must be at least 0, got -1"),
+            (("2", 1, 2), "alphabet size must be an integer, got '2'"),
+            ((2, 1, 2.0), "min-square count must be an integer, got 2.0"),
+        ],
+    )
+    def test_put_refuses_what_the_reader_would(self, tmp_path, record, message):
+        # a put record the reader refuses would poison the file for every
+        # process that shares it
+        path = tmp_path / "counts.tsv"
+        store = CacheStore(path)
+        store.put(2, 2, C2[1])
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            store.put(*record)
+        store.save()
+        assert path.read_text() == f"2\t2\t{C2[1]}\n"
+        assert CacheStore(path).get(2, 2) == C2[1]
+
+    def test_put_stores_ints(self, tmp_path):
+        path = tmp_path / "counts.tsv"
+        store = CacheStore(path)
+        store.put(True, 1, 1)
+        store.save()
+        assert path.read_text() == "1\t1\t1\n"
+        assert CacheStore(path).get(1, 1) == 1
+
     def test_unsorted_file_rejected(self, tmp_path):
         path = tmp_path / "counts.tsv"
         path.write_text("2\t2\t2\n2\t1\t2\n")

@@ -377,8 +377,10 @@ def _density_series_at_one_over_k(k, x, N):
 
 
 def _pal_free_limit_off_by_one(k, N):
-    # 2 - k * D(1/k) in place of 2 - (k + 1) * D(1/k)
-    return constants.density_series_enclosure(k, N).complement(2, k)
+    # D(1/k) scaled by k/(k+1), so that the limit 2 - (k + 1) * D(1/k) the tail
+    # control reads is 2 - k * D(1/k)
+    series = constants.density_series_enclosure(k, N)
+    return Enclosure(k * series.low, k * series.high, (k + 1) * series.denominator)
 
 
 def _unshuffle_reading_the_second_track_backwards(x):
@@ -826,7 +828,7 @@ def _case(module, name, planted, suite, failure, *, id, k=2):
             id="series-argument-ignored",
         ),
         _case(
-            verify, "pal_free_density_enclosure", _pal_free_limit_off_by_one,
+            verify, "density_series_enclosure", _pal_free_limit_off_by_one,
             "constants", "ratio strayed from the limiting density at k=2, n=4",
             id="pal-free-limit-off-by-one",
         ),
