@@ -96,8 +96,10 @@ class ProfileKind(Enum):
 
 def _longest(k: int, budget: int) -> int:
     """The one budget rule: the largest n with k**n <= budget (0 when k > budget), k
-    through the alphabet check, found by multiplying up, never past budget * k."""
+    and budget through the integer check, found by multiplying up, never past
+    budget * k."""
     k = _integer(k, 2, "alphabet size")
+    budget = _integer(budget, 0, "budget")
     n, space = 0, k
     while space <= budget:
         n, space = n + 1, space * k

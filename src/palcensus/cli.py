@@ -5,10 +5,11 @@ Subcommands reproduce the count tables (count), apply the maps to words
 (constants), compute shuffle orders (shuffle-order), and run the
 cross-checking suites (verify).
 
-Exit codes: 0 on success, 1 on a failed verification or census.CheckFailure,
-2 on any other ValueError (usage, an exceeded budget), 141 when the reader
-closes stdout early (as a shell reports a tool SIGPIPE ends).
-Identical invocations produce byte-identical output.
+Exit codes: each command returns nothing and raises, and main alone picks
+the code: 0 on success, 1 on a census.CheckFailure (a failed check, in
+verify or in any command), 2 on any other ValueError (usage, an exceeded
+budget), 141 when the reader closes stdout early (as a shell reports a tool
+SIGPIPE ends).  Identical invocations produce byte-identical output.
 """
 
 from __future__ import annotations
@@ -37,9 +38,7 @@ MAX_CHECK_POSITIONS = 500_000
 def _cache_store(args):
     from .recurrences import CacheStore, default_cache_path
 
-    if getattr(args, "cache_dir", None):
-        return CacheStore(args.cache_dir / "min_square_counts.tsv")
-    return CacheStore(default_cache_path())
+    return CacheStore(default_cache_path(args.cache_dir))
 
 
 def _emit_rows(rows, fmt) -> None:
@@ -60,23 +59,20 @@ def _emit_rows(rows, fmt) -> None:
             print(f"{row[0]}\t{row[1]}")
 
 
-def _cmd_count(args) -> int:
+def _cmd_count(args) -> None:
     from .census import census_family
     from .recurrences import family_counts
 
     family = Family(args.family)
-    if args.n_min < 1:
-        raise ValueError(f"--n-min must be at least 1, got {args.n_min}")
-    if args.n_max < args.n_min:
-        raise ValueError(f"--n-max must be at least --n-min {args.n_min}, got {args.n_max}")
+    n_min = _integer(args.n_min, 1, "--n-min")
+    n_max = _integer(args.n_max, n_min, "--n-max")
     # every count is at most k**n: refuse up front any that Python could not print
     # under the limit in force; with no limit (0), the default still bounds the work
     k = _integer(args.k, 2, "alphabet size")
     digits = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
-    if args.n_max * math.log10(k) >= digits:
-        raise ValueError(
-            f"--n-max must keep k**n below 10**{digits}, got {args.n_max} at k={k}")
-    ns = range(args.n_min, args.n_max + 1)
+    if n_max * math.log10(k) >= digits:
+        raise ValueError(f"--n-max must keep k**n below 10**{digits}, got {n_max} at k={k}")
+    ns = range(n_min, n_max + 1)
     brute = {}
     if args.method in ("brute", "both"):
         for n in ns:
@@ -84,32 +80,24 @@ def _cmd_count(args) -> int:
     recurrence = {}
     if args.method in ("recurrence", "both"):
         recurrence = family_counts(
-            k, args.n_max, family, cache=_cache_store(args),
+            k, n_max, family, cache=_cache_store(args),
             budget=args.budget, verify_cache=args.verify_cache, jobs=args.jobs,
         )
 
-    if args.method == "both":
-        rows = [(n, brute[n], brute[n] == recurrence[n]) for n in ns]
-        bad = [row for row in rows if not row[2]]
-        if args.format == "bfile":
-            if bad:
-                for n, b, _ in bad:
-                    print(
-                        f"mismatch at n={n}: brute {b}, recurrence {recurrence[n]}",
-                        file=sys.stderr,
-                    )
-                return 1
-            _emit_rows([(n, brute[n]) for n in ns], args.format)
-            return 0
+    if args.method != "both":
+        values = brute if args.method == "brute" else recurrence
+        _emit_rows([(n, values[n]) for n in ns], args.format)
+        return
+    rows = [(n, brute[n], brute[n] == recurrence[n]) for n in ns]
+    bad = [f"mismatch at n={n}: brute {b}, recurrence {recurrence[n]}"
+           for n, b, matched in rows if not matched]
+    if not bad or args.format != "bfile":  # a b-file has no match column
         _emit_rows(rows, args.format)
-        return 1 if bad else 0
-
-    values = brute if args.method == "brute" else recurrence
-    _emit_rows([(n, values[n]) for n in ns], args.format)
-    return 0
+    if bad:
+        raise CheckFailure("\n".join(bad))
 
 
-def _cmd_map(args) -> int:
+def _cmd_map(args) -> None:
     from .maps import (
         adjacent_sum_map,
         adjacent_sum_preimages,
@@ -128,7 +116,6 @@ def _cmd_map(args) -> int:
     else:
         for preimage in adjacent_sum_preimages(word):
             print(format_word(preimage))
-    return 0
 
 
 def _parse_profile_set(text: str) -> frozenset[int]:
@@ -141,7 +128,7 @@ def _parse_profile_set(text: str) -> frozenset[int]:
         raise ValueError(f"cannot parse profile set {text!r}") from None
 
 
-def _cmd_profile(args) -> int:
+def _cmd_profile(args) -> None:
     from .census import census_profile, list_profile
     from .words import format_word
 
@@ -156,10 +143,9 @@ def _cmd_profile(args) -> int:
                 args.k, args.n, kind, wanted, budget=args.budget, jobs=args.jobs
             )
         )
-    return 0
 
 
-def _cmd_constants(args) -> int:
+def _cmd_constants(args) -> None:
     from .census import _longest
     from .constants import (
         closed_form_report,
@@ -188,60 +174,50 @@ def _cmd_constants(args) -> int:
         with_square, square_free = square_prefix_densities(args.k, c_max, min_square)
         enclosure = with_square if args.which == "beta" else square_free
         print(f"{enclosure.lower} {enclosure.upper}")
-    return 0
 
 
-def _cmd_shuffle_order(args) -> int:
-    from .maps import (
-        MAX_SHUFFLE_N,
-        milk_shuffle_order,
-        milk_shuffle_permutation,
-        permutation_order,
-    )
+def _cmd_shuffle_order(args) -> None:
+    from .maps import milk_shuffle_order, milk_shuffle_permutation, permutation_order
 
+    # milk_shuffle_order refuses an --n outside 2..MAX_SHUFFLE_N
     single = args.n is not None
-    top, cap = (args.n, MAX_SHUFFLE_N) if single else (args.n_max, MAX_SHUFFLE_RANGE)
-    if top > cap or top < 2 and not single:
-        raise ValueError(f"--{'n' if single else 'n-max'} must lie in 2..{cap}, got {top}")
-    positions = top if single else top * (top + 1) // 2 - 1
+    if single:
+        ns, positions = [args.n], args.n
+    else:
+        top = _integer(args.n_max, 2, "--n-max", MAX_SHUFFLE_RANGE)
+        ns, positions = range(2, top + 1), top * (top + 1) // 2 - 1
     if args.check and positions > MAX_CHECK_POSITIONS:
         raise ValueError(f"--check is capped at {MAX_CHECK_POSITIONS} positions, got {positions}")
-    ns = [args.n] if single else range(2, args.n_max + 1)
     rows = []
     for n in ns:
         order = milk_shuffle_order(n)
         if args.check:
             direct = permutation_order(milk_shuffle_permutation(n))
             if direct != order:
-                print(
-                    f"order mismatch at n={n}: permutation {direct}, "
-                    f"congruence {order}",
-                    file=sys.stderr,
-                )
-                return 1
+                raise CheckFailure(
+                    f"order mismatch at n={n}: permutation {direct}, congruence {order}")
         rows.append((n, order))
     if single:
         print(rows[0][1])
     else:
         _emit_rows(rows, args.format)
-    return 0
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args) -> None:
     from .verify import run_suites
 
     names = SUITE_NAMES if args.suite == "all" else (args.suite,)
     results = run_suites(
         names, k_max=args.k_max, n_max=args.n_max, budget=args.budget
     )
-    failed = False
     for result in results:
         status = "PASS" if result.passed else "FAIL"
         print(f"{result.name}: {status} ({result.checks} checks)")
         for message in result.failures:
             print(f"  {message}", file=sys.stderr)
-        failed = failed or not result.passed
-    return 1 if failed else 0
+    failed = [result.name for result in results if not result.passed]
+    if failed:
+        raise CheckFailure(f"failed suites: {', '.join(failed)}")
 
 
 def _add_budget_options(parser, jobs: bool = True, cache: bool = False) -> None:
@@ -392,19 +368,20 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        if getattr(args, "jobs", 1) < 1:
-            raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
-        status = args.func(args)
-        sys.stdout.flush()
-        return status
+        try:
+            _integer(getattr(args, "jobs", 1), 1, "--jobs")
+            args.func(args)
+            status = 0
+        except ValueError as error:
+            print(f"error: {error}", file=sys.stderr)
+            status = 1 if isinstance(error, CheckFailure) else 2
+        sys.stdout.flush()  # rows printed before a failed check, too
     except BrokenPipeError:
         # the reader is gone (say, `| head`): stop without a traceback, and
         # point stdout at devnull so that the flush at exit raises nothing
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        return 141
-    except ValueError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 1 if isinstance(error, CheckFailure) else 2
+        status = 141
+    return status
 
 
 if __name__ == "__main__":

@@ -140,7 +140,7 @@ def min_square_counts(
     With verify_cache, hits are recomputed and compared.
     """
     k, N = _require(k, N)
-    jobs = _integer(jobs, 1, "jobs")
+    jobs, budget = _integer(jobs, 1, "jobs"), _integer(budget, 0, "budget")
     values: list[int] = []
     dirty = False
     for n in range(1, N + 1):
@@ -209,7 +209,7 @@ def family_counts(
     k * u(n-1), which is u(n) at odd n.  The square-prefix families come from
     the minimal-square counts.  The keywords are those of min_square_counts;
     budget also bounds the unbordered check."""
-    jobs = _integer(jobs, 1, "jobs")
+    jobs, budget = _integer(jobs, 1, "jobs"), _integer(budget, 0, "budget")
     if family in (Family.UNBORDERED, Family.NO_EVEN_PP, Family.NO_ODD_PP):
         u = unbordered_counts(k, N, budget=budget).values
         if family is Family.NO_ODD_PP:
@@ -323,10 +323,11 @@ class CacheStore:
         self._values = merged
 
 
-def default_cache_path() -> Path:
-    """The cache file location: $PALCENSUS_CACHE if set, else a directory
-    under the usual per-user data path."""
-    root = os.environ.get("PALCENSUS_CACHE")
+def default_cache_path(directory: os.PathLike | str | None = None) -> Path:
+    """The cache file location, in `directory` if given (the command line's
+    --cache-dir), else in $PALCENSUS_CACHE if set, else in a directory under
+    the usual per-user data path."""
+    root = directory or os.environ.get("PALCENSUS_CACHE")
     if root:
         directory = Path(root)
     else:

@@ -551,10 +551,8 @@ def run_suites(
     n_max: int = 10,
     budget: int = VERIFY_BUDGET,
 ) -> list[SuiteResult]:
-    if k_max < 2 or n_max < 1:  # no suite would scan a word
-        raise ValueError(
-            f"--k-max must be at least 2 and --n-max at least 1, got {k_max} and {n_max}")
-    if budget < 2:  # the smallest length, k = 2 and n = 1, has two words
-        raise ValueError(f"--budget must be at least 2, got {budget}")
+    # below k = 2, n = 1 or the two words of that length, no suite scans a word
     k_max = _integer(k_max, 2, "--k-max", MAX_VERIFY_K)
+    n_max = _integer(n_max, 1, "--n-max")
+    budget = _integer(budget, 2, "--budget")
     return [SUITES[name](k_max, n_max, budget) for name in names]

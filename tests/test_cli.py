@@ -1,5 +1,6 @@
 """End-to-end CLI behaviour: output formats, exit codes, determinism."""
 
+import ast
 import importlib
 import inspect
 import json
@@ -106,7 +107,7 @@ class TestCount:
             "--family", "unbordered", "--method", method,
         )
         assert (code, out) == (2, "")
-        assert err == "error: --n-max must be at least --n-min 5, got 3\n"
+        assert err == "error: --n-max must be at least 5, got 3\n"
 
     def test_budget_exceeded(self, capsys):
         code, out, err = run(
@@ -575,7 +576,7 @@ class TestShuffleOrder:
         monkeypatch.setattr(maps, "milk_shuffle_order", lambda n: 1)
         code, out, err = run(capsys, "shuffle-order", "--n-max", "12", "--check")
         assert (code, out) == (1, "")
-        assert err == "order mismatch at n=9: permutation 0, congruence 1\n"
+        assert err == "error: order mismatch at n=9: permutation 0, congruence 1\n"
 
     def test_degenerate_size(self, capsys):
         code, _, err = run(capsys, "shuffle-order", "--n", "1")
@@ -693,21 +694,22 @@ class TestVerify:
         assert err.startswith("error: --budget must be at least 2")
 
     @pytest.mark.parametrize(
-        "argv",
+        "argv,message",
         [
-            ["--k-max", "1", "--n-max", "5"],
-            ["--suite", "bijection", "--k-max", "0"],
-            ["--n-max", "0"],
-            ["--suite", "g-map", "--k-max", "2", "--n-max", "-1"],
+            (["--k-max", "1", "--n-max", "5"], "--k-max must lie in 2..120, got 1"),
+            (["--suite", "bijection", "--k-max", "0"], "--k-max must lie in 2..120, got 0"),
+            (["--n-max", "0"], "--n-max must be at least 1, got 0"),
+            (["--suite", "g-map", "--k-max", "2", "--n-max", "-1"],
+             "--n-max must be at least 1, got -1"),
         ],
         ids=["k-max-1", "k-max-0", "n-max-0", "n-max-negative"],
     )
-    def test_bounds_that_scan_no_word_are_refused(self, capsys, argv):
+    def test_bounds_that_scan_no_word_are_refused(self, capsys, argv, message):
         # before any suite runs, since bijection and g-map would pass on
         # their checks that scan no word
         code, out, err = run(capsys, "verify", *argv)
         assert (code, out) == (2, "")
-        assert err.startswith("error: --k-max must be at least 2 and --n-max at least 1")
+        assert err == f"error: {message}\n"
 
     @pytest.mark.parametrize("k_max", [121, 10 ** 9])
     def test_k_max_past_the_cap_is_refused_at_once(self, capsys, k_max):
@@ -774,6 +776,89 @@ def test_every_package_value_error_has_its_exit_code(capsys, monkeypatch):
         code, out, err = run(capsys, "shuffle-order", "--n", "7")
         assert (code, out, err) == (EXIT_CODES[name], "", f"error: planted {name}\n")
         assert (code == 1) == issubclass(error, census.CheckFailure)
+
+
+def test_no_command_returns_a_value():
+    # main alone turns an outcome into an exit code: a command prints, or raises
+    tree = ast.parse(Path(cli.__file__).read_text())
+    commands = [node for node in tree.body
+                if isinstance(node, ast.FunctionDef) and node.name.startswith("_cmd_")]
+    assert len(commands) == 6
+    returns = [
+        (command.name, node.lineno) for command in commands for node in ast.walk(command)
+        if isinstance(node, ast.Return) and node.value is not None
+    ]
+    assert returns == []
+
+
+def _plant_census(monkeypatch):
+    # the census counts one word too many at n = 3
+    real = census.census_family
+    monkeypatch.setattr(census, "census_family",
+                        lambda k, n, family, **options: real(k, n, family, **options) + (n == 3))
+
+
+def _plant_shuffle(monkeypatch):
+    # the congruence gives one more than the permutation's order at n = 9
+    real = maps.milk_shuffle_order
+
+    def planted(n):
+        return real(n) + (n == 9)
+
+    monkeypatch.setattr(maps, "milk_shuffle_order", planted)
+    monkeypatch.setattr(verify, "milk_shuffle_order", planted)
+
+
+COUNT_BOTH = ["count", "--k", "2", "--n-max", "4", "--family", "unbordered", "--method", "both"]
+COUNT_ROWS = [(1, 2, True), (2, 2, True), (3, 5, False), (4, 6, True)]
+COUNT_MISMATCH = "error: mismatch at n=3: brute 5, recurrence 4\n"
+
+
+@pytest.mark.parametrize(
+    "plant,argv,out,err",
+    [
+        (_plant_census, COUNT_BOTH,
+         "".join(f"{n}\t{v}\t{'MATCH' if m else 'MISMATCH'}\n" for n, v, m in COUNT_ROWS),
+         COUNT_MISMATCH),
+        (_plant_census, COUNT_BOTH + ["--format", "jsonl"],
+         "".join(json.dumps({"n": n, "value": v, "match": m}) + "\n" for n, v, m in COUNT_ROWS),
+         COUNT_MISMATCH),
+        # a b-file has no match column, so it is not written
+        (_plant_census, COUNT_BOTH + ["--format", "bfile"], "", COUNT_MISMATCH),
+        (_plant_shuffle, ["shuffle-order", "--n-max", "12", "--check"], "",
+         "error: order mismatch at n=9: permutation 4, congruence 5\n"),
+        # the suite reports its own failures first, as ever
+        (_plant_shuffle, ["verify", "--suite", "bijection", "--k-max", "2", "--n-max", "4"],
+         "bijection: FAIL (241 checks)\n",
+         "  shuffle order mismatch at n=9\nerror: failed suites: bijection\n"),
+    ],
+    ids=["count-tsv", "count-jsonl", "count-bfile", "shuffle-order", "verify"],
+)
+def test_a_failed_check_exits_1_through_main(capsys, monkeypatch, plant, argv, out, err):
+    plant(monkeypatch)
+    assert run(capsys, *argv) == (1, out, err)
+
+
+def test_a_failed_check_whose_reader_is_gone_exits_141():
+    # main flushes the rows printed before the failure while it can still
+    # catch the broken pipe, not at exit
+    script = (
+        "import os, sys\n"
+        "read, write = os.pipe()\n"
+        "os.close(read)\n"
+        "os.dup2(write, 1)\n"
+        "sys.stdout = open(1, 'w', closefd=False)  # block-buffered, as into a pipe\n"
+        "from palcensus import census, recurrences\n"
+        "real = census.census_family\n"
+        "census.census_family = lambda k, n, f, **o: real(k, n, f, **o) + (n == 3)\n"
+        "from palcensus.cli import main\n"
+        "sys.exit(main(sys.argv[1:]))\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", script, *COUNT_BOTH],
+        capture_output=True, text=True, env=_child_env(), timeout=60,
+    )
+    assert (done.returncode, done.stderr) == (141, COUNT_MISMATCH)
 
 
 # modules a short command must not load: the cross-checks, the process pool,

@@ -2,6 +2,7 @@
 from the module that defines it, and is the same object as there."""
 
 import ast
+import functools
 import importlib
 import inspect
 import json
@@ -15,7 +16,7 @@ from pathlib import Path
 import pytest
 
 import palcensus
-from palcensus import census
+from palcensus import census, verify
 
 # the names the package exports, by defining module
 EXPORTED = {
@@ -166,8 +167,8 @@ def test_every_entry_point_takes_k_through_the_one_gate(name):
 
 
 # the integer parameters of the k-first entry points, each at least 1 but a
-# profile's length, which may be 0
-INTEGERS = ("n", "N", "digits", "terms", "jobs")
+# budget and a profile's length, which may be 0
+INTEGERS = ("n", "N", "digits", "terms", "jobs", "budget")
 
 # (id, the callable given a scratch directory, valid keyword arguments, the
 # integer parameter, its least value): every integer argument of the public API
@@ -176,7 +177,9 @@ INTEGER_CASES = [
         f"{name}-{parameter}", lambda path, name=name: getattr(palcensus, name),
         {"k": 3, **{p.name: ARGUMENTS[p.name] for p in parameters.values()
                     if p.default is p.empty and p.name != "k"}},
-        parameter, 0 if name in ("census_profile", "list_profile") and parameter == "n" else 1,
+        parameter,
+        0 if parameter == "budget" or (name in ("census_profile", "list_profile")
+                                       and parameter == "n") else 1,
     )
     for name in ALPHABET_ENTRIES
     for parameters in [inspect.signature(getattr(palcensus, name)).parameters]
@@ -190,6 +193,14 @@ INTEGER_CASES = [
     *[(f"CacheStore.put-{parameter}", lambda path: palcensus.CacheStore(path / "c.tsv").put,
        {"k": 2, "n": 1, "count": 2}, parameter, least)
       for parameter, least in (("k", 1), ("n", 1), ("count", 0))],
+    # the first, valid call fills the cache, so the refused calls would be hits
+    ("min_square_counts-budget-cached",
+     lambda path: functools.partial(palcensus.min_square_counts,
+                                    cache=palcensus.CacheStore(path / "c.tsv")),
+     {"k": 3, "N": 4}, "budget", 0),
+    *[(f"run_suites-{parameter}", lambda path: verify.run_suites,
+       {"names": ["bijection"], "k_max": 2, "n_max": 2}, parameter, least)
+      for parameter, least in (("k_max", 2), ("n_max", 1), ("budget", 2))],
 ]
 
 
@@ -212,6 +223,46 @@ def test_every_integer_argument_goes_through_the_one_gate(
         with pytest.raises(ValueError, match=message):
             function(**{**arguments, parameter: value})
         assert census._memo == {}
+
+
+# every entry point that takes a budget, called with valid arguments; the
+# minimal-square counts come from the cache the child fills first
+BUDGET_CALLS = (
+    "census_family(3, 4, Family.UNBORDERED)",
+    "census_profile(3, 4, ProfileKind.SHORT_BORDERS, ())",
+    "list_profile(3, 4, ProfileKind.SHORT_BORDERS, ())",
+    "unbordered_counts(3, 4)",
+    "min_square_counts(3, 4, cache=store)",
+    "family_counts(3, 4, Family.NO_PAL_PREFIX)",
+    "family_counts(3, 8, Family.HAS_SQUARE_PREFIX, cache=store)",
+    "run_suites(['bijection'], k_max=2, n_max=2)",
+)
+
+
+def test_an_infinite_budget_is_refused_at_once(tmp_path):
+    # the budget rule multiplied an int up to an infinite budget for ever, in
+    # a child process so that the timeout ends such a hang
+    script = (
+        "import sys, time\n"
+        "from palcensus import *\n"
+        "from palcensus.verify import run_suites\n"
+        "store = CacheStore(sys.argv[1])\n"
+        "min_square_counts(3, 4, cache=store)\n"
+        "for call in sys.argv[2:]:\n"
+        "    start = time.perf_counter()\n"
+        "    try:\n"
+        "        eval(call[:-1] + ', budget=float(\"inf\"))')\n"
+        "    except ValueError as error:\n"
+        "        print(time.perf_counter() - start < 1, error)\n"
+    )
+    src = str(Path(palcensus.__file__).resolve().parent.parent)
+    done = subprocess.run(
+        [sys.executable, "-c", script, str(tmp_path / "c.tsv"), *BUDGET_CALLS],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src),
+        timeout=30, check=True,
+    )
+    refused = ["True budget must be an integer, got inf"] * (len(BUDGET_CALLS) - 1)
+    assert done.stdout.splitlines() == refused + ["True --budget must be an integer, got inf"]
 
 
 @pytest.mark.parametrize(

@@ -3,6 +3,7 @@
 import itertools
 import math
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -64,8 +65,11 @@ def test_run_suites_refuses_bounds_that_scan_no_word(monkeypatch, options):
     def not_run(*args):
         raise AssertionError("a suite ran")
 
+    [(name, value)] = options.items()
+    bound = "lie in 2..120" if name == "k_max" else "be at least 1"
+    message = f"--{name.replace('_', '-')} must {bound}, got {value}"
     monkeypatch.setattr(verify, "SUITES", dict.fromkeys(verify.SUITES, not_run))
-    with pytest.raises(ValueError, match="--k-max must be at least 2"):
+    with pytest.raises(ValueError, match=re.escape(message) + "$"):
         run_suites(list(verify.SUITES), **options)
 
 
