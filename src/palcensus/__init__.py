@@ -11,8 +11,8 @@ __version__ = "0.1.0"
 
 _EXPORTS = {
     "census": (
-        "DEFAULT_BUDGET", "BudgetExceededError", "CheckFailure", "Family",
-        "ProfileKind", "census_family", "census_profile", "list_profile",
+        "DEFAULT_BUDGET", "BudgetExceededError", "Family", "ProfileKind",
+        "census_family", "census_profile", "list_profile",
     ),
     "constants": (
         "CertificationError", "DecimalReport", "Enclosure",
@@ -33,7 +33,8 @@ _EXPORTS = {
         "square_prefix_counts", "unbordered_counts",
     ),
     "words": (
-        "Word", "WordProfile", "format_word", "parse_word", "word_profile",
+        "CheckFailure", "Word", "WordProfile", "format_word", "parse_word",
+        "word_profile",
     ),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -32,7 +32,9 @@ from collections import Counter
 from enum import Enum
 from functools import lru_cache
 
-from .words import Word, _entries, _integer
+# CheckFailure is defined in words, so that the parser can test it without
+# importing the census; it stays importable from here
+from .words import CheckFailure, Word, _entries, _integer
 
 DEFAULT_BUDGET = 1 << 26
 # the k**L completions of one prefix are the bits of an integer of at most
@@ -65,10 +67,6 @@ MAX_LISTED_WORDS = 1 << 16
 
 class BudgetExceededError(ValueError):
     """Enumerating the requested space would exceed the configured budget."""
-
-
-class CheckFailure(ValueError):
-    """A computed result failed its check: the command line exits 1 for each one."""
 
 
 class Family(Enum):

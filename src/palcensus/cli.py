@@ -6,7 +6,7 @@ Subcommands reproduce the count tables (count), apply the maps to words
 cross-checking suites (verify).
 
 Exit codes: each command returns nothing and raises, and main alone picks
-the code: 0 on success, 1 on a census.CheckFailure (a failed check, in
+the code: 0 on success, 1 on a words.CheckFailure (a failed check, in
 verify or in any command), 2 on any other ValueError (usage, an exceeded
 budget), 141 when the reader closes stdout early (as a shell reports a tool
 SIGPIPE ends).  Identical invocations produce byte-identical output.
@@ -21,16 +21,26 @@ import sys
 
 # the parser and main (CheckFailure) need only these; each command imports what
 # it runs, so a fresh process loads no more of the package than its command needs
-from .census import DEFAULT_BUDGET, MAX_LISTED_WORDS, CheckFailure, Family, ProfileKind
-from .words import _integer
+from .words import CheckFailure, _integer
 
 # verify.SUITES in run order and verify.VERIFY_BUDGET, spelled out so that
 # the parser need not import verify (a test keeps them equal)
 SUITE_NAMES = ("bijection", "g-map", "counts", "recurrences", "constants", "lemmas")
 VERIFY_BUDGET = 1 << 16
+# census.DEFAULT_BUDGET, census.MAX_LISTED_WORDS and the values of
+# census.Family and census.ProfileKind, spelled out so that map and
+# shuffle-order need not import the census (a test keeps them equal)
+DEFAULT_BUDGET = 1 << 26
+MAX_LISTED_WORDS = 1 << 16
+FAMILY_NAMES = (
+    "unbordered", "no-even-pp", "no-odd-pp", "no-pal-prefix", "no-square-prefix",
+    "has-square-prefix", "min-square",
+)
+PROFILE_KINDS = ("borders", "even-pp", "odd-pp")
 
 # shuffle-order caps beside the library's --n cap, measured to keep a
-# request under 0.5 s on a 2-CPU box: --n-max 0.45 s, --check 0.45 s and 57 MB
+# request under 0.5 s on a 2-CPU box: --n-max 0.45 s; --check 0.17 s and 47 MB
+# at --n 500000, 0.11 s and 15 MB at --n-max 999 (fresh processes)
 MAX_SHUFFLE_RANGE = 20_000
 MAX_CHECK_POSITIONS = 500_000
 
@@ -60,7 +70,7 @@ def _emit_rows(rows, fmt) -> None:
 
 
 def _cmd_count(args) -> None:
-    from .census import census_family
+    from .census import Family, census_family
     from .recurrences import family_counts
 
     family = Family(args.family)
@@ -129,7 +139,7 @@ def _parse_profile_set(text: str) -> frozenset[int]:
 
 
 def _cmd_profile(args) -> None:
-    from .census import census_profile, list_profile
+    from .census import ProfileKind, census_profile, list_profile
     from .words import format_word
 
     kind = ProfileKind(args.kind)
@@ -261,7 +271,7 @@ def _build_parser() -> argparse.ArgumentParser:
     count.add_argument("--n-min", type=int, default=1)
     count.add_argument("--n-max", type=int, required=True)
     count.add_argument(
-        "--family", required=True, choices=[f.value for f in Family]
+        "--family", required=True, choices=FAMILY_NAMES
     )
     count.add_argument(
         "--method", choices=["brute", "recurrence", "both"], default="both",
@@ -291,7 +301,7 @@ def _build_parser() -> argparse.ArgumentParser:
     profile.add_argument("--k", type=int, required=True)
     profile.add_argument("--n", type=int, required=True)
     profile.add_argument(
-        "--kind", required=True, choices=[kind.value for kind in ProfileKind]
+        "--kind", required=True, choices=PROFILE_KINDS
     )
     profile.add_argument(
         "--set", default="", help="comma-separated indices; empty for the empty set"

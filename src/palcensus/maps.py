@@ -59,13 +59,21 @@ class Permutation(_Record):
     images: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        n = len(self.images)
+        images = self.images
+        n = len(images)
         seen = bytearray(n + 1)  # a byte a position, not sorted lists of n ints
-        if min(self.images, default=1) >= 1 and max(self.images, default=0) <= n:
-            for i in self.images:
-                seen[i] = 1
+        # a negative image would mark from the end, so min guards the marking;
+        # an image above n has no byte (nor has a non-integer one), and the
+        # error it raises ends the marking with fewer than n marks, so the
+        # count refuses it too
+        if min(images, default=1) >= 1:
+            try:
+                for i in images:
+                    seen[i] = 1
+            except (IndexError, TypeError):
+                pass
         if seen.count(1) != n:  # n images in 1..n mark all n iff distinct
-            raise ValueError(f"not a permutation of 1..{n}: {self.images}")
+            raise ValueError(f"not a permutation of 1..{n}: {images}")
 
 
 def milk_shuffle_permutation(n: int) -> Permutation:
@@ -82,21 +90,20 @@ def milk_shuffle_permutation(n: int) -> Permutation:
 def permutation_order(p: Permutation) -> int:
     """Least m >= 1 with the m-fold composition equal to the identity,
     computed as the lcm of the cycle lengths."""
-    images = p.images
-    n = len(images)
-    seen = [False] * n
-    lengths = []
-    for start in range(n):
-        if seen[start]:
-            continue
-        length = 0
-        j = start
-        while not seen[j]:
-            seen[j] = True
-            j = images[j] - 1
+    successor = (0,) + p.images  # successor[j] is the image of position j
+    seen = bytearray(len(successor))
+    lengths = set()
+    start = seen.find(0, 1)
+    while start > 0:
+        seen[start] = 1
+        j, length = successor[start], 1
+        while j != start:
+            seen[j] = 1
+            j = successor[j]
             length += 1
-        lengths.append(length)
-    return math.lcm(*lengths) if lengths else 1
+        lengths.add(length)
+        start = seen.find(0, start + 1)
+    return math.lcm(*lengths)  # 1 for the empty permutation
 
 
 def _prime_factors(x: int) -> list[int]:

@@ -242,6 +242,14 @@ def no_pal_prefix_ratios(k: int, N: int) -> dict[int, Fraction]:
 # persistent cache
 
 
+def _record(k, n, count, where: str = "") -> tuple[tuple[int, int], int]:
+    """The key (k, n) and the count of one cache record through the integer
+    gate: the one rule of what CacheStore.put stores and CacheStore._read
+    accepts; `where` prefixes the field's name in a refusal."""
+    key = _integer(k, 1, where + "alphabet size"), _integer(n, 1, where + "half-length")
+    return key, _integer(count, 0, where + "min-square count")
+
+
 class CacheStore:
     """TSV-backed store of minimal-square counts.
 
@@ -266,19 +274,18 @@ class CacheStore:
                         f"got {line!r}"
                     )
                 try:
-                    k, n, count = (int(p) for p in parts)
+                    fields = [int(p) for p in parts]
                 except ValueError:
                     raise ValueError(
                         f"{self.path}:{lineno}: non-integer field in {line!r}"
                     ) from None
-                if k < 1 or n < 1 or count < 0:
-                    raise ValueError(f"{self.path}:{lineno}: out-of-range record {line!r}")
-                if previous is not None and (k, n) <= previous:
+                key, count = _record(*fields, f"{self.path}:{lineno}: ")
+                if previous is not None and key <= previous:
                     raise ValueError(
                         f"{self.path}:{lineno}: records must be sorted by (k, n)"
                     )
-                values[(k, n)] = count
-                previous = (k, n)
+                values[key] = count
+                previous = key
         return values
 
     def _load(self) -> dict[tuple[int, int], int]:
@@ -291,8 +298,8 @@ class CacheStore:
 
     def put(self, k: int, n: int, count: int) -> None:
         """Store count for (k, n) as ints, refused where _read would refuse the record."""
-        record = _integer(k, 1, "alphabet size"), _integer(n, 1, "half-length")
-        self._load()[record] = _integer(count, 0, "min-square count")
+        key, count = _record(k, n, count)
+        self._load()[key] = count
 
     def save(self) -> None:
         """Write this store's values merged with what the file holds now.

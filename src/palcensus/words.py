@@ -8,7 +8,9 @@ The naive border, palindromic-prefix and square-prefix scans that
 ``word_profile`` and the census are checked against live in ``verify``.
 ``_integer`` is the package's one integer check: every alphabet size,
 length, digit count, term count, job count and cache record passes it, and
-its callers compute with the int it returns.
+its callers compute with the int it returns.  ``CheckFailure`` is the one
+class of failed checks, here so that the command line can pick its exit
+code without importing the census.
 
 ``word_profile`` scans a word of up to ``_UNROLLED`` (32) letters with a
 kernel made for its length: straight-line code whose tests compare letters
@@ -84,6 +86,10 @@ class _Record:
 
     def __reduce__(self):
         return type(self), tuple(getattr(self, name) for name in self.__slots__)
+
+
+class CheckFailure(ValueError):
+    """A computed result failed its check: the command line exits 1 for each one."""
 
 
 def _integer(value, least: int, what: str, most: int | None = None) -> int:

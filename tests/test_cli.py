@@ -863,16 +863,18 @@ def test_a_failed_check_whose_reader_is_gone_exits_141():
 
 # modules a short command must not load: the cross-checks, the process pool,
 # dataclasses (with inspect, about a third of the package's import time),
-# and (for commands that compute no sequence) the recurrences and constants
+# for commands that compute no sequence the recurrences and constants, and
+# for those that count no word the census
 NO_POOL = ("palcensus.verify", "concurrent.futures", "dataclasses")
 NO_SEQUENCES = NO_POOL + ("palcensus.constants", "palcensus.recurrences")
+NO_CENSUS = NO_SEQUENCES + ("palcensus.census",)
 
 
 @pytest.mark.parametrize(
     "argv,absent,code",
     [
-        (["map", "--map", "f", "--k", "2", "--word", "0110"], NO_SEQUENCES, "0"),
-        (["shuffle-order", "--n", "7"], NO_SEQUENCES, "0"),
+        (["map", "--map", "f", "--k", "2", "--word", "0110"], NO_CENSUS, "0"),
+        (["shuffle-order", "--n", "7"], NO_CENSUS, "0"),
         (
             ["count", "--k", "2", "--n-max", "8", "--family", "unbordered",
              "--jobs", "1"],
@@ -899,7 +901,7 @@ NO_SEQUENCES = NO_POOL + ("palcensus.constants", "palcensus.recurrences")
              "--family", "unbordered", "--method", "brute"],
             ("palcensus.constants", "palcensus.verify"), "2",
         ),
-        (["map", "--map", "f", "--k", "2", "--word", "3"], NO_SEQUENCES, "2"),
+        (["map", "--map", "f", "--k", "2", "--word", "3"], NO_CENSUS, "2"),
     ],
     ids=["map", "shuffle-order", "count", "count-jobs-2", "constants", "verify",
          "count-over-budget", "map-bad-symbol"],
@@ -922,6 +924,16 @@ def test_start_up_imports_only_what_the_command_runs(argv, absent, code):
     assert (returned, built) == (code, "0")
     assert "palcensus.cli" in loaded
     assert not set(absent) & set(loaded)
+
+
+def test_parser_names_match_the_census():
+    # the parser spells these out so that map and shuffle-order need not
+    # import the census
+    assert (cli.DEFAULT_BUDGET, cli.MAX_LISTED_WORDS) == (
+        census.DEFAULT_BUDGET, census.MAX_LISTED_WORDS)
+    assert cli.FAMILY_NAMES == tuple(family.value for family in census.Family)
+    assert cli.PROFILE_KINDS == tuple(kind.value for kind in census.ProfileKind)
+    assert cli.CheckFailure is census.CheckFailure is palcensus.CheckFailure
 
 
 def test_importing_the_words_module_builds_no_kernel():

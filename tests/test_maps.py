@@ -4,7 +4,7 @@ import itertools
 import time
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from palcensus.maps import (
@@ -99,6 +99,8 @@ class TestPermutation:
             (2, -1),  # negative, a valid index from the end
             (0,),
             (2,),
+            (3.0, 1),  # not an integer, above n
+            (1, 1.5),  # not an integer, within 1..n
         ):
             with pytest.raises(ValueError, match=f"not a permutation of 1..{len(images)}"):
                 Permutation(images)
@@ -166,6 +168,19 @@ class TestOrders:
         for n in range(1, 33):
             p = milk_shuffle_permutation(n)
             assert permutation_order(p) == order_by_iteration(p)
+
+    @pytest.mark.parametrize(
+        "images,order",
+        [
+            (tuple(range(1, 1001)), 1),
+            (tuple(range(2, 1001)) + (1,), 1000),
+            (tuple(j + 1 if j % 2 else j - 1 for j in range(1, 1001)), 2),
+        ],
+        ids=["identity", "one-cycle", "transpositions"],
+    )
+    def test_cycle_walk_on_a_thousand_positions(self, images, order):
+        p = Permutation(images)
+        assert permutation_order(p) == order_by_iteration(p) == order
 
     def test_congruence_examples(self):
         # powers of 2 mod 13 run 2, 4, 8, 3, 6, 12; the -1 appears at step 6
@@ -285,6 +300,15 @@ def random_words(draw, min_size=0, max_size=40):
         st.lists(st.integers(0, k - 1), min_size=min_size, max_size=max_size)
     )
     return Word.of(symbols, k)
+
+
+@settings(deadline=None)
+@given(st.integers(0, 64).flatmap(lambda n: st.permutations(range(1, n + 1))))
+# (1)(2 4)(3): a walk that skips the start after a fixed point misses the 2-cycle
+@example([1, 4, 3, 2])
+def test_cycle_walk_matches_iteration(images):
+    p = Permutation(tuple(images))
+    assert permutation_order(p) == order_by_iteration(p)
 
 
 @settings(deadline=None)

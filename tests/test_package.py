@@ -21,8 +21,8 @@ from palcensus import census, verify
 # the names the package exports, by defining module
 EXPORTED = {
     "census": (
-        "DEFAULT_BUDGET", "BudgetExceededError", "CheckFailure", "Family",
-        "ProfileKind", "census_family", "census_profile", "list_profile",
+        "DEFAULT_BUDGET", "BudgetExceededError", "Family", "ProfileKind",
+        "census_family", "census_profile", "list_profile",
     ),
     "constants": (
         "CertificationError", "DecimalReport", "Enclosure",
@@ -42,7 +42,9 @@ EXPORTED = {
         "no_pal_prefix_counts", "no_pal_prefix_ratios",
         "square_prefix_counts", "unbordered_counts",
     ),
-    "words": ("Word", "WordProfile", "format_word", "parse_word", "word_profile"),
+    "words": (
+        "CheckFailure", "Word", "WordProfile", "format_word", "parse_word", "word_profile",
+    ),
 }
 NAMES = [name for names in EXPORTED.values() for name in names]
 

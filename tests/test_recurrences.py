@@ -4,6 +4,7 @@ persistence of the minimal-square cache."""
 
 import os
 import random
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -363,6 +364,21 @@ class TestCacheStore:
         path = tmp_path / "counts.tsv"
         path.write_text(line)
         with pytest.raises(ValueError):
+            CacheStore(path).get(2, 3)
+
+    @pytest.mark.parametrize(
+        "line,message",
+        [
+            ("0\t3\t4\n", "alphabet size must be at least 1, got 0"),
+            ("2\t0\t4\n", "half-length must be at least 1, got 0"),
+            ("2\t3\t-1\n", "min-square count must be at least 0, got -1"),
+        ],
+    )
+    def test_reader_refuses_what_put_would(self, tmp_path, line, message):
+        # one rule for a record, read or put, named with the file position
+        path = tmp_path / "counts.tsv"
+        path.write_text(f"2\t1\t2\n{line}")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:2: {message}$"):
             CacheStore(path).get(2, 3)
 
     @pytest.mark.parametrize(
