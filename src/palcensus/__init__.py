@@ -19,7 +19,7 @@ _EXPORTS = {
         "closed_form_report", "density_series",
         "density_series_enclosure", "density_series_report",
         "pal_free_density", "square_prefix_densities", "unbordered_density",
-        "unbordered_density_enclosure", "unbordered_density_estimate",
+        "unbordered_density_estimate",
     ),
     "maps": (
         "Permutation", "adjacent_sum_map", "adjacent_sum_preimages",

@@ -417,15 +417,11 @@ def _profile_counter(
 def _validate_profile_set(n: int, profile_set) -> tuple[int, frozenset[int]]:
     """The int n, at least 0, and the profile set, its entries in 1..n // 2."""
     n = _integer(n, 0, "profile length")
-    wanted = frozenset(profile_set)
-    bad = sorted(
-        str(i) for i in wanted if not isinstance(i, int) or not 1 <= i <= n // 2
-    )
-    if bad:
-        raise ValueError(
-            f"profile set entries must lie in 1..{n // 2} for length {n}, got {bad}"
-        )
-    return n, wanted
+    try:
+        entries = frozenset(profile_set)
+    except TypeError:
+        raise ValueError(f"profile set must be a set of integers, got {profile_set!r}") from None
+    return n, frozenset(_integer(i, 1, "profile set entry", n // 2) for i in entries)
 
 
 def census_profile(

@@ -11,7 +11,8 @@ fraction of length-n words with no nontrivial palindromic prefix.  Its value
 at X = 1/k gives the limiting density of that family.  Every certified decimal
 report steps Nielsen's equation for γ, reading no count; ρ and h follow from γ
 by an identity proved at pal_free_density.  D's functional equation and the
-count series are their references; the series give the square-prefix densities.
+count series are their references (γ's, over the unbordered counts, lives in
+verify); the series give the square-prefix densities.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from fractions import Fraction
 from .census import CheckFailure
 from .recurrences import (
     CountSeq, MissingCountError, _doubling, _min_square_alphabet, _no_pal_prefix_back,
-    _require, _unbordered_back, no_pal_prefix_ratios, unbordered_counts,
+    _require, no_pal_prefix_ratios, unbordered_counts,
 )
 from .words import _integer, _Record
 
@@ -232,22 +233,6 @@ def pal_free_density(k: int, digits: int) -> DecimalReport:
     Divided by k**n, p(n//2 + 1) <= k**(n//2 + 1) vanishes: (k-1) ρ = (k-2) γ."""
     return DecimalReport(
         _rendered(*_refine(lambda j: _h_enclosure(k, j).complement(2, k + 1), digits)))
-
-
-def unbordered_density_enclosure(k: int, N: int) -> Enclosure:
-    """Enclosure of γ, the limiting fraction of unbordered words:
-    1 - sum over m >= 1 of u(m) / k**(2m), the reference for unbordered_density.
-
-    A bordered word's shortest border is unbordered and at most half its
-    length, so the length-n words with shortest border m number
-    u(m) * k**(n-2m), and u(n) / k**n = 1 - sum over m <= n/2 of
-    u(m) / k**(2m).  Letting n grow gives the series, and u(n) / k**n - γ =
-    sum over m > n//2 of (u(m) / k**m) k**-m.  Each u(m) / k**m lies in
-    [γ, γ + k**-(m//2) / (k-1)], as its excess over γ is such a sum, of
-    terms in [0, k**-m'] since u(m') <= k**m'.  So, with q = k**-(n//2) / (k-1),
-        γq <= u(n) / k**n - γ <= γq + sum over m > n//2 of k**(-m - m//2) / (k-1).
-    """
-    return _series_enclosure(k, _doubling(k, N, _unbordered_back), N).complement(1)
 
 
 def unbordered_density(k: int, digits: int) -> DecimalReport:

@@ -27,13 +27,14 @@ from .census import (
     list_profile,
 )
 from .constants import (
+    Enclosure,
     _functional_enclosure,
     _h_enclosure,
     _nielsen_enclosure,
+    _series_enclosure,
     density_series,
     density_series_enclosure,
     square_prefix_densities,
-    unbordered_density_enclosure,
 )
 from .maps import (
     _adjacent_sum_preimages,
@@ -44,7 +45,9 @@ from .maps import (
     milk_shuffle_permutation,
     permutation_order,
 )
-from .recurrences import family_counts, min_square_counts, no_pal_prefix_ratios
+from .recurrences import (
+    _doubling, _unbordered_back, family_counts, min_square_counts, no_pal_prefix_ratios,
+)
 from .words import _integer, _shuffle, _unshuffle
 
 _MAX_REPORTED_FAILURES = 5
@@ -60,7 +63,9 @@ MAX_VERIFY_K = 120
 class SuiteResult:
     """One suite's check count and failures: at most five, in the order they
     happened, each check's first (a check is its message up to " at ") and
-    then as many others as fit."""
+    then as many others as fit.  A check is one `check` call, which counts
+    it, holding or not; a site reports a check that failed through `fail`,
+    so its message is formatted only then."""
 
     __slots__ = ("name", "checks", "_count", "_firsts", "_repeats")
 
@@ -83,6 +88,10 @@ class SuiteResult:
     def passed(self) -> bool:
         # a suite that ran no check proves nothing
         return self.checks > 0 and not self._count
+
+    def check(self, holds: bool) -> bool:
+        self.checks += 1
+        return holds
 
     def fail(self, message: str) -> None:
         check = message.split(" at ", 1)[0]
@@ -157,9 +166,8 @@ def _classes(result: SuiteResult, k: int, n: int):
     for w, size in _words_up_to_renaming(k, n):
         total += size
         yield w
-    if total != k ** n:
+    if not result.check(total == k ** n):
         result.fail(f"renaming classes cover {total} of the {k ** n} words at k={k}, n={n}")
-    result.checks += 1
 
 
 def suite_bijection(k_max: int, n_max: int, budget: int) -> SuiteResult:
@@ -171,17 +179,16 @@ def suite_bijection(k_max: int, n_max: int, budget: int) -> SuiteResult:
         for n in _lengths(k, n_max, budget):
             for w in _classes(result, k, n):
                 image = _milk_shuffle(w)
-                if _milk_unshuffle(image) != w:
+                if not result.check(_milk_unshuffle(image) == w):
                     result.fail(f"round trip failed at k={k}, w={w}")
-                if _short_border_set(w) != _even_pp_set(image):
+                if not result.check(_short_border_set(w) == _even_pp_set(image)):
                     result.fail(
                         f"border set != even-order set of image at k={k}, w={w}"
                     )
-                result.checks += 2
             borders = _profile_counter(k, n, ProfileKind.SHORT_BORDERS, budget=budget)
-            if borders != _profile_counter(k, n, ProfileKind.EVEN_PP_ORDERS, budget=budget):
+            orders = _profile_counter(k, n, ProfileKind.EVEN_PP_ORDERS, budget=budget)
+            if not result.check(borders == orders):
                 result.fail(f"profile censuses disagree at k={k}, n={n}")
-            result.checks += 1
         # image lists coincide set-wise, not just in count; a listed word holds
         # about 300 bytes, so they run at the longest n <= 8 with k**n <= 3**8
         n = min(8, n_max, _longest(k, min(budget, 3 ** 8)))
@@ -195,13 +202,12 @@ def suite_bijection(k_max: int, n_max: int, budget: int) -> SuiteResult:
                     k, n, ProfileKind.EVEN_PP_ORDERS, wanted, budget=budget
                 )
                 mapped = sorted(_milk_shuffle(w.symbols) for w in with_borders)
-                if mapped != sorted(w.symbols for w in with_orders):
+                if not result.check(mapped == sorted(w.symbols for w in with_orders)):
                     result.fail(f"image list mismatch at k={k}, n={n}, set={wanted}")
-                result.checks += 1
     for n in range(2, 201):
-        if permutation_order(milk_shuffle_permutation(n)) != milk_shuffle_order(n):
+        if not result.check(
+                permutation_order(milk_shuffle_permutation(n)) == milk_shuffle_order(n)):
             result.fail(f"shuffle order mismatch at n={n}")
-        result.checks += 1
     return result
 
 
@@ -212,25 +218,22 @@ def suite_g_map(k_max: int, n_max: int, budget: int) -> SuiteResult:
     for k in range(2, k_max + 1):
         for n in _lengths(k, n_max, budget):
             for w in itertools.product(range(k), repeat=n):
-                if _odd_pp_set(w) != _even_pp_set(_adjacent_sums(w, k)):
+                if not result.check(_odd_pp_set(w) == _even_pp_set(_adjacent_sums(w, k))):
                     result.fail(f"order correspondence failed at k={k}, w={w}")
-                result.checks += 1
         for n in _lengths(k, min(n_max, 8), budget):
             for x in itertools.product(range(k), repeat=n - 1):
                 preimages = set(_adjacent_sum_preimages(x, k))
-                if any(_adjacent_sums(w, k) != x for w in preimages):
+                if not result.check(all(_adjacent_sums(w, k) == x for w in preimages)):
                     result.fail(f"preimage does not map back at k={k}, x={x}")
-                if len(preimages) != k:
+                if not result.check(len(preimages) == k):
                     result.fail(f"expected {k} distinct preimages at k={k}, x={x}")
-                result.checks += 1
     # the even-to-odd analogue must fail somewhere: the middle letter breaks it
-    if all(
-        _even_pp_set(w) == _odd_pp_set(_adjacent_sums(w, 2))
+    if not result.check(any(
+        _even_pp_set(w) != _odd_pp_set(_adjacent_sums(w, 2))
         for n in range(1, 9)
         for w in itertools.product(range(2), repeat=n)
-    ):
+    )):
         result.fail("even-to-odd analogue unexpectedly held on all short binary words")
-    result.checks += 1
     return result
 
 
@@ -301,22 +304,19 @@ def suite_counts(k_max: int, n_max: int, budget: int) -> SuiteResult:
                     ("naive filter", families[family]),
                     ("recurrence", sequences[family][n]),
                 ):
-                    if got != other:
+                    if not result.check(got == other):
                         result.fail(
                             f"{family.value} mismatch at k={k}, n={n}: "
                             f"census {got}, {route} {other}"
                         )
-                    result.checks += 1
             for route, counts in (("census", counted), ("recurrences", sequences)):
-                if not _count_identity(k, n, counts[Family.NO_PAL_PREFIX],
-                                       counts[Family.UNBORDERED]):
+                if not result.check(_count_identity(k, n, counts[Family.NO_PAL_PREFIX],
+                                                    counts[Family.UNBORDERED])):
                     result.fail(f"count identity failed on the {route} at k={k}, n={n}")
-                result.checks += 1
             for kind in ProfileKind:
                 counters[n, kind] = _profile_counter(k, n, kind, budget=budget)
-                if counters[n, kind] != profiles[kind]:
+                if not result.check(counters[n, kind] == profiles[kind]):
                     result.fail(f"{kind.value} profile census mismatch at k={k}, n={n}")
-                result.checks += 1
             # a letter appended to an even (odd) length cannot close an even
             # (odd) palindromic prefix, so that profile grows k-fold; at odd
             # lengths the odd profile equals the even one
@@ -330,9 +330,8 @@ def suite_counts(k_max: int, n_max: int, budget: int) -> SuiteResult:
                         counters[n, odd] == _times(k, counters[n - 1, even]),
                     ]
             for holds in laws:
-                if not holds:
+                if not result.check(holds):
                     result.fail(f"profile parity law failed at k={k}, n={n}")
-                result.checks += 1
     return result
 
 
@@ -344,16 +343,15 @@ def suite_recurrences(k_max: int, n_max: int, budget: int) -> SuiteResult:
         ratios = no_pal_prefix_ratios(k, N)
         # halving identity in exact rationals
         for n in range(2, N // 2 + 1):
-            if ratios[2 * n] != ratios[2 * n - 2] - (k + 1) * ratios[n] * Fraction(1, k ** n):
+            halved = ratios[2 * n - 2] - (k + 1) * ratios[n] * Fraction(1, k ** n)
+            if not result.check(ratios[2 * n] == halved):
                 result.fail(f"halving ratio identity failed at k={k}, n={n}")
-            result.checks += 1
         # telescoped form
         partial = Fraction(0)
         for n in range(1, N // 2 + 1):
             partial += ratios[n] * Fraction(1, k ** n)
-            if ratios[2 * n] != 2 - (k + 1) * partial:
+            if not result.check(ratios[2 * n] == 2 - (k + 1) * partial):
                 result.fail(f"telescoped identity failed at k={k}, n={n}")
-            result.checks += 1
         # square-prefix-free counts from the parity recurrence against the
         # convolution over the census's minimal-square counts
         top = min(n_max, 12, _longest(k, budget))
@@ -362,14 +360,29 @@ def suite_recurrences(k_max: int, n_max: int, budget: int) -> SuiteResult:
             free = family_counts(k, top, Family.NO_SQUARE_PREFIX, budget=budget)
             for n in range(2, top + 1):
                 has = sum(min_square[i] * k ** (n - 2 * i) for i in range(1, n // 2 + 1))
-                if free[n] != k ** n - has:
+                if not result.check(free[n] == k ** n - has):
                     result.fail(f"square-prefix convolution failed at k={k}, n={n}")
-                result.checks += 1
             for i, count in enumerate(min_square.values, 1):
-                if not 0 <= count <= k ** i:
+                if not result.check(0 <= count <= k ** i):
                     result.fail(f"min-square count out of range at k={k}, i={i}")
-                result.checks += 1
     return result
+
+
+def _unbordered_density_enclosure(k: int, N: int) -> Enclosure:
+    """Enclosure of γ, the limiting fraction of unbordered words:
+    1 - sum over m >= 1 of u(m) / k**(2m), the series reference for the
+    Nielsen-equation stepper that certifies unbordered_density.
+
+    A bordered word's shortest border is unbordered and at most half its
+    length, so the length-n words with shortest border m number
+    u(m) * k**(n-2m), and u(n) / k**n = 1 - sum over m <= n/2 of
+    u(m) / k**(2m).  Letting n grow gives the series, and u(n) / k**n - γ =
+    sum over m > n//2 of (u(m) / k**m) k**-m.  Each u(m) / k**m lies in
+    [γ, γ + k**-(m//2) / (k-1)], as its excess over γ is such a sum, of
+    terms in [0, k**-m'] since u(m') <= k**m'.  So, with q = k**-(n//2) / (k-1),
+        γq <= u(n) / k**n - γ <= γq + sum over m > n//2 of k**(-m - m//2) / (k-1).
+    """
+    return _series_enclosure(k, _doubling(k, N, _unbordered_back), N).complement(1)
 
 
 def suite_constants(k_max: int, n_max: int, budget: int) -> SuiteResult:
@@ -381,44 +394,43 @@ def suite_constants(k_max: int, n_max: int, budget: int) -> SuiteResult:
     for k in range(2, max(k_max, 3) + 1):
         # one Fraction per term: the stepper checks below read the kernel to 256
         for N in (10, 40, 64):
-            if density_series_enclosure(k, N) != density_series(k, Fraction(1, k), N):
+            if not result.check(
+                    density_series_enclosure(k, N) == density_series(k, Fraction(1, k), N)):
                 result.fail(f"series kernel differs from the Fraction sum at k={k}, N={N}")
             for name, enclose in (("series", density_series_enclosure),
-                                  ("unbordered", unbordered_density_enclosure)):
+                                  ("unbordered", _unbordered_density_enclosure)):
                 outer, inner = enclose(k, N), enclose(k, 2 * N)
-                if not (outer.lower <= inner.lower and inner.upper <= outer.upper):
+                if not result.check(outer.lower <= inner.lower and inner.upper <= outer.upper):
                     result.fail(f"{name} enclosures failed to nest at k={k}, N={N}")
-            result.checks += 3
         for x in (Fraction(1, k), Fraction(1, 2 * k), Fraction(1, k * k)):
             direct = density_series(k, x, 40)
             inner = density_series(k, x * x / k, 40)
             offset = 2 * x / (1 - x)
             coefficient = (x + k) / (x * (x - 1))  # negative: the bounds swap
             low, high = offset + coefficient * inner.upper, offset + coefficient * inner.lower
-            if max(direct.lower, low) > min(direct.upper, high):
+            if not result.check(max(direct.lower, low) <= min(direct.upper, high)):
                 result.fail(f"functional equation enclosures disjoint at k={k}, x={x}")
-            result.checks += 1
     # the certified routes to D(1/k), to γ and to h from γ, paired so that their widths
     # are comparable: about k**-N for the series, k**(1 - 2**(j+2)) for depth j
     for k in range(2, max(k_max, 5) + 1):
         for N, j in ((16, 1), (16, 2), (64, 3), (64, 4), (256, 5), (256, 6)):
             for name, stepper, reference, slack in (
                 ("functional-equation", _functional_enclosure, density_series_enclosure, 3),
-                ("Nielsen-equation", _nielsen_enclosure, unbordered_density_enclosure, 4),
+                ("Nielsen-equation", _nielsen_enclosure, _unbordered_density_enclosure, 4),
                 ("gamma-derived h", _h_enclosure, density_series_enclosure, 4),
             ):
                 closed, series = stepper(k, j), reference(k, N)
-                if max(closed.lower, series.lower) > min(closed.upper, series.upper):
+                if not result.check(
+                        max(closed.lower, series.lower) <= min(closed.upper, series.upper)):
                     result.fail(
                         f"{name} enclosure left the series enclosure at k={k}, N={N}, j={j}")
-                if closed.width * k ** (2 ** (j + 2) - slack) > 1:
+                if not result.check(closed.width * k ** (2 ** (j + 2) - slack) <= 1):
                     result.fail(f"{name} enclosure too wide at k={k}, j={j}")
-                result.checks += 2
             # (k-1) ρ = (k-2) γ through D's stepper, which reads neither γ nor ρ
             derived, functional = _h_enclosure(k, j), _functional_enclosure(k, j)
-            if max(derived.lower, functional.lower) > min(derived.upper, functional.upper):
+            if not result.check(
+                    max(derived.lower, functional.lower) <= min(derived.upper, functional.upper)):
                 result.fail(f"gamma-derived h left D's enclosure at k={k}, j={j}")
-            result.checks += 1
     for k in range(2, max(k_max, 5) + 1):
         # at depth 1 the with-square enclosure's top is the bound 1/(k-1) itself
         depth = min(7, _longest(k, budget))
@@ -426,12 +438,11 @@ def suite_constants(k_max: int, n_max: int, budget: int) -> SuiteResult:
             continue
         min_square = min_square_counts(k, depth, budget=budget)
         with_square, square_free = square_prefix_densities(k, depth, min_square)
-        if not with_square.upper < Fraction(1, k - 1):
+        if not result.check(with_square.upper < Fraction(1, k - 1)):
             result.fail(f"with-square density bound failed at k={k}")
         floor = Fraction(0) if k == 2 else 1 - Fraction(1, k - 1)
-        if not square_free.lower > floor:
+        if not result.check(square_free.lower > floor):
             result.fail(f"square-free density bound failed at k={k}")
-        result.checks += 2
     # tail control: even-index ratios approach the limiting density geometrically
     for k in range(2, k_max + 1):
         ratios = no_pal_prefix_ratios(k, 64)
@@ -439,10 +450,9 @@ def suite_constants(k_max: int, n_max: int, budget: int) -> SuiteResult:
         for n in (4, 8, 16, 32):
             bound = Fraction(k + 1, k ** n * (k - 1))
             here = ratios[2 * n]
-            if here < limit.lower - bound or here > limit.upper + bound:
+            if not result.check(limit.lower - bound <= here <= limit.upper + bound):
                 result.fail(f"ratio strayed from the limiting density at k={k}, n={n}")
-            result.checks += 1
-        # the two-sided rate proved in unbordered_density_enclosure, for every
+        # the two-sided rate proved in _unbordered_density_enclosure, for every
         # γ in the count-free enclosure, of width below k**-256.  With
         # w = (k-1) k**(n//2), 1 + q = (w+1)/w; k**(-m - m//2) over m >= M sums
         # to k**-(M + M//2) (k**3 + k**(2 - M%2)) / (k**3 - 1), so the tail
@@ -458,9 +468,9 @@ def suite_constants(k_max: int, n_max: int, budget: int) -> SuiteResult:
             t = (k ** 3 + k ** (2 - M % 2)) * k ** (n - M - M // 2)
             w = (k - 1) * k ** (n // 2)
             u, top = unbordered[n], (w + 1) * k ** n
-            if not (high * top <= u * w * den and u * w * K * den <= low * top * K + t * w * den):
+            if not result.check(
+                    high * top <= u * w * den and u * w * K * den <= low * top * K + t * w * den):
                 result.fail(f"unbordered ratio strayed from its limit at k={k}, n={n}")
-            result.checks += 1
     return result
 
 
@@ -485,23 +495,20 @@ def suite_lemmas(k_max: int, n_max: int, budget: int) -> SuiteResult:
                 continue
             for x in _classes(result, k, n):
                 y, z = _unshuffle(x)
-                if (x == x[::-1]) != (z == y[::-1]):
+                if not result.check((x == x[::-1]) == (z == y[::-1])):
                     result.fail(f"shuffle-palindrome splitting failed at k={k}, x={x}")
-                result.checks += 1
         # reversing a shuffle shuffles the reversals, swapped
         for n in range(0, min(5, n_max // 2, _longest(k, budget) // 2) + 1):
             for v in _classes(result, k, 2 * n):
                 y, z = v[:n], v[n:]
-                if _shuffle(y, z)[::-1] != _shuffle(z[::-1], y[::-1]):
+                if not result.check(_shuffle(y, z)[::-1] == _shuffle(z[::-1], y[::-1])):
                     result.fail(f"shuffle reversal law failed at k={k}, y={y}, z={z}")
-                result.checks += 1
         # long borders force short ones
         for n in _lengths(k, min(n_max, 12), budget):
             for w in _classes(result, k, n):
                 # the shortest border, if any, is at most half the word
-                if min(_border_set(w), default=0) > n // 2:
+                if not result.check(min(_border_set(w), default=0) <= n // 2):
                     result.fail(f"long border without short border at k={k}, w={w}")
-                result.checks += 1
         # a palindromic prefix longer than half of a palindrome forces a
         # shorter one, though not always a nontrivial one (000)
         for n in range(1, min(n_max, 2 * _longest(k, budget)) + 1):
@@ -509,13 +516,8 @@ def suite_lemmas(k_max: int, n_max: int, budget: int) -> SuiteResult:
             for half_word in _classes(result, k, head):
                 p = half_word + half_word[::-1][n % 2:]
                 for m in range(n // 2 + 1, n):
-                    if p[:m] == p[m - 1::-1]:
-                        if not _pal_prefix_lemma(p, m):
-                            result.fail(
-                                f"palindromic prefix lemma failed at k={k}, "
-                                f"p={p}, m={m}"
-                            )
-                        result.checks += 1
+                    if p[:m] == p[m - 1::-1] and not result.check(_pal_prefix_lemma(p, m)):
+                        result.fail(f"palindromic prefix lemma failed at k={k}, p={p}, m={m}")
         # appending the reflection preserves having a palindromic prefix
         for length in range(0, min(8, n_max, _longest(k, budget)) + 1):
             for w in _classes(result, k, length):
@@ -526,11 +528,10 @@ def suite_lemmas(k_max: int, n_max: int, budget: int) -> SuiteResult:
                         mirrored[:m] == mirrored[m - 1::-1]
                         for m in range(2, len(mirrored))
                     )
-                    if direct != reflected:
+                    if not result.check(direct == reflected):
                         result.fail(
                             f"reflection equivalence failed at k={k}, w={w}, a={middle}"
                         )
-                    result.checks += 1
     return result
 
 

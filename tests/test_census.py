@@ -255,6 +255,23 @@ class TestProfileCensus:
         with pytest.raises(ValueError, match="must lie in"):
             list_profile(2, 8, ProfileKind.EVEN_PP_ORDERS, {0})
 
+    @pytest.mark.parametrize("query", [census_profile, list_profile])
+    @pytest.mark.parametrize(
+        "profile_set,message",
+        [
+            # entries pass the one integer gate: 1.0 is no index
+            ({1.0}, "profile set entry must be an integer, got 1.0"),
+            ({"1"}, "profile set entry must be an integer, got '1'"),
+            ({3}, "profile set entry must lie in 1..2, got 3"),
+            # not a bare TypeError from frozenset(5)
+            (5, "profile set must be a set of integers, got 5"),
+            ([[1]], "profile set must be a set of integers, got [[1]]"),
+        ],
+    )
+    def test_a_bad_set_is_refused_with_a_value_error(self, query, profile_set, message):
+        with pytest.raises(ValueError, match=re.escape(message) + "$"):
+            query(2, 4, ProfileKind.SHORT_BORDERS, profile_set)
+
     def test_budget_applies(self):
         with pytest.raises(BudgetExceededError):
             list_profile(2, 30, ProfileKind.SHORT_BORDERS, {1}, budget=2 ** 10)

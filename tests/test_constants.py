@@ -28,7 +28,6 @@ from palcensus.constants import (
     pal_free_density,
     square_prefix_densities,
     unbordered_density,
-    unbordered_density_enclosure,
     unbordered_density_estimate,
 )
 from palcensus.recurrences import (
@@ -36,6 +35,7 @@ from palcensus.recurrences import (
     min_square_counts,
     unbordered_counts,
 )
+from palcensus.verify import _unbordered_density_enclosure
 
 # 60 decimal places of the series value at 1/3, and 59 of the resulting
 # limiting density; both certified below by the series enclosure, the
@@ -165,7 +165,7 @@ class TestDensitySeries:
 
     def test_no_terms_still_check_the_alphabet(self):
         # zip pulled no count at N = 0, so k = 3.0 gave a float enclosure
-        for enclose in (density_series_enclosure, unbordered_density_enclosure):
+        for enclose in (density_series_enclosure, _unbordered_density_enclosure):
             with pytest.raises(ValueError, match="alphabet size must be an integer, got 3.0"):
                 enclose(3.0, 0)
             with pytest.raises(ValueError, match="sequence length must be at least 1, got 0"):
@@ -233,7 +233,7 @@ class TestStepper:
 
     @pytest.mark.parametrize("k", range(2, 8))
     def test_gamma_meets_the_series(self, k):
-        series = unbordered_density_enclosure(k, 400)
+        series = _unbordered_density_enclosure(k, 400)
         for j in range(1, 9):
             closed = _nielsen_enclosure(k, j)
             assert max(closed.lower, series.lower) <= min(closed.upper, series.upper)
@@ -552,14 +552,14 @@ class TestUnborderedDensity:
         # u(2N) / k**(2N) = 1 - sum over m <= N of u(m) / k**(2m), exactly
         u = unbordered_counts(k, 80)
         for N in (1, 5, 17, 40):
-            enclosure = unbordered_density_enclosure(k, N)
+            enclosure = _unbordered_density_enclosure(k, N)
             assert enclosure.upper == Fraction(u[2 * N], k ** (2 * N))
             assert enclosure.width == Fraction(1, (k - 1) * k ** N)
 
     @pytest.mark.parametrize("k", [2, 3, 4])
     def test_ratios_approach_at_the_proved_rate(self, k):
         u = unbordered_counts(k, 200)
-        gamma = unbordered_density_enclosure(k, 400)
+        gamma = _unbordered_density_enclosure(k, 400)
         for n in range(1, 201):
             here = Fraction(u[n], k ** n)
             assert gamma.upper <= here

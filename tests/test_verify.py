@@ -1,5 +1,6 @@
 """The cross-checking suites must fail on planted bugs, not only pass."""
 
+import ast
 import itertools
 import math
 import os
@@ -56,6 +57,42 @@ def test_a_suite_that_runs_no_check_fails(name, options):
     bounds = {"k_max": 3, "n_max": 10, "budget": DEFAULT_BUDGET} | options
     result = verify.SUITES[name](bounds["k_max"], bounds["n_max"], bounds["budget"])
     assert (result.checks, result.failures, result.passed) == (0, [], False)
+
+
+def test_a_check_counts_once_per_call_and_returns_what_it_was_given():
+    result = verify.SuiteResult("demo")
+    assert not result.passed  # no check ran
+    holds = object()
+    assert [result.check(True), result.check(False), result.check(holds)] == [
+        True, False, holds]
+    assert result.check(holds) is holds
+    # a check that does not hold is counted, not failed: its site calls fail
+    assert (result.checks, result.failures, result.passed) == (4, [], True)
+    result.fail("demo check failed at n=1")
+    assert (result.checks, result.passed) == (4, False)
+
+
+def test_g_map_counts_both_preimage_tests():
+    # at k = 2, n <= 3: 2 + 4 + 8 words for the order correspondence, two
+    # checks on each of the 1 + 2 + 4 images, and the even-to-odd analogue
+    result = verify.suite_g_map(2, 3, verify.VERIFY_BUDGET)
+    assert (result.checks, result.passed) == (14 + 2 * 7 + 1, True)
+
+
+def test_only_suite_result_counts_checks():
+    # every other site counts a check by calling result.check, so no hand
+    # count can drift from the checks that ran
+    tree = ast.parse(Path(verify.__file__).read_text())
+    [counter] = [node for node in tree.body
+                 if isinstance(node, ast.ClassDef) and node.name == "SuiteResult"]
+    inside = {id(node) for node in ast.walk(counter)}
+    stores = [
+        (node.lineno, id(node) in inside) for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr == "checks"
+        and not isinstance(node.ctx, ast.Load)
+    ]
+    assert [line for line, owned in stores if not owned] == []
+    assert any(owned for _, owned in stores)  # the walk sees SuiteResult's own
 
 
 @pytest.mark.parametrize(
@@ -438,9 +475,8 @@ _honest_doubling = recurrences._doubling
 
 
 def _unbordered_stream_changed(change):
-    # the kernel as constants calls it, with change(counts) applied to the
-    # unbordered stream, which in constants only gamma's series reference
-    # reads
+    # the kernel as verify calls it, with change(counts) applied to the
+    # unbordered stream, which only gamma's series reference reads there
     def doubling(k, N, back):
         counts = _honest_doubling(k, N, back)
         return change(counts) if back is recurrences._unbordered_back else counts
@@ -462,7 +498,7 @@ def _count_doubled_at_20(counts):
         yield 2 * count if n == 20 else count
 
 
-_honest_unbordered_density_enclosure = constants.unbordered_density_enclosure
+_honest_unbordered_density_enclosure = verify._unbordered_density_enclosure
 
 
 def _unbordered_tail_on_the_wrong_side(k, N):
@@ -725,13 +761,13 @@ def _case(module, name, planted, suite, failure, *, id, k=2):
         ),
         # the series reference reads the changed counts, the stepper none
         _case(
-            constants, "_doubling", _unbordered_stream_changed(_counts_shifted),
+            verify, "_doubling", _unbordered_stream_changed(_counts_shifted),
             "constants",
             "Nielsen-equation enclosure left the series enclosure at k=2, N=64, j=3",
             id="gamma-counts-shifted",
         ),
         _case(
-            constants, "_doubling", _unbordered_stream_changed(_count_doubled_at_20),
+            verify, "_doubling", _unbordered_stream_changed(_count_doubled_at_20),
             "constants",
             "Nielsen-equation enclosure left the series enclosure at k=2, N=64, j=3",
             id="gamma-count-scaled",
@@ -790,7 +826,7 @@ def _case(module, name, planted, suite, failure, *, id, k=2):
             id="min-square-counts-doubled",
         ),
         _case(
-            verify, "unbordered_density_enclosure", _unbordered_tail_on_the_wrong_side,
+            verify, "_unbordered_density_enclosure", _unbordered_tail_on_the_wrong_side,
             "constants", "unbordered enclosures failed to nest at k=2, N=10",
             id="gamma-tail-on-the-wrong-side",
         ),
